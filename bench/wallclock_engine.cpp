@@ -2,9 +2,7 @@
 // measures the simulator itself). Three probes:
 //
 //   * process-switch throughput — a process yielding in a tight loop; every
-//     yield is one block + one resume event + one slice. Run under both
-//     execution backends, so the printed ratio is the coroutine speedup
-//     over the one-OS-thread-per-process baton baseline.
+//     yield is one block + one resume event + one coroutine slice.
 //   * event throughput — a self-rescheduling callback chain, no processes:
 //     the pooled event queue in isolation.
 //   * figure-9 wall time — one QR factorization point (N x N phantom, 3
@@ -12,22 +10,26 @@
 //     paper sweeps.
 //   * parallel cluster scenario — an MP2C-style job over a ≥128-node
 //     fabric (64 CNs + 64 ACs + ARM) with lease churn across waves, run
-//     under the serial baseline and the sharded parallel backend. Besides
+//     under the serial backend and the sharded parallel backend. Besides
 //     wall time it reports the engine's exposed parallelism (parallel
 //     events / critical-path events): wall speedup is bounded by
 //     min(exposed parallelism, host cores), so on a 1-core host the wall
 //     ratio reflects pure scheduling overhead while the exposed figure is
 //     the speedup a multi-core host can realize.
 //
-// Emits BENCH_engine.json (override with --out PATH); --quick shrinks the
-// iteration counts for use as a ctest smoke test.
+// A full run writes BENCH_engine.json and BENCH_parallel.json into the
+// working directory (override with --out PATH / --out-parallel PATH).
+// --quick shrinks the iteration counts for use as a ctest smoke test and
+// writes only the files named explicitly, so a quick run never replaces a
+// committed baseline.
 //
-//   $ ./bench/wallclock_engine [--quick] [--out BENCH_engine.json]
+//   $ ./bench/wallclock_engine [--quick] [--out PATH] [--out-parallel PATH]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -47,14 +49,29 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Writes `body` to `path`. An empty path (a quick run without an explicit
+// output) writes nothing.
+bool write_json(const std::string& path, const std::string& body) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  out << body;
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "error: could not write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
 struct SwitchProbe {
   std::uint64_t switches = 0;
   double wall_s = 0.0;
   double per_sec = 0.0;
 };
 
-SwitchProbe switch_throughput(sim::ExecBackend backend, std::uint64_t iters) {
-  sim::Engine engine(backend);
+SwitchProbe switch_throughput(std::uint64_t iters) {
+  sim::Engine engine(sim::ExecBackend::kCoroutine);
   engine.spawn("pinger", [iters](sim::Context& ctx) {
     for (std::uint64_t i = 0; i < iters; ++i) ctx.yield();
   });
@@ -296,16 +313,10 @@ ScaleProbe ring_scale(sim::ExecBackend backend, int shards, int nodes,
   return p;
 }
 
-void print_switch(const char* label, const SwitchProbe& p) {
-  std::printf("  %-10s %9llu switches in %.3f s  ->  %.0f switches/s\n",
-              label, static_cast<unsigned long long>(p.switches), p.wall_s,
-              p.per_sec);
-}
-
 int run(int argc, char** argv) {
   bool quick = false;
-  std::string out_path = "BENCH_engine.json";
-  std::string out_parallel = "BENCH_parallel.json";
+  std::string out_path;
+  std::string out_parallel;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -320,33 +331,22 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
+  if (!quick) {
+    if (out_path.empty()) out_path = "BENCH_engine.json";
+    if (out_parallel.empty()) out_parallel = "BENCH_parallel.json";
+  }
 
   const std::uint64_t coro_iters = quick ? 50'000 : 500'000;
-  const std::uint64_t thread_iters = quick ? 5'000 : 50'000;
   const std::uint64_t event_count = quick ? 200'000 : 2'000'000;
   const int qr_n = quick ? 2048 : 8064;
-
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-  const bool have_coro = false;
-#else
-  const bool have_coro = true;
-#endif
 
   std::printf("engine wall-clock benchmark%s\n", quick ? " (quick)" : "");
 
   std::printf("process-switch throughput:\n");
-  SwitchProbe coro;
-  if (have_coro) {
-    coro = switch_throughput(sim::ExecBackend::kCoroutine, coro_iters);
-    print_switch("coroutine", coro);
-  } else {
-    std::printf("  coroutine  disabled (sanitizer build)\n");
-  }
-  const SwitchProbe thread =
-      switch_throughput(sim::ExecBackend::kThread, thread_iters);
-  print_switch("thread", thread);
-  const double speedup = have_coro ? coro.per_sec / thread.per_sec : 0.0;
-  if (have_coro) std::printf("  speedup    %.1fx\n", speedup);
+  const SwitchProbe coro = switch_throughput(coro_iters);
+  std::printf("  coroutine  %9llu switches in %.3f s  ->  %.0f switches/s\n",
+              static_cast<unsigned long long>(coro.switches), coro.wall_s,
+              coro.per_sec);
 
   const EventProbe ev = event_throughput(event_count);
   std::printf("event throughput: %llu events in %.3f s  ->  %.2fM events/s "
@@ -362,16 +362,13 @@ int run(int argc, char** argv) {
               qr.n, qr.sim_ms, qr.wall_s);
 
   // Parallel cluster scenario. 64 CNs + 64 ACs + the ARM = 129 fabric
-  // nodes in the full run; the serial baseline is the coroutine backend
-  // (thread under sanitizer builds).
+  // nodes in the full run; the serial baseline is the coroutine backend.
   const int churn_nodes = quick ? 16 : 64;
   const int churn_waves = quick ? 1 : 3;
   const int churn_steps = quick ? 10 : 30;
   const int churn_shards = 16;
   const int host_cores = static_cast<int>(std::thread::hardware_concurrency());
-  const sim::ExecBackend base_backend =
-      have_coro ? sim::ExecBackend::kCoroutine : sim::ExecBackend::kThread;
-  const char* base_label = have_coro ? "coroutine" : "thread";
+  const sim::ExecBackend base_backend = sim::ExecBackend::kCoroutine;
   std::printf(
       "parallel cluster scenario: %d fabric nodes (%d CN + %d AC + ARM), "
       "%d wave(s) x %d MP2C steps, lease churn per wave\n",
@@ -379,8 +376,8 @@ int run(int argc, char** argv) {
       churn_steps);
   const ChurnProbe base =
       cluster_churn(base_backend, 0, churn_nodes, churn_waves, churn_steps);
-  std::printf("  %-10s %9llu events in %.3f s  ->  %.2fM events/s\n",
-              base_label, static_cast<unsigned long long>(base.events),
+  std::printf("  coroutine  %9llu events in %.3f s  ->  %.2fM events/s\n",
+              static_cast<unsigned long long>(base.events),
               base.wall_s, base.events_per_sec / 1e6);
   const ChurnProbe par = cluster_churn(sim::ExecBackend::kParallel,
                                        churn_shards, churn_nodes, churn_waves,
@@ -447,9 +444,9 @@ int run(int argc, char** argv) {
         ring_scale(base_backend, 0, nodes, per_node, hop_every);
     scale.push_back(sbase);
     std::printf(
-        "node-count scaling: %d nodes, %llu events (%s baseline "
+        "node-count scaling: %d nodes, %llu events (coroutine baseline "
         "%.2fM events/s)\n",
-        nodes, static_cast<unsigned long long>(sbase.events), base_label,
+        nodes, static_cast<unsigned long long>(sbase.events),
         sbase.per_sec / 1e6);
     for (const int shards : scale_shards) {
       const ScaleProbe p = ring_scale(sim::ExecBackend::kParallel, shards,
@@ -473,7 +470,7 @@ int run(int argc, char** argv) {
   }
   if (scale_diverged) return 1;
 
-  std::ofstream pjson(out_parallel);
+  std::ostringstream pjson;
   pjson << "{\n"
         << "  \"bench\": \"parallel_scaling\",\n"
         << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
@@ -482,7 +479,7 @@ int run(int argc, char** argv) {
         << ", \"shards\": " << churn_shards
         << ", \"waves\": " << churn_waves << ", \"steps\": " << churn_steps
         << ",\n"
-        << "    \"" << base_label << "\": {\"events\": " << base.events
+        << "    \"coroutine\": {\"events\": " << base.events
         << ", \"wall_s\": " << base.wall_s
         << ", \"events_per_sec\": " << base.events_per_sec << "},\n"
         << "    \"parallel\": {\"events\": " << par.events
@@ -507,12 +504,7 @@ int run(int argc, char** argv) {
           << (i + 1 < scale.size() ? "," : "") << "\n";
   }
   pjson << "  ]\n}\n";
-  pjson.flush();
-  if (!pjson) {
-    std::fprintf(stderr, "error: could not write %s\n", out_parallel.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_parallel.c_str());
+  if (!write_json(out_parallel, pjson.str())) return 1;
 
   // Command-stream batching: op-dense churn (MP2C-style async kernel
   // streams) with obs counters on — how many wire messages does the front
@@ -624,21 +616,15 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  std::ofstream json(out_path);
+  std::ostringstream json;
   json << "{\n"
        << "  \"bench\": \"wallclock_engine\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"switch_throughput\": {\n";
-  if (have_coro) {
-    json << "    \"coroutine\": {\"switches\": " << coro.switches
-         << ", \"wall_s\": " << coro.wall_s
-         << ", \"per_sec\": " << coro.per_sec << "},\n";
-  }
-  json << "    \"thread\": {\"switches\": " << thread.switches
-       << ", \"wall_s\": " << thread.wall_s
-       << ", \"per_sec\": " << thread.per_sec << "}";
-  if (have_coro) json << ",\n    \"coroutine_speedup\": " << speedup;
-  json << "\n  },\n"
+       << "  \"switch_throughput\": {\n"
+       << "    \"coroutine\": {\"switches\": " << coro.switches
+       << ", \"wall_s\": " << coro.wall_s
+       << ", \"per_sec\": " << coro.per_sec << "}\n"
+       << "  },\n"
        << "  \"event_throughput\": {\"events\": " << ev.events
        << ", \"wall_s\": " << ev.wall_s << ", \"per_sec\": " << ev.per_sec
        << ", \"pool_nodes\": " << ev.pool_nodes
@@ -653,7 +639,7 @@ int run(int argc, char** argv) {
        << ", \"waves\": " << churn_waves << ", \"steps\": " << churn_steps
        << ",\n"
        << "    \"host_cores\": " << host_cores << ",\n"
-       << "    \"" << base_label << "\": {\"events\": " << base.events
+       << "    \"coroutine\": {\"events\": " << base.events
        << ", \"wall_s\": " << base.wall_s
        << ", \"events_per_sec\": " << base.events_per_sec << "},\n"
        << "    \"parallel\": {\"shards\": " << churn_shards
@@ -695,13 +681,7 @@ int run(int argc, char** argv) {
        << ", \"attribution_bound_pct\": 95\n"
        << "  }\n"
        << "}\n";
-  json.flush();
-  if (!json) {
-    std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return write_json(out_path, json.str()) ? 0 : 1;
 }
 
 }  // namespace

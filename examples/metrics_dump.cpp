@@ -3,7 +3,7 @@
 // The snapshot is deterministic — byte-identical under every execution
 // backend — so the files double as a cross-backend equality probe
 // (scripts/check_determinism.sh runs this binary under
-// DACC_SIM_BACKEND=coroutine|thread|parallel:4 and compares the outputs).
+// DACC_SIM_BACKEND=coroutine|parallel:4 and compares the outputs).
 //
 //   $ ./examples/metrics_dump [out_prefix]
 //   wrote dacc_metrics.json and dacc_metrics.prom

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 test suite under AddressSanitizer.
 #
-# The simulator's coroutine backend hand-switches stacks, which ASan cannot
-# track, so the build pins the thread execution backend
-# (DACC_SIM_FORCE_THREAD_BACKEND is set automatically by CMake when
-# DACC_SANITIZE is active). Benchmarks and examples are skipped: they add
-# nothing to the memory-safety surface and triple the build time.
+# The coroutine strands announce every stack switch to ASan
+# (__sanitizer_start/finish_switch_fiber in sim/engine.cpp), so the suite
+# runs the same execution path as every other build. Benchmarks and
+# examples are skipped: they add nothing to the memory-safety surface and
+# triple the build time.
 #
 #   $ scripts/check_asan.sh [build-dir]
 set -euo pipefail

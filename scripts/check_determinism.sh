@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Cross-backend determinism gate: the simulation's observable outputs —
 # simulated results, trace spans, and the dacc::obs metrics snapshot — must
-# be bit-identical under the coroutine, thread, and parallel execution
-# backends.
+# be bit-identical under the coroutine and parallel execution backends.
 #
 # Two layers of checking:
 #   1. ctest: the in-process determinism suites (tests/sim, tests/obs) and
 #      every obs-labelled smoke test.
 #   2. process-level: run examples/metrics_dump once per backend via
 #      DACC_SIM_BACKEND and byte-compare the exported JSON + Prometheus
-#      snapshots across the three runs.
+#      snapshots across the runs.
 #
 #   $ scripts/check_determinism.sh [build-dir]
 set -euo pipefail
@@ -32,27 +31,24 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L obs
 # to each backend.
 out="$build/det-snapshots"
 mkdir -p "$out"
-for backend in coroutine thread parallel:4; do
+for backend in coroutine parallel:4; do
   tag="${backend/:/_}"
   (cd "$out" && DACC_SIM_BACKEND="$backend" \
     "$build/examples/metrics_dump" "metrics_$tag" > "run_$tag.log")
 done
 
 for ext in json prom; do
-  cmp "$out/metrics_coroutine.$ext" "$out/metrics_thread.$ext"
   cmp "$out/metrics_coroutine.$ext" "$out/metrics_parallel_4.$ext"
 done
 
 # Per-shard era series (windows entered, horizon stalls, inbox batches):
 # registered by the parallel backend only, and deterministic — a replay
-# with the same shard map reproduces them byte for byte. Sequential
-# backends must not register any.
-for tag in coroutine thread; do
-  if [ -s "$out/metrics_$tag.shard.prom" ]; then
-    echo "unexpected shard series under the $tag backend" >&2
-    exit 1
-  fi
-done
+# with the same shard map reproduces them byte for byte. The sequential
+# backend must not register any.
+if [ -s "$out/metrics_coroutine.shard.prom" ]; then
+  echo "unexpected shard series under the coroutine backend" >&2
+  exit 1
+fi
 grep -q 'dacc_sim_shard_windows_total' "$out/metrics_parallel_4.shard.prom"
 grep -q 'dacc_sim_shard_horizon_stalls_total' \
   "$out/metrics_parallel_4.shard.prom"
@@ -65,7 +61,7 @@ cmp "$out/metrics_parallel_4.shard.prom" "$out/metrics_replay.shard.prom"
 # attaches and exports dacc_prof_* series to a separate .prof.prom file —
 # the deterministic snapshot must stay byte-identical to the unprofiled
 # runs above, and no dacc_prof_ series may leak into it.
-for backend in coroutine thread parallel:4; do
+for backend in coroutine parallel:4; do
   tag="${backend/:/_}"
   (cd "$out" && DACC_SIM_BACKEND="$backend" DACC_PROF=1 \
     "$build/examples/metrics_dump" "metrics_prof_$tag" \
@@ -73,12 +69,12 @@ for backend in coroutine thread parallel:4; do
 done
 
 for ext in json prom; do
-  for tag in coroutine thread parallel_4; do
+  for tag in coroutine parallel_4; do
     cmp "$out/metrics_coroutine.$ext" "$out/metrics_prof_$tag.$ext"
   done
 done
 
-for tag in coroutine thread parallel_4; do
+for tag in coroutine parallel_4; do
   if [ ! -s "$out/metrics_prof_$tag.prof.prom" ]; then
     echo "profiler enabled but no wallclock series exported ($tag)" >&2
     exit 1
@@ -93,14 +89,13 @@ done
 # coalescing small ops into kBatch frames. The frame boundaries (rpc message
 # counts, flush-size histograms) land in the snapshot, so this also pins the
 # coalescing itself to be backend-invariant.
-for backend in coroutine thread parallel:4; do
+for backend in coroutine parallel:4; do
   tag="${backend/:/_}"
   (cd "$out" && DACC_SIM_BACKEND="$backend" DACC_RPC_BATCH=8 \
     "$build/examples/metrics_dump" "metrics_batch_$tag" > "run_batch_$tag.log")
 done
 
 for ext in json prom; do
-  cmp "$out/metrics_batch_coroutine.$ext" "$out/metrics_batch_thread.$ext"
   cmp "$out/metrics_batch_coroutine.$ext" "$out/metrics_batch_parallel_4.$ext"
 done
 
@@ -109,14 +104,14 @@ done
 # under every backend AND shard count. raft_dump exits nonzero unless the
 # kill landed and the pool drained; its .raft digest carries the full
 # election history, so the byte-compare pins election timing itself.
-for backend in coroutine thread parallel:1 parallel:4 parallel:8; do
+for backend in coroutine parallel:1 parallel:4 parallel:8; do
   tag="${backend/:/_}"
   (cd "$out" && DACC_SIM_BACKEND="$backend" \
     "$build/examples/raft_dump" "raft_$tag" 42 > "run_raft_$tag.log")
 done
 
 for ext in json prom raft; do
-  for tag in thread parallel_1 parallel_4 parallel_8; do
+  for tag in parallel_1 parallel_4 parallel_8; do
     cmp "$out/raft_coroutine.$ext" "$out/raft_$tag.$ext"
   done
 done
@@ -129,14 +124,14 @@ done
 # history, pool counters, SLO table and replica fingerprints, so the
 # byte-compare pins every scheduling decision across backends and shard
 # counts.
-for backend in coroutine thread parallel:1 parallel:4 parallel:8; do
+for backend in coroutine parallel:1 parallel:4 parallel:8; do
   tag="${backend/:/_}"
   (cd "$out" && DACC_SIM_BACKEND="$backend" \
     "$build/examples/sched_dump" "sched_$tag" 42 > "run_sched_$tag.log")
 done
 
 for ext in json prom sched; do
-  for tag in thread parallel_1 parallel_4 parallel_8; do
+  for tag in parallel_1 parallel_4 parallel_8; do
     cmp "$out/sched_coroutine.$ext" "$out/sched_$tag.$ext"
   done
 done

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 test suite under ThreadSanitizer.
 #
-# TSan is the proof vehicle for the parallel execution backend: the build
-# pins thread strands (DACC_SIM_FORCE_THREAD_BACKEND, set automatically by
-# CMake when DACC_SANITIZE is active) so every context switch is a real OS
-# hand-off TSan can follow, and the run exports DACC_SIM_BACKEND=parallel
-# with a multi-thread worker pool so the window barriers, staged inboxes
-# and cross-shard wakes all execute on genuinely concurrent threads.
+# TSan is the proof vehicle for the parallel execution backend. The
+# coroutine strands announce every stack switch as a TSan fiber switch
+# (sim/engine.cpp), so the suite runs the same execution path as every
+# other build. A fiber switch synchronizes, which is exactly the
+# engine/process hand-off; shard state that never passes through a strand
+# is ordered only by the horizon atomics and era barriers. Passes 2 and 3
+# export DACC_SIM_BACKEND=parallel with a multi-thread worker pool, so the
+# window barriers, staged inboxes and cross-shard wakes all execute on
+# genuinely concurrent threads; pass 3's ring scenario runs no processes,
+# so its ordering rests on the horizon protocol alone.
 # Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.
 #
@@ -23,7 +27,7 @@ cmake -B "$build" -S "$repo" \
   -DDACC_BUILD_EXAMPLES=OFF
 cmake --build "$build" -j "$(nproc)"
 
-# Pass 1: default backend selection (thread strands, serial scheduler).
+# Pass 1: default backend selection (serial scheduler).
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # Pass 2: the parallel scheduler with real worker threads — four shards,

@@ -16,11 +16,9 @@ namespace {
 /// old entries age out FIFO.
 constexpr std::size_t kReplyCacheDepth = 8;
 
-/// Snapshot format version (bumped on any layout change). v1 is the
-/// pre-scheduler layout (no placement, memory, priorities or tickets);
-/// restore() still accepts it with extension fields at their defaults.
+/// Snapshot format version (bumped on any layout change). restore() accepts
+/// only this one: every snapshot reader and writer ships in the same build.
 constexpr std::uint32_t kSnapshotVersion = 2;
-constexpr std::uint32_t kSnapshotVersionV1 = 1;
 
 /// Sanity bound on the zone count read from an untrusted snapshot (the
 /// latency matrix is zones^2 — a garbage count must not allocate).
@@ -1020,10 +1018,9 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
   // is pre-reserved from them, and every element read is bounds-checked, so
   // a garbage count throws on the first missing byte instead of allocating.
   const std::uint32_t version = r.u32();
-  if (version != kSnapshotVersion && version != kSnapshotVersionV1) {
+  if (version != kSnapshotVersion) {
     throw proto::WireError("arm: unknown lease snapshot version");
   }
-  const bool v1 = version == kSnapshotVersionV1;
   LeaseMachine m;
   m.metrics_prefix_ = std::move(metrics_prefix);
   const std::uint32_t policy = r.u32();
@@ -1036,30 +1033,28 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
   m.heartbeats_ = r.u64();
   m.revocations_ = r.u32();
   m.replacements_ = r.u32();
-  if (!v1) {
-    m.preemptions_ = r.u32();
-    m.next_ticket_ = r.u64();
-    const std::uint32_t nz = r.u32();
-    if (nz == 0 || nz > kMaxZones) {
-      throw proto::WireError("arm: bad zone count in snapshot");
-    }
-    const std::uint32_t nnodes = r.u32();
-    for (std::uint32_t i = 0; i < nnodes; ++i) {
-      const std::uint32_t z = r.u32();
-      if (z >= nz) throw proto::WireError("arm: bad node zone in snapshot");
-      m.placement_.node_zone.push_back(z);
-    }
-    for (std::uint64_t i = 0;
-         i < static_cast<std::uint64_t>(nz) * static_cast<std::uint64_t>(nz);
-         ++i) {
-      m.placement_.zone_latency_ns.push_back(r.u64());
-    }
-    // The zone count must be exactly what the node map implies (every zone
-    // populated), or re-emitting the snapshot would change the matrix
-    // stride and the fingerprint would diverge from non-restored peers.
-    if (m.placement_.zones() != nz && !(nnodes == 0 && nz == 1)) {
-      throw proto::WireError("arm: zone map disagrees with zone count");
-    }
+  m.preemptions_ = r.u32();
+  m.next_ticket_ = r.u64();
+  const std::uint32_t nz = r.u32();
+  if (nz == 0 || nz > kMaxZones) {
+    throw proto::WireError("arm: bad zone count in snapshot");
+  }
+  const std::uint32_t nnodes = r.u32();
+  for (std::uint32_t i = 0; i < nnodes; ++i) {
+    const std::uint32_t z = r.u32();
+    if (z >= nz) throw proto::WireError("arm: bad node zone in snapshot");
+    m.placement_.node_zone.push_back(z);
+  }
+  for (std::uint64_t i = 0;
+       i < static_cast<std::uint64_t>(nz) * static_cast<std::uint64_t>(nz);
+       ++i) {
+    m.placement_.zone_latency_ns.push_back(r.u64());
+  }
+  // The zone count must be exactly what the node map implies (every zone
+  // populated), or re-emitting the snapshot would change the matrix
+  // stride and the fingerprint would diverge from non-restored peers.
+  if (m.placement_.zones() != nz && !(nnodes == 0 && nz == 1)) {
+    throw proto::WireError("arm: zone map disagrees with zone count");
   }
   const std::uint32_t nslots = r.u32();
   for (std::uint32_t i = 0; i < nslots; ++i) {
@@ -1067,7 +1062,7 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
     s.info.daemon_rank = static_cast<dmpi::Rank>(r.u64());
     s.info.device_name = r.str();
     s.info.kind = r.str();
-    if (!v1) s.info.memory_bytes = r.u64();
+    s.info.memory_bytes = r.u64();
     const std::uint32_t state = r.u32();
     if (state > static_cast<std::uint32_t>(State::kBroken)) {
       throw proto::WireError("arm: bad slot state in snapshot");
@@ -1076,11 +1071,9 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
     s.job = r.u64();
     s.lease_id = r.u64();
     s.owner = static_cast<dmpi::Rank>(static_cast<std::int64_t>(r.u64()));
-    if (!v1) {
-      s.priority = r.u32();
-      if (s.priority > kMaxPriority) {
-        throw proto::WireError("arm: bad slot priority in snapshot");
-      }
+    s.priority = r.u32();
+    if (s.priority > kMaxPriority) {
+      throw proto::WireError("arm: bad slot priority in snapshot");
     }
     s.assigned_since = r.u64();
     s.assigned_total = r.u64();
@@ -1091,27 +1084,19 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
   for (std::uint32_t i = 0; i < nqueue; ++i) {
     PendingKey key;
     PendingAcquire p;
-    if (!v1) {
-      key.priority = r.u32();
-      if (key.priority > kMaxPriority) {
-        throw proto::WireError("arm: bad queue priority in snapshot");
-      }
-      key.ticket = r.u64();
+    key.priority = r.u32();
+    if (key.priority > kMaxPriority) {
+      throw proto::WireError("arm: bad queue priority in snapshot");
     }
+    key.ticket = r.u64();
     p.client = static_cast<dmpi::Rank>(r.u64());
     p.reply_tag = static_cast<int>(r.u32());
     p.req.job = r.u64();
     p.req.count = r.u32();
     p.req.kind = r.str();
-    if (!v1) {
-      p.req.memory_bytes = r.u64();
-      p.req.gang = r.u32() != 0;
-      p.req.locality = static_cast<std::int64_t>(r.u64());
-    } else {
-      // v1 queue order was arrival order: synthesize tickets as read.
-      key.priority = kPriorityNormal;
-      key.ticket = m.next_ticket_++;
-    }
+    p.req.memory_bytes = r.u64();
+    p.req.gang = r.u32() != 0;
+    p.req.locality = static_cast<std::int64_t>(r.u64());
     p.req.wait = true;
     p.req.priority = key.priority;
     p.enqueued_at = r.u64();

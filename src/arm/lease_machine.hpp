@@ -303,10 +303,9 @@ class LeaseMachine {
   /// and the chaos tier's cross-backend state comparison all use this one
   /// byte format.
   util::Buffer snapshot() const;
-  /// Rebuilds a machine from snapshot() bytes. Accepts the current format
-  /// and the pre-scheduler v1 layout (extension fields default). Throws
-  /// proto::WireError on truncated or out-of-range input. Metrics stay
-  /// unbound.
+  /// Rebuilds a machine from snapshot() bytes in the current format.
+  /// Throws proto::WireError on any other version and on truncated or
+  /// out-of-range input. Metrics stay unbound.
   static LeaseMachine restore(proto::WireReader& r,
                               std::string metrics_prefix = "dacc_arm");
   /// FNV-1a over snapshot() — the value replicas compare in tests.

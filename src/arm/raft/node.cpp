@@ -166,9 +166,12 @@ void RaftNode::become_follower(std::uint64_t term) {
 }
 
 void RaftNode::maybe_start_election(sim::Context& ctx, dmpi::Mpi& mpi) {
-  // Pre-vote only makes sense with peers to probe; a single-replica group
-  // (and the legacy pre_vote=false mode) elects itself directly.
-  if (!params_.pre_vote || replicas_.size() == 1) {
+  // Pre-vote (Raft dissertation §9.6): before bumping its term, a timed-out
+  // follower probes whether an election could succeed, so a replica
+  // rejoining after a partition cannot depose a healthy leader just by
+  // having inflated its term while isolated. Probing needs peers; a
+  // single-replica group elects itself directly.
+  if (replicas_.size() == 1) {
     start_election(ctx, mpi);
     return;
   }

@@ -63,11 +63,6 @@ struct RaftParams {
   /// waiting on a peer for quiescence purposes (the peer is presumed
   /// killed; a reply instantly revives it).
   std::uint32_t dead_rounds = 8;
-  /// Pre-vote phase (Raft dissertation §9.6): before bumping its term, a
-  /// timed-out follower probes whether an election could succeed. A replica
-  /// rejoining after a partition can no longer depose a healthy leader just
-  /// by having timed out and inflated its term while isolated.
-  bool pre_vote = true;
 };
 
 /// One ARM replica. Construct one per replica rank, spawn run() as an

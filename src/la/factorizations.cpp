@@ -15,7 +15,7 @@ constexpr std::uint64_t kDouble = sizeof(double);
 
 /// Uploads the host matrix block-cyclically; returns one device matrix
 /// (ld = a.m(), owned columns contiguous) per GPU.
-std::vector<gpu::DevPtr> distribute(std::span<Gpu* const> gpus,
+std::vector<gpu::DevPtr> distribute(std::span<core::DeviceLink* const> gpus,
                                     const HostMatrix& a,
                                     const BlockCyclic& dist) {
   const int m = a.m();
@@ -38,8 +38,9 @@ std::vector<gpu::DevPtr> distribute(std::span<Gpu* const> gpus,
 }
 
 /// Downloads every GPU's columns back into the host matrix.
-void collect(std::span<Gpu* const> gpus, const std::vector<gpu::DevPtr>& d_a,
-             HostMatrix& a, const BlockCyclic& dist) {
+void collect(std::span<core::DeviceLink* const> gpus,
+             const std::vector<gpu::DevPtr>& d_a, HostMatrix& a,
+             const BlockCyclic& dist) {
   const int m = a.m();
   for (std::size_t me = 0; me < gpus.size(); ++me) {
     const int cols = dist.local_cols(static_cast<int>(me));
@@ -58,7 +59,8 @@ void collect(std::span<Gpu* const> gpus, const std::vector<gpu::DevPtr>& d_a,
 }
 
 /// Stream barrier on every GPU (a 1-element download).
-void fence(std::span<Gpu* const> gpus, const std::vector<gpu::DevPtr>& d_a) {
+void fence(std::span<core::DeviceLink* const> gpus,
+           const std::vector<gpu::DevPtr>& d_a) {
   for (std::size_t me = 0; me < gpus.size(); ++me) {
     (void)gpus[me]->d2h(d_a[me], kDouble);
   }
@@ -66,7 +68,8 @@ void fence(std::span<Gpu* const> gpus, const std::vector<gpu::DevPtr>& d_a) {
 
 }  // namespace
 
-FactorResult dgeqrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
+FactorResult dgeqrf_hybrid(sim::Context& ctx,
+                           std::span<core::DeviceLink* const> gpus,
                            HostMatrix& a, int nb, const LaParams& params,
                            std::vector<double>* tau_out) {
   if (gpus.empty()) throw std::invalid_argument("dgeqrf_hybrid: no GPUs");
@@ -112,7 +115,7 @@ FactorResult dgeqrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
     const int rows = m - j;
     const int b = j / nb;
     const auto o = static_cast<std::size_t>(dist.owner(b));
-    Gpu& owner = *gpus[o];
+    core::DeviceLink& owner = *gpus[o];
 
     // 1. Pack + download the panel from its owner. With look-ahead the
     //    owner's stream holds only the (small) next-panel update at this
@@ -236,7 +239,8 @@ FactorResult dgeqrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
   return result;
 }
 
-FactorResult dpotrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
+FactorResult dpotrf_hybrid(sim::Context& ctx,
+                           std::span<core::DeviceLink* const> gpus,
                            HostMatrix& a, int nb, const LaParams& params) {
   if (gpus.empty()) throw std::invalid_argument("dpotrf_hybrid: no GPUs");
   if (a.m() != a.n()) throw std::invalid_argument("dpotrf_hybrid: not square");
@@ -259,7 +263,7 @@ FactorResult dpotrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
     const int jb = std::min(nb, n - j);
     const int b = j / nb;
     const auto o = static_cast<std::size_t>(dist.owner(b));
-    Gpu& owner = *gpus[o];
+    core::DeviceLink& owner = *gpus[o];
     const std::uint64_t panel_dev =
         d_a[o] + (static_cast<std::uint64_t>(dist.local_col(b)) * n +
                   static_cast<std::uint64_t>(j)) *
@@ -335,7 +339,8 @@ FactorResult dpotrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
   return result;
 }
 
-FactorResult dgetrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
+FactorResult dgetrf_hybrid(sim::Context& ctx,
+                           std::span<core::DeviceLink* const> gpus,
                            HostMatrix& a, int nb, const LaParams& params,
                            std::vector<int>* ipiv_out) {
   if (gpus.empty()) throw std::invalid_argument("dgetrf_hybrid: no GPUs");
@@ -365,7 +370,7 @@ FactorResult dgetrf_hybrid(sim::Context& ctx, std::span<Gpu* const> gpus,
     const int rows = m - j;
     const int b = j / nb;
     const auto o = static_cast<std::size_t>(dist.owner(b));
-    Gpu& owner = *gpus[o];
+    core::DeviceLink& owner = *gpus[o];
     const gpu::DevPtr panel_dev =
         d_a[o] + (static_cast<std::uint64_t>(dist.local_col(b)) * m +
                   static_cast<std::uint64_t>(j)) *

@@ -11,8 +11,8 @@
 // they are tagged with the canonical key of the emitting event (time, ord,
 // intra-event seq) and buffered per shard, exactly like sim::Tracer spans,
 // then merged and applied in canonical order when the run ends. A snapshot
-// is therefore byte-identical across the coroutine, thread and parallel
-// backends (tests/obs/obs_determinism_test.cpp enforces this).
+// is therefore byte-identical across the coroutine and parallel backends
+// (tests/obs/obs_determinism_test.cpp enforces this).
 //
 // Exporters: write_json (machine-readable snapshot, folded into BENCH_*.json
 // by bench_util) and write_prometheus (text exposition format). Both sort by

@@ -131,7 +131,7 @@ struct ClusterConfig {
   /// into this many event queues (0 = auto, capped at a host-sized limit).
   /// Honors DACC_SIM_BACKEND=parallel:N by default; the node -> shard
   /// placement can be pinned with DACC_SIM_SHARD_MAP. Ignored by the
-  /// sequential backends. Results are bit-identical for every shard count.
+  /// sequential backend. Results are bit-identical for every shard count.
   int sim_shards = sim::default_parallel_shards();
 
   /// Width of the engine's serial-control band (sim::Engine::set_band_gap):

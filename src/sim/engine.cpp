@@ -12,6 +12,13 @@
 
 #include "sim/trace.hpp"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace dacc::sim {
 
 namespace {
@@ -58,45 +65,32 @@ __attribute__((noinline)) void set_exec_cursor(ExecCursor* c) noexcept {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Strands: hand execution back and forth between the engine and one process.
-// Exactly one side runs at a time; the two implementations differ only in
-// the mechanics of the hand-off. Under the parallel backend consecutive
-// slices of one process may be driven by different worker threads; the
-// shard's horizon publishes (release) and reads (acquire) order those
-// drives, so each strand still sees a strictly alternating engine/process
-// hand-off.
+// Strand: hands execution back and forth between the engine and one process.
+// The process body runs as a stackful coroutine on a pooled stack; a switch
+// is swapcontext() in user space, no OS scheduler involvement. Exactly one
+// side runs at a time. Under the parallel backend consecutive slices of one
+// process may be driven by different worker threads; the shard's horizon
+// publishes (release) and reads (acquire) order those drives, so the strand
+// still sees a strictly alternating engine/process hand-off.
+//
+// Sanitizers cannot follow swapcontext on their own, so every switch is
+// annotated: ASan learns which stack is about to run, TSan which fiber (its
+// logical thread). TSan's default fiber switch synchronizes, which is exactly
+// the alternating hand-off. The annotations compile away in builds without
+// -fsanitize=address / -fsanitize=thread.
 // ---------------------------------------------------------------------------
 
 class Process::Strand {
  public:
-  virtual ~Strand() = default;
-  virtual void run_slice(Process& p) = 0;        // engine side
-  virtual void yield_to_engine(Process& p) = 0;  // process side
+  Strand(StackPool& pool, Process& p) : pool_(pool), process_(&p) {}
+  // The coroutine holds this object's address.
+  Strand(const Strand&) = delete;
+  Strand& operator=(const Strand&) = delete;
 
- protected:
-  // Nested-class access to Process internals, forwarded for the concrete
-  // strands in the anonymous namespace below.
-  static void run_body(Process& p) { p.body_main(); }
-  static bool is_shutdown_requested(const Process& p) {
-    return p.shutdown_requested_;
-  }
-};
+  ~Strand() { release(); }
 
-namespace {
-
-// Stackful coroutine strand: the process body runs on a pooled stack; a
-// switch is swapcontext() in user space, no OS scheduler involvement. The
-// stack returns to the pool the moment the body finishes, so long-running
-// engines reuse a small working set of stacks.
-class CoroStrand final : public Process::Strand {
- public:
-  CoroStrand(StackPool& pool, Process& p) : pool_(pool), process_(&p) {}
-
-  ~CoroStrand() override {
-    if (stack_.map_base != nullptr) pool_.release(stack_);
-  }
-
-  void run_slice(Process& p) override {
+  // Engine side: runs the process until it blocks or finishes.
+  void run_slice() {
     if (!entered_) {
       entered_ = true;
       stack_ = pool_.acquire();
@@ -105,32 +99,88 @@ class CoroStrand final : public Process::Strand {
       coro_.uc_stack.ss_size = stack_.size;
       coro_.uc_link = &engine_;  // body return resumes the engine side
       const auto self = reinterpret_cast<std::uintptr_t>(this);
-      ::makecontext(&coro_, reinterpret_cast<void (*)()>(&CoroStrand::entry),
-                    2, static_cast<unsigned>(self >> 32),
+      ::makecontext(&coro_, reinterpret_cast<void (*)()>(&Strand::entry), 2,
+                    static_cast<unsigned>(self >> 32),
                     static_cast<unsigned>(self & 0xffffffffu));
+#if defined(__SANITIZE_THREAD__)
+      fiber_ = __tsan_create_fiber(0);
+#endif
     }
-    // engine_ is overwritten on every slice, so it always names the worker
-    // that drove this slice — the coroutine returns to whoever resumed it.
+    // engine_ (and the sanitizers' record of the engine side) is overwritten
+    // on every slice, so it always names the worker that drove this slice —
+    // the coroutine returns to whoever resumed it.
+#if defined(__SANITIZE_THREAD__)
+    engine_fiber_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(fiber_, 0);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    void* engine_fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&engine_fake_stack, stack_.base,
+                                   stack_.size);
+#endif
     ::swapcontext(&engine_, &coro_);
-    if (p.finished() && stack_.map_base != nullptr) {
-      pool_.release(stack_);
-      stack_ = StackPool::Stack{};
-    }
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(engine_fake_stack, nullptr, nullptr);
+#endif
+    if (process_->finished()) release();
   }
 
-  void yield_to_engine(Process& p) override {
+  // Process side: gives the baton back; returns when resumed.
+  void yield_to_engine() {
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(&fake_stack_, engine_stack_,
+                                   engine_stack_size_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(engine_fiber_, 0);
+#endif
     ::swapcontext(&coro_, &engine_);
-    if (is_shutdown_requested(p)) throw Shutdown{};
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(fake_stack_, &engine_stack_,
+                                    &engine_stack_size_);
+#endif
+    if (process_->shutdown_requested_) throw Shutdown{};
   }
 
  private:
   // makecontext passes int arguments only; the strand pointer travels as two
   // 32-bit halves (the standard 64-bit ucontext idiom).
   static void entry(unsigned hi, unsigned lo) {
-    auto* self = reinterpret_cast<CoroStrand*>(
+    auto* self = reinterpret_cast<Strand*>(
         (static_cast<std::uintptr_t>(hi) << 32) | lo);
-    run_body(*self->process_);
-    // Falling off the end switches to uc_link == the engine context.
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(nullptr, &self->engine_stack_,
+                                    &self->engine_stack_size_);
+#endif
+    self->process_->body_main();
+    // Leaving for good. Without a sanitizer, falling off the end switches to
+    // uc_link == the engine context. Under one, the final switch is announced
+    // (ASan: no fake stack to keep) and made explicitly, so no instrumented
+    // epilogue runs after TSan has moved to the engine's fiber.
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(nullptr, self->engine_stack_,
+                                   self->engine_stack_size_);
+    ::setcontext(&self->engine_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(self->engine_fiber_, 0);
+    ::setcontext(&self->engine_);
+#endif
+  }
+
+  // Returns the stack (and TSan fiber) the moment the body finishes, so
+  // long-running engines reuse a small working set of stacks.
+  void release() {
+    if (stack_.map_base != nullptr) {
+      pool_.release(stack_);
+      stack_ = StackPool::Stack{};
+    }
+#if defined(__SANITIZE_THREAD__)
+    if (fiber_ != nullptr) {
+      __tsan_destroy_fiber(fiber_);
+      fiber_ = nullptr;
+    }
+#endif
   }
 
   StackPool& pool_;
@@ -139,66 +189,16 @@ class CoroStrand final : public Process::Strand {
   ucontext_t engine_{};
   ucontext_t coro_{};
   bool entered_ = false;
+#if defined(__SANITIZE_ADDRESS__)
+  void* fake_stack_ = nullptr;  // the coroutine's, while it is switched out
+  const void* engine_stack_ = nullptr;
+  std::size_t engine_stack_size_ = 0;
+#endif
+#if defined(__SANITIZE_THREAD__)
+  void* fiber_ = nullptr;
+  void* engine_fiber_ = nullptr;
+#endif
 };
-
-// OS-thread strand: the original SystemC-style baton (mutex/condvar). Kept
-// as the sanitizer- and debugger-friendly fallback; selected per engine or
-// globally via -DDACC_SANITIZE / DACC_SIM_BACKEND=thread.
-//
-// Because the process body runs on its own OS thread, the worker's
-// execution cursor must follow the baton: run_slice() publishes the
-// driving thread's cursor and the process side installs it after every
-// baton receipt, so Engine::now() etc. resolve against the running drain.
-class ThreadStrand final : public Process::Strand {
- public:
-  explicit ThreadStrand(Process& p) {
-    thread_ = std::thread([this, &p] { main(p); });
-  }
-
-  ~ThreadStrand() override {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void run_slice(Process&) override {
-    cursor_ = detail::exec_cursor();
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kProcess;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return turn_ == Turn::kEngine; });
-  }
-
-  void yield_to_engine(Process& p) override {
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kEngine;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return turn_ == Turn::kProcess; });
-    lock.unlock();
-    detail::set_exec_cursor(cursor_);
-    if (is_shutdown_requested(p)) throw Shutdown{};
-  }
-
- private:
-  void main(Process& p) {
-    // Wait for the engine to hand us the baton for the first time.
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return turn_ == Turn::kProcess; });
-    }
-    detail::set_exec_cursor(cursor_);
-    run_body(p);
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kEngine;
-    cv_.notify_all();
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  enum class Turn { kEngine, kProcess } turn_ = Turn::kEngine;
-  std::thread thread_;
-  detail::ExecCursor* cursor_ = nullptr;  // driving worker's cursor
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Process
@@ -206,19 +206,11 @@ class ThreadStrand final : public Process::Strand {
 
 Process::Process(Engine& engine, std::uint64_t id, std::string name,
                  ProcessFn fn)
-    : engine_(engine), id_(id), name_(std::move(name)), fn_(std::move(fn)) {
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-  // Sanitizer builds cannot track hand-switched stacks regardless of the
-  // engine's nominal backend.
-  strand_ = std::make_unique<ThreadStrand>(*this);
-#else
-  if (engine.backend() == ExecBackend::kThread) {
-    strand_ = std::make_unique<ThreadStrand>(*this);
-  } else {
-    strand_ = std::make_unique<CoroStrand>(engine.stack_pool_, *this);
-  }
-#endif
-}
+    : engine_(engine),
+      id_(id),
+      name_(std::move(name)),
+      fn_(std::move(fn)),
+      strand_(std::make_unique<Strand>(engine.stack_pool_, *this)) {}
 
 Process::~Process() = default;
 
@@ -240,10 +232,6 @@ void Process::body_main() {
   }
   finished_ = true;
 }
-
-void Process::yield_to_engine() { strand_->yield_to_engine(*this); }
-
-void Process::run_slice() { strand_->run_slice(*this); }
 
 // ---------------------------------------------------------------------------
 // Context
@@ -592,13 +580,13 @@ void Engine::resume_slice(Process& p) {
     Process* prev = c->current;
     c->current = &p;
     ++c->switches;
-    p.run_slice();
+    p.strand_->run_slice();
     c->current = prev;
   } else {
     Process* prev = current_;
     current_ = &p;
     ++process_switches_;
-    p.run_slice();
+    p.strand_->run_slice();
     current_ = prev;
   }
 }
@@ -612,7 +600,8 @@ std::uint64_t Engine::prepare_block(Process& p) {
 }
 
 void Engine::block(Process& p) {
-  p.yield_to_engine();  // returns when a matching resume hands the baton back
+  // Returns when a matching resume hands the baton back.
+  p.strand_->yield_to_engine();
   p.current_wait_ = 0;
 }
 
@@ -640,8 +629,8 @@ void Engine::wake(Process& p) {
     return;
   }
   if (p.home_node_ == kGlobalNode) {
-    // A node context waking a node-less process. The sequential backends
-    // (including the merged no-lookahead drain) share one baton so
+    // A node context waking a node-less process. The sequential backend
+    // and the merged no-lookahead drain share one baton so
     // immediate delivery is safe and keeps historical timings; the era
     // driver cannot reach the global band from inside an era without
     // breaking the canonical order.
@@ -751,7 +740,7 @@ bool Engine::run_merged(SimTime limit) {
   // The canonical (time, ord) key totally orders events regardless of which
   // queue holds them, so a least-key scan over the band queue plus every
   // shard replays exactly the sequence the era driver executes — and the
-  // one the sequential backends produce.
+  // one the sequential backend produces.
   WallSink* const w = wall_;
   const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
   const std::uint64_t we0 = events_executed_;
@@ -1179,7 +1168,7 @@ void Engine::shutdown_processes() {
     if (proc->finished_) continue;
     proc->shutdown_requested_ = true;
     // Hand the baton once; the process throws Shutdown and unwinds.
-    proc->run_slice();
+    proc->strand_->run_slice();
   }
 }
 

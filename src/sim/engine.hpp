@@ -7,20 +7,19 @@
 // any one event is always single-threaded, and the canonical order makes the
 // simulation bit-for-bit reproducible.
 //
-// Three execution backends implement process suspension and event dispatch
-// (see sim/exec.hpp): stackful coroutines on pooled stacks (default — a
-// process switch is two user-space context swaps), one OS thread per process
-// with mutex/condvar baton passing (sanitizer-friendly fallback), and a
-// conservative parallel backend that partitions node-homed work into
-// per-shard event queues driven by a worker pool. Within an era the shards
-// advance asynchronously: each shard repeatedly drains up to the minimum of
-// its neighbors' published horizon clocks plus the per-shard-pair lookahead
-// (DESIGN.md §5.2). All three produce identical event sequences;
-// tests/sim/determinism_test.cpp enforces that contract three ways.
+// Every process runs as a stackful coroutine on a pooled stack (a process
+// switch is two user-space context swaps). Two execution backends dispatch
+// events (see sim/exec.hpp): a sequential one, and a conservative parallel
+// backend that partitions node-homed work into per-shard event queues
+// driven by a worker pool. Within an era the shards advance asynchronously:
+// each shard repeatedly drains up to the minimum of its neighbors' published
+// horizon clocks plus the per-shard-pair lookahead (DESIGN.md §5.2). Both
+// produce identical event sequences; tests/sim/determinism_test.cpp
+// enforces that contract.
 //
 // Threading contract: every callback and every process body executes while
 // holding the (conceptual) simulation baton for its node. Under the
-// sequential backends there is one global baton, so it is always safe to
+// sequential backend there is one global baton, so it is always safe to
 // touch engine state, schedule events, and wake processes from engine
 // callbacks or process bodies — but never from threads outside the engine.
 // Under the parallel backend the baton is per node: callbacks and processes
@@ -28,7 +27,7 @@
 // another node (fabric delivery, cross-node wakes, posts) are routed through
 // staged inboxes and take effect no earlier than the node pair's latency
 // floor later — which is exactly the calibrated cross-node link latency, so
-// the sequential backends observe the same times.
+// the sequential backend observes the same times.
 #pragma once
 
 #include <atomic>
@@ -92,7 +91,7 @@ class WallSink {
   /// coordinator's global-band events and queue scans. `events` may be 0.
   virtual void serial(std::uint64_t ns, std::uint64_t events) = 0;
   /// A run() / run_until() call finished after `wall_ns`, having driven
-  /// `effective_workers` (1 for sequential backends and inline mode).
+  /// `effective_workers` (1 for the sequential backend and inline mode).
   virtual void run_complete(std::uint64_t wall_ns, int effective_workers) = 0;
 };
 
@@ -203,17 +202,15 @@ class Process {
   /// engine shutdown); Engine::run rethrows the stored message.
   const std::string& failure() const { return failure_; }
 
-  /// Backend-specific suspension state (coroutine or thread); implemented in
-  /// engine.cpp. Public so the concrete strands can derive from it.
-  class Strand;
-
  private:
   friend class Engine;
   friend class Context;
 
-  void body_main();        // runs fn_ under the backend's trampoline
-  void yield_to_engine();  // process side: give the baton back
-  void run_slice();        // engine side: hand baton to process, wait for it
+  // Coroutine suspension state (stack and saved contexts); implemented in
+  // engine.cpp.
+  class Strand;
+
+  void body_main();  // runs fn_ on the strand's coroutine stack
 
   Engine& engine_;
   std::uint64_t id_;
@@ -243,7 +240,7 @@ class Engine {
  public:
   /// `shards` is the parallel backend's shard count (0 = auto: one shard
   /// per cluster node, capped at a host-sized limit); ignored by the
-  /// sequential backends.
+  /// sequential backend.
   explicit Engine(ExecBackend backend = default_exec_backend(),
                   int shards = default_parallel_shards());
   ~Engine();
@@ -409,8 +406,7 @@ class Engine {
   const EventQueue::Stats& event_stats() const { return queue_.stats(); }
   void reset_event_high_water() { queue_.reset_high_water(); }
 
-  /// Coroutine stacks ever created (stable once the pool is warm; always 0
-  /// under the thread backend).
+  /// Coroutine stacks ever created (stable once the pool is warm).
   std::uint64_t stacks_created() const { return stack_pool_.created(); }
 
   /// Era accounting for the parallel backend. `windows` counts the serial
@@ -579,7 +575,7 @@ class Engine {
                            ? -1
                            : shard_target(node);
     if (c == nullptr) {
-      // Serial context: sequential backends, the global band, between runs.
+      // Serial context: sequential backend, the global band, between runs.
       if (target < 0) {
         queue_.push(t, ord, node, std::forward<F>(fn));
       } else {

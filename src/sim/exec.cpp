@@ -44,8 +44,6 @@ const char* to_string(ExecBackend backend) {
   switch (backend) {
     case ExecBackend::kCoroutine:
       return "coroutine";
-    case ExecBackend::kThread:
-      return "thread";
     case ExecBackend::kParallel:
       return "parallel";
   }
@@ -54,28 +52,15 @@ const char* to_string(ExecBackend backend) {
 
 ExecBackend default_exec_backend() {
   if (const char* env = std::getenv("DACC_SIM_BACKEND")) {
-    if (std::strcmp(env, "thread") == 0) return ExecBackend::kThread;
-    if (std::strcmp(env, "coroutine") == 0) {
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-      // Sanitizer builds cannot track hand-switched stacks; honour the
-      // build-time pin rather than crash under the instrumented runtime.
-      return ExecBackend::kThread;
-#else
-      return ExecBackend::kCoroutine;
-#endif
-    }
+    if (std::strcmp(env, "coroutine") == 0) return ExecBackend::kCoroutine;
     int shards = 0;
     if (parse_parallel_env(env, &shards)) return ExecBackend::kParallel;
     std::fprintf(stderr,
                  "dacc: ignoring DACC_SIM_BACKEND='%s' "
-                 "(expected 'coroutine', 'thread', or 'parallel[:N]')\n",
+                 "(expected 'coroutine' or 'parallel[:N]')\n",
                  env);
   }
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-  return ExecBackend::kThread;
-#else
   return ExecBackend::kCoroutine;
-#endif
 }
 
 int default_parallel_shards() {

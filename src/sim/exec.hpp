@@ -1,19 +1,15 @@
 // Execution backend selection for the simulation engine.
 //
 // Simulated processes are synchronous C++ functions that must be suspended
-// and resumed at blocking points. Three interchangeable backends implement
-// that suspension; all execute the exact same canonical event order, so
-// simulated results are bit-for-bit identical either way:
+// and resumed at blocking points. Every process runs as a stackful coroutine
+// (ucontext swapcontext on a pooled, guard-paged stack): no OS scheduler
+// involvement, a process switch is two user-space context swaps. ASan and
+// TSan follow the switches through fiber annotations. Two backends dispatch
+// events; both execute the exact same canonical event order, so simulated
+// results are bit-for-bit identical either way:
 //
-//  * kCoroutine — stackful coroutines (ucontext swapcontext on a pooled,
-//                 guard-paged stack). No OS scheduler involvement: a process
-//                 switch is two user-space context swaps, which is what makes
-//                 paper-scale sweeps wall-clock fast. The default.
-//  * kThread    — one OS thread per process with mutex/condvar baton passing
-//                 (the original engine). ~an order of magnitude slower per
-//                 switch, but friendly to sanitizers and debuggers that do
-//                 not understand stack switching. Forced as the default by
-//                 building with -DDACC_SANITIZE=....
+//  * kCoroutine — one event queue drained on the calling thread. The
+//                 default.
 //  * kParallel  — conservative parallel discrete-event execution: simulated
 //                 processes and resources are partitioned by cluster node
 //                 into per-shard event queues, shards run on a worker pool
@@ -30,17 +26,15 @@ namespace dacc::sim {
 
 enum class ExecBackend {
   kCoroutine,
-  kThread,
   kParallel,
 };
 
 const char* to_string(ExecBackend backend);
 
 /// The backend new Engines use unless one is passed explicitly: kCoroutine,
-/// unless the build forces the thread backend (sanitizer builds define
-/// DACC_SIM_FORCE_THREAD_BACKEND) or the environment variable
-/// DACC_SIM_BACKEND is set to "thread", "coroutine", or "parallel[:N]"
-/// (N = shard count, defaulting to the host's hardware concurrency).
+/// unless the environment variable DACC_SIM_BACKEND is set to "coroutine"
+/// or "parallel[:N]" (N = shard count, defaulting to the host's hardware
+/// concurrency).
 ExecBackend default_exec_backend();
 
 /// Shard count requested via DACC_SIM_BACKEND: N for "parallel:N", the

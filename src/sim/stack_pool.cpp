@@ -5,9 +5,24 @@
 
 #include <new>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace dacc::sim {
 
 namespace {
+
+// A coroutine stack can come back with ASan redzones still poisoned (frames
+// left by unwinding or by the final switch away from a finished body). Clear
+// them before the range is reused or unmapped. A no-op without ASan.
+void unpoison(const StackPool::Stack& s) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(s.base, s.size);
+#else
+  (void)s;
+#endif
+}
 
 std::size_t page_size() {
   static const std::size_t size =
@@ -26,6 +41,7 @@ StackPool::StackPool(std::size_t stack_bytes)
 
 StackPool::~StackPool() {
   for (const Stack& s : free_) {
+    unpoison(s);
     ::munmap(s.map_base, s.map_size);
   }
 }
@@ -57,6 +73,7 @@ StackPool::Stack StackPool::acquire() {
 
 void StackPool::release(Stack stack) {
   if (stack.map_base == nullptr) return;
+  unpoison(stack);
   std::lock_guard<std::mutex> lock(mutex_);
   free_.push_back(stack);
 }

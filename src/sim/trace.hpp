@@ -12,7 +12,7 @@
 // event that emitted it (time, source-node ord, intra-event index) and
 // buffered per shard; the engine merges the buffers in canonical order at
 // the end of each run, so the final span list is byte-identical to what the
-// sequential backends append directly.
+// sequential backend appends directly.
 #pragma once
 
 #include <cstdint>

@@ -43,7 +43,7 @@ namespace dacc::util {
 /// next payload of similar size from the cache instead of the allocator.
 /// The pool is process-global and the parallel simulation backend touches
 /// it from several shard workers at once, so access is mutex-protected
-/// (uncontended in the sequential backends).
+/// (uncontended in the sequential backend).
 class BufferPool {
  public:
   static BufferPool& instance();

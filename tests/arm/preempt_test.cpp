@@ -3,7 +3,7 @@
 // its operation log onto a re-acquired accelerator transparently (no data
 // loss, no compute-node failure), and the healthy preempted slot is never
 // reported broken. Runs against both the single ARM and the replicated
-// deployment; per-backend ctest registration covers all three engines.
+// deployment; per-backend ctest registration covers both engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>

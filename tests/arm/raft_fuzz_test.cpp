@@ -161,6 +161,31 @@ TEST(RaftWireFuzz, EntryCountNeverExceedsTheFrame) {
   EXPECT_THROW((void)AppendEntries::decode(r), WireError);
 }
 
+TEST(RaftWireFuzz, V1SnapshotIsRejectedWhole) {
+  // The pre-scheduler v1 snapshot layout (no placement, memory, priorities
+  // or tickets) has no writer in the build. A well-formed v1 frame is an
+  // unknown version: restore() throws before decoding anything, so a
+  // replica assigning its result keeps its state untouched.
+  LeaseMachine replica({{1, "c1060"}, {2, "c1060"}}, QueuePolicy::kFcfs);
+  const std::uint64_t before = replica.fingerprint();
+  WireWriter w;
+  w.u32(1);  // version
+  w.u32(static_cast<std::uint32_t>(QueuePolicy::kFcfs));
+  // next lease, acquisitions, heartbeats, revocations, replacements
+  w.u64(7).u64(3).u64(0).u32(0).u32(0);
+  // One free slot: rank, device, kind, state, job, lease, owner, assigned
+  // since, assigned total, last beat.
+  w.u32(1);
+  w.u64(1).str("c1060").str("gpu").u32(0).u64(0).u64(0).u64(~0ull);
+  w.u64(0).u64(0).u64(0);
+  w.u32(0).u32(0).u32(0);  // queue, revoked leases, reply cache
+  const util::Buffer v1 = w.finish();
+  WireReader r(v1.view());
+  EXPECT_THROW(replica = LeaseMachine::restore(r), WireError);
+  EXPECT_EQ(replica.fingerprint(), before);
+  EXPECT_EQ(replica.stats().free, 2u);
+}
+
 TEST(RaftWireFuzz, RandomBytesNeverCrashTheDecoders) {
   util::Rng rng(0x4a77);
   int clean_throws = 0;

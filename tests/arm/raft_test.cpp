@@ -2,8 +2,8 @@
 // log matching / bit-identical lease tables across replicas, snapshot
 // compaction and restore, and cross-backend determinism of whole chaos
 // schedules. The binary is registered once per execution backend (see
-// CMakeLists.txt), so every test here also runs under coroutine, thread
-// and parallel schedulers.
+// CMakeLists.txt), so every test here also runs under the coroutine and
+// parallel schedulers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -28,12 +28,6 @@ namespace {
 
 using dacc::testing::ChaosSchedule;
 using dacc::testing::replicated_cluster;
-
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-constexpr bool kCoroutineAvailable = false;
-#else
-constexpr bool kCoroutineAvailable = true;
-#endif
 
 /// Replica indices still alive after the run.
 std::vector<int> live_replicas(rt::Cluster& cluster) {
@@ -371,13 +365,10 @@ TEST(RaftDeterminism, ChaosScheduleIsShardCountInvariant) {
 }
 
 TEST(RaftDeterminism, ChaosScheduleIsBackendInvariant) {
-  const ChaosFingerprint thread = run_chaos(sim::ExecBackend::kThread, 0);
-  EXPECT_EQ(thread.granted0, 2u);
-  EXPECT_EQ(thread.granted1, 1u);
-  EXPECT_EQ(run_chaos(sim::ExecBackend::kParallel, 4), thread);
-  if (kCoroutineAvailable) {
-    EXPECT_EQ(run_chaos(sim::ExecBackend::kCoroutine, 0), thread);
-  }
+  const ChaosFingerprint coro = run_chaos(sim::ExecBackend::kCoroutine, 0);
+  EXPECT_EQ(coro.granted0, 2u);
+  EXPECT_EQ(coro.granted1, 1u);
+  EXPECT_EQ(run_chaos(sim::ExecBackend::kParallel, 4), coro);
 }
 
 }  // namespace

@@ -24,12 +24,6 @@ namespace {
 using dacc::testing::small_cluster;
 using gpu::Result;
 
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-constexpr bool kCoroutineAvailable = false;
-#else
-constexpr bool kCoroutineAvailable = true;
-#endif
-
 rt::ClusterConfig hb_cluster(int cns, int acs) {
   rt::ClusterConfig c = small_cluster(cns, acs);
   c.heartbeat.enabled = true;
@@ -325,18 +319,15 @@ TEST(Recovery, QrCompletesDespiteMidRunDeviceDeath) {
 }
 
 TEST(Recovery, QrRecoveryIsDeterministicAcrossBackends) {
-  const QrOutcome clean = qr_with_death(0, sim::ExecBackend::kThread);
+  const QrOutcome clean = qr_with_death(0, sim::ExecBackend::kCoroutine);
   const SimDuration die_at = clean.factor_time / 4;
-  const QrOutcome thread = qr_with_death(die_at, sim::ExecBackend::kThread);
-  EXPECT_EQ(thread.replacements, 1u);
-  if (!kCoroutineAvailable) {
-    GTEST_SKIP() << "coroutine backend disabled (sanitizer build)";
-  }
   const QrOutcome coro = qr_with_death(die_at, sim::ExecBackend::kCoroutine);
-  EXPECT_EQ(coro.replacements, thread.replacements);
-  EXPECT_EQ(coro.factor_time, thread.factor_time);
-  EXPECT_EQ(coro.final_now, thread.final_now);
-  EXPECT_EQ(coro.factored, thread.factored);
+  EXPECT_EQ(coro.replacements, 1u);
+  const QrOutcome par = qr_with_death(die_at, sim::ExecBackend::kParallel);
+  EXPECT_EQ(par.replacements, coro.replacements);
+  EXPECT_EQ(par.factor_time, coro.factor_time);
+  EXPECT_EQ(par.final_now, coro.final_now);
+  EXPECT_EQ(par.factored, coro.factored);
 }
 
 TEST(Recovery, HeartbeatOverheadNegligibleOnFigure9Qr) {
@@ -401,13 +392,9 @@ TEST(Recovery, ReplacementFlowIsDeterministicAcrossBackends) {
     cluster.run();
     return std::pair<SimTime, SimTime>(replaced_done, cluster.engine().now());
   };
-  const auto thread = fingerprint(sim::ExecBackend::kThread);
-  EXPECT_GT(thread.first, 0u);
-  if (kCoroutineAvailable) {
-    const auto coro = fingerprint(sim::ExecBackend::kCoroutine);
-    EXPECT_EQ(coro.first, thread.first);
-    EXPECT_EQ(coro.second, thread.second);
-  }
+  const auto coro = fingerprint(sim::ExecBackend::kCoroutine);
+  EXPECT_GT(coro.first, 0u);
+  EXPECT_EQ(fingerprint(sim::ExecBackend::kParallel), coro);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Typed resource scheduler (DESIGN.md §13): device-class and memory
 // constraints, gang vs partial grants, priority-ordered waiting, and
-// topology-aware placement. Registered per backend (coroutine / thread /
-// parallel) so every scheduling decision is exercised under all three
-// execution models.
+// topology-aware placement. Registered per backend (coroutine / parallel)
+// so every scheduling decision is exercised under both execution models.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -16,7 +16,7 @@
 namespace dacc::testing {
 
 struct RingOpts {
-  sim::ExecBackend backend = sim::ExecBackend::kThread;
+  sim::ExecBackend backend = sim::ExecBackend::kCoroutine;
   int shards = 0;  ///< parallel shard hint (0 = auto); ignored when serial
   int nodes = 8;
   int chains = 4;

@@ -25,17 +25,19 @@ rt::ClusterConfig la_cluster(int accelerators, bool functional,
 }
 
 /// Runs `body` as a 1-rank job with `acs` statically assigned accelerators.
-void run_la_job(rt::ClusterConfig config, std::uint32_t acs,
-                std::function<void(rt::JobContext&, std::vector<Gpu*>&)> body) {
+void run_la_job(
+    rt::ClusterConfig config, std::uint32_t acs,
+    std::function<void(rt::JobContext&, std::vector<core::DeviceLink*>&)>
+        body) {
   rt::Cluster cluster(std::move(config));
   rt::JobSpec spec;
   spec.accelerators_per_rank = acs;
   spec.body = [&](rt::JobContext& job) {
-    std::vector<std::unique_ptr<RemoteGpu>> remotes;
-    std::vector<Gpu*> gpus;
+    std::vector<std::unique_ptr<core::RemoteDeviceLink>> remotes;
+    std::vector<core::DeviceLink*> gpus;
     for (std::size_t i = 0; i < job.session().size(); ++i) {
-      remotes.push_back(
-          std::make_unique<RemoteGpu>(job.session()[i], job.ctx()));
+      remotes.push_back(std::make_unique<core::RemoteDeviceLink>(
+          job.session()[i], job.ctx()));
       gpus.push_back(remotes.back().get());
     }
     body(job, gpus);
@@ -59,7 +61,7 @@ class QrRemoteP : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 TEST_P(QrRemoteP, MatchesHostReference) {
   const auto [n, nb, g] = GetParam();
   run_la_job(la_cluster(g, true), static_cast<std::uint32_t>(g),
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a = random_matrix(n, n, 1000 + n);
                HostMatrix original = a;
                std::vector<double> tau;
@@ -87,7 +89,7 @@ class CholRemoteP : public ::testing::TestWithParam<std::tuple<int, int, int>> {
 TEST_P(CholRemoteP, MatchesHostReference) {
   const auto [n, nb, g] = GetParam();
   run_la_job(la_cluster(g, true), static_cast<std::uint32_t>(g),
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a = random_matrix(n, n, 2000 + n);
                a.make_spd();
                HostMatrix original = a;
@@ -109,8 +111,8 @@ TEST(FactorizationsLocal, QrOnLocalGpuMatchesReference) {
   rt::Cluster cluster(la_cluster(0, true, /*local_gpus=*/true));
   rt::JobSpec spec;
   spec.body = [](rt::JobContext& job) {
-    LocalGpu local(job.local_gpu());
-    std::vector<Gpu*> gpus{&local};
+    core::LocalDeviceLink local(job.local_gpu());
+    std::vector<core::DeviceLink*> gpus{&local};
     HostMatrix a = random_matrix(48, 48, 77);
     HostMatrix original = a;
     std::vector<double> tau;
@@ -125,8 +127,8 @@ TEST(FactorizationsLocal, CholeskyOnLocalGpuMatchesReference) {
   rt::Cluster cluster(la_cluster(0, true, true));
   rt::JobSpec spec;
   spec.body = [](rt::JobContext& job) {
-    LocalGpu local(job.local_gpu());
-    std::vector<Gpu*> gpus{&local};
+    core::LocalDeviceLink local(job.local_gpu());
+    std::vector<core::DeviceLink*> gpus{&local};
     HostMatrix a = random_matrix(48, 48, 88);
     a.make_spd();
     HostMatrix original = a;
@@ -140,7 +142,7 @@ TEST(FactorizationsLocal, CholeskyOnLocalGpuMatchesReference) {
 
 TEST(Factorizations, CholeskyReportsIndefiniteMatrix) {
   run_la_job(la_cluster(1, true), 1,
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a = random_matrix(32, 32, 3);  // not SPD
                const FactorResult r = dpotrf_hybrid(job.ctx(), gpus, a, 16);
                EXPECT_NE(r.info, 0);
@@ -155,8 +157,8 @@ double qr_gflops_with(int n, int g, bool local) {
     rt::Cluster cluster(la_cluster(0, false, true));
     rt::JobSpec spec;
     spec.body = [&](rt::JobContext& job) {
-      LocalGpu lg(job.local_gpu());
-      std::vector<Gpu*> gpus{&lg};
+      core::LocalDeviceLink lg(job.local_gpu());
+      std::vector<core::DeviceLink*> gpus{&lg};
       HostMatrix a(n, n, false);
       out = dgeqrf_hybrid(job.ctx(), gpus, a, 128).gflops;
     };
@@ -165,7 +167,7 @@ double qr_gflops_with(int n, int g, bool local) {
     return out;
   }
   run_la_job(la_cluster(g, false), static_cast<std::uint32_t>(g),
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a(n, n, false);
                out = dgeqrf_hybrid(job.ctx(), gpus, a, 128).gflops;
              });
@@ -196,13 +198,13 @@ TEST(FactorizationShapes, PhantomAndFunctionalChargeSameTime) {
   SimDuration t_functional = 0;
   SimDuration t_phantom = 0;
   run_la_job(la_cluster(2, true), 2,
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a = random_matrix(n, n, 5);
                t_functional =
                    dgeqrf_hybrid(job.ctx(), gpus, a, 32).factor_time;
              });
   run_la_job(la_cluster(2, false), 2,
-             [&](rt::JobContext& job, std::vector<Gpu*>& gpus) {
+             [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a(n, n, false);
                t_phantom = dgeqrf_hybrid(job.ctx(), gpus, a, 32).factor_time;
              });

@@ -103,11 +103,11 @@ TEST_P(LuRemoteP, MatchesHostReference) {
   rt::JobSpec spec;
   spec.accelerators_per_rank = static_cast<std::uint32_t>(g);
   spec.body = [&, n = n, nb = nb](rt::JobContext& job) {
-    std::vector<std::unique_ptr<RemoteGpu>> links;
-    std::vector<Gpu*> gpus;
+    std::vector<std::unique_ptr<core::RemoteDeviceLink>> links;
+    std::vector<core::DeviceLink*> gpus;
     for (std::size_t i = 0; i < job.session().size(); ++i) {
-      links.push_back(
-          std::make_unique<RemoteGpu>(job.session()[i], job.ctx()));
+      links.push_back(std::make_unique<core::RemoteDeviceLink>(
+          job.session()[i], job.ctx()));
       gpus.push_back(links.back().get());
     }
     HostMatrix a = random_matrix(n, n, 400 + static_cast<std::uint64_t>(n));
@@ -148,11 +148,11 @@ TEST(LuShapes, MultiGpuScalesAtLargeN) {
     rt::JobSpec spec;
     spec.accelerators_per_rank = static_cast<std::uint32_t>(g);
     spec.body = [&](rt::JobContext& job) {
-      std::vector<std::unique_ptr<RemoteGpu>> links;
-      std::vector<Gpu*> gpus;
+      std::vector<std::unique_ptr<core::RemoteDeviceLink>> links;
+      std::vector<core::DeviceLink*> gpus;
       for (std::size_t i = 0; i < job.session().size(); ++i) {
-        links.push_back(
-            std::make_unique<RemoteGpu>(job.session()[i], job.ctx()));
+        links.push_back(std::make_unique<core::RemoteDeviceLink>(
+            job.session()[i], job.ctx()));
         gpus.push_back(links.back().get());
       }
       HostMatrix a(4096, 4096, false);

@@ -2,9 +2,9 @@
 // dacc::obs): a figure-9-style workload — static leases, bulk copies,
 // kernels, dynamic acquire/release, heartbeats — run with metrics and
 // tracing attached must produce byte-identical metrics snapshots (JSON and
-// Prometheus text) under the coroutine, thread, and parallel:4 execution
-// backends, and the causal trace must stitch a front-end op to its NIC and
-// daemon child spans with Chrome flow events.
+// Prometheus text) under the coroutine and parallel:4 execution backends,
+// and the causal trace must stitch a front-end op to its NIC and daemon
+// child spans with Chrome flow events.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -91,23 +91,18 @@ RunOut run_workload(sim::ExecBackend backend, int shards = 0) {
 
 TEST(ObsDeterminism, MetricsSnapshotIdenticalAcrossBackends) {
   const RunOut coro = run_workload(sim::ExecBackend::kCoroutine);
-  const RunOut thread = run_workload(sim::ExecBackend::kThread);
   const RunOut par = run_workload(sim::ExecBackend::kParallel, /*shards=*/4);
 
   ASSERT_FALSE(coro.metrics_json.empty());
-  EXPECT_EQ(coro.metrics_json, thread.metrics_json);
   EXPECT_EQ(coro.metrics_json, par.metrics_json);
-  EXPECT_EQ(coro.metrics_prom, thread.metrics_prom);
   EXPECT_EQ(coro.metrics_prom, par.metrics_prom);
   // The simulation itself agreed, not just the formatting.
-  EXPECT_EQ(coro.end, thread.end);
   EXPECT_EQ(coro.end, par.end);
 
-  // The sequential backends register no shard series; the parallel run
+  // The sequential backend registers no shard series; the parallel run
   // does, and they are deterministic: a replay with the same shard count
   // reproduces them byte for byte (era structure is schedule-independent).
   EXPECT_TRUE(coro.shard_prom.empty());
-  EXPECT_TRUE(thread.shard_prom.empty());
   EXPECT_NE(par.shard_prom.find("dacc_sim_shard_windows_total"),
             std::string::npos);
   EXPECT_NE(par.shard_prom.find("dacc_sim_shard_inbox_batch"),

@@ -282,10 +282,9 @@ ProfiledRun run_profiled(sim::ExecBackend backend, int shards = 0) {
 
 TEST(TierSeparation, ProfilerSeriesNeverEnterTheSnapshotOnAnyBackend) {
   const ProfiledRun coro = run_profiled(sim::ExecBackend::kCoroutine);
-  const ProfiledRun thread = run_profiled(sim::ExecBackend::kThread);
   const ProfiledRun par = run_profiled(sim::ExecBackend::kParallel, 4);
 
-  for (const ProfiledRun* run : {&coro, &thread, &par}) {
+  for (const ProfiledRun* run : {&coro, &par}) {
     EXPECT_EQ(run->metrics_prom.find(Profiler::kSeriesPrefix),
               std::string::npos)
         << "wallclock series leaked into the deterministic snapshot";
@@ -293,9 +292,7 @@ TEST(TierSeparation, ProfilerSeriesNeverEnterTheSnapshotOnAnyBackend) {
   }
   // With the profiler attached the deterministic tier still agrees byte
   // for byte across backends — the wallclock tier observes, never steers.
-  EXPECT_EQ(coro.metrics_prom, thread.metrics_prom);
   EXPECT_EQ(coro.metrics_prom, par.metrics_prom);
-  EXPECT_EQ(coro.end, thread.end);
   EXPECT_EQ(coro.end, par.end);
 }
 

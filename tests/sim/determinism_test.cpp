@@ -1,5 +1,5 @@
-// Cross-backend determinism contract (sim/exec.hpp): the coroutine, thread
-// and parallel execution backends must produce bit-identical simulations —
+// Cross-backend determinism contract (sim/exec.hpp): the coroutine and
+// parallel execution backends must produce bit-identical simulations —
 // same event count, same final clock, same trace span sequence, same
 // numerical results — every backend must reproduce itself exactly across
 // runs, and the parallel backend must be invariant in its shard count.
@@ -272,23 +272,7 @@ void expect_sane(const Fingerprint& fp) {
   EXPECT_GT(fp.bat_checksum, 0.0);
 }
 
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-constexpr bool kCoroutineAvailable = false;
-#else
-constexpr bool kCoroutineAvailable = true;
-#endif
-
-TEST(Determinism, ThreadBackendReplaysExactly) {
-  const Fingerprint a = run_mixed(sim::ExecBackend::kThread);
-  const Fingerprint b = run_mixed(sim::ExecBackend::kThread);
-  expect_sane(a);
-  expect_identical(a, b, "thread vs thread");
-}
-
 TEST(Determinism, CoroutineBackendReplaysExactly) {
-  if (!kCoroutineAvailable) {
-    GTEST_SKIP() << "coroutine backend disabled (sanitizer build)";
-  }
   const Fingerprint a = run_mixed(sim::ExecBackend::kCoroutine);
   const Fingerprint b = run_mixed(sim::ExecBackend::kCoroutine);
   expect_sane(a);
@@ -303,17 +287,13 @@ TEST(Determinism, ParallelBackendReplaysExactly) {
 }
 
 TEST(Determinism, BackendsProduceIdenticalSimulations) {
-  // The three-way contract: every backend replays the same simulation,
-  // bit for bit. The parallel run uses four shards so the windowed
-  // scheduler, staged inboxes and barrier merge are all on the line.
-  const Fingerprint thread = run_mixed(sim::ExecBackend::kThread);
+  // Both backends replay the same simulation, bit for bit. The parallel
+  // run uses four shards so the windowed scheduler, staged inboxes and
+  // barrier merge are all on the line.
+  const Fingerprint coro = run_mixed(sim::ExecBackend::kCoroutine);
   const Fingerprint par = run_mixed(sim::ExecBackend::kParallel, /*shards=*/4);
-  expect_sane(thread);
-  expect_identical(thread, par, "thread vs parallel");
-  if (kCoroutineAvailable) {
-    const Fingerprint coro = run_mixed(sim::ExecBackend::kCoroutine);
-    expect_identical(coro, thread, "coroutine vs thread");
-  }
+  expect_sane(coro);
+  expect_identical(coro, par, "coroutine vs parallel");
 }
 
 TEST(Determinism, ShardCountInvariance) {
@@ -408,13 +388,10 @@ SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards) {
 }
 
 TEST(Determinism, SkewedTopologyBackendInvariance) {
-  const SkewedFingerprint thread = run_skewed(sim::ExecBackend::kThread, 0);
-  EXPECT_GT(thread.events, 100u);
-  EXPECT_DOUBLE_EQ(thread.checksum, 512 * 0.5);  // rank 0: fill 1.0, scale
-  EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, 4), thread);
-  if (kCoroutineAvailable) {
-    EXPECT_EQ(run_skewed(sim::ExecBackend::kCoroutine, 0), thread);
-  }
+  const SkewedFingerprint coro = run_skewed(sim::ExecBackend::kCoroutine, 0);
+  EXPECT_GT(coro.events, 100u);
+  EXPECT_DOUBLE_EQ(coro.checksum, 512 * 0.5);  // rank 0: fill 1.0, scale
+  EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, 4), coro);
 }
 
 TEST(Determinism, SkewedTopologyShardCountInvariance) {

@@ -25,12 +25,6 @@ using dacc::testing::RingOpts;
 using dacc::testing::RingResult;
 using dacc::testing::run_ring;
 
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-constexpr sim::ExecBackend kSerialBackend = sim::ExecBackend::kThread;
-#else
-constexpr sim::ExecBackend kSerialBackend = sim::ExecBackend::kCoroutine;
-#endif
-
 // ---------------------------------------------------------------------------
 // Merged fallback: concurrency is surrendered, never correctness
 // ---------------------------------------------------------------------------
@@ -41,7 +35,7 @@ TEST(ParallelAsync, ZeroLookaheadFallsBackToMergedSerialOrder) {
   o.chains = 4;
   o.hops = 48;
   o.lookahead = 0;  // no conservative horizon exists
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
 
   o.backend = sim::ExecBackend::kParallel;
@@ -58,7 +52,7 @@ TEST(ParallelAsync, PositiveLookaheadRunsWindowed) {
   o.nodes = 8;
   o.chains = 4;
   o.hops = 48;
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
 
   o.backend = sim::ExecBackend::kParallel;
@@ -82,7 +76,7 @@ TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {
   o.lookahead = 1000;
   o.override_default = 1000;
   o.links = {{0, 1, 0}};
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
 
   // Force the zero-latency pair onto different shards (the partitioner
@@ -138,7 +132,7 @@ TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
   o.lookahead = 1200;
   o.override_default = 1200;
   o.links = {{0, 5, 100}, {2, 6, 100}};
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
   o.backend = sim::ExecBackend::kParallel;
   o.shards = 4;
@@ -271,7 +265,7 @@ TEST(ParallelAsyncCluster, BandGapCutsWindowsAndExposesParallelism) {
 
   // Determinism is untouched: the serial replay with the same (default)
   // band gap agrees event for event.
-  const ChurnOut serial = run_cluster_churn(kSerialBackend, 0, 0);
+  const ChurnOut serial = run_cluster_churn(sim::ExecBackend::kCoroutine, 0, 0);
   EXPECT_EQ(wide.events, serial.events);
   EXPECT_EQ(wide.switches, serial.switches);
   EXPECT_EQ(wide.final_now, serial.final_now);

@@ -19,12 +19,6 @@ using dacc::testing::RingOpts;
 using dacc::testing::RingResult;
 using dacc::testing::run_ring;
 
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-constexpr sim::ExecBackend kSerialBackend = sim::ExecBackend::kThread;
-#else
-constexpr sim::ExecBackend kSerialBackend = sim::ExecBackend::kCoroutine;
-#endif
-
 TEST(ParallelScale, TenThousandNodeRingIsBitIdenticalToSerial) {
   RingOpts o;
   o.nodes = 10'000;
@@ -32,7 +26,7 @@ TEST(ParallelScale, TenThousandNodeRingIsBitIdenticalToSerial) {
   o.hops = 80;  // 5120 hop events: TSan-sized, every one cross-shard
   o.step = 50;
   o.lookahead = 1000;
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
 
   o.backend = sim::ExecBackend::kParallel;
@@ -76,7 +70,7 @@ TEST(ParallelScale, PartitionedRingKeepsNeighborsColocated) {
   for (int i = 0; i < nodes; ++i) {
     o.links.push_back({i, (i + 1) % nodes, 100});
   }
-  o.backend = kSerialBackend;
+  o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
 
   o.backend = sim::ExecBackend::kParallel;
