@@ -7,6 +7,20 @@
 #include "util/units.hpp"
 
 namespace dacc::proto {
+
+// Found by gtest through ADL. Without it gtest prints the raw bytes of the
+// struct, padding included, and ctest names each parameterized case after
+// that value, so the names would change from build to build.
+void PrintTo(const TransferConfig& c, std::ostream* os) {
+  if (c.mode == TransferConfig::Mode::kNaive) {
+    *os << "naive";
+  } else if (c.adaptive) {
+    *os << "pipeline_adaptive";
+  } else {
+    *os << "pipeline_" << c.block_bytes / 1_KiB << "KiB";
+  }
+}
+
 namespace {
 
 TEST(BlockPlan, ExactMultiple) {
