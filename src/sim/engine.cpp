@@ -1,11 +1,10 @@
 #include "sim/engine.hpp"
 
-#include <ucontext.h>
-
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <new>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -65,15 +64,88 @@ __attribute__((noinline)) void set_exec_cursor(ExecCursor* c) noexcept {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
+// Stack switch (x86-64 System V only).
+//
+// dacc_sim_switch(save_sp, load_sp) pushes what the ABI makes callee-saved —
+// rbp, rbx, r12-r15, the MXCSR and the x87 control word — onto the current
+// stack, stores rsp through save_sp, loads rsp from load_sp and pops the same
+// frame off that stack, whose return address resumes whoever saved it. Every
+// other register is caller-saved, so the compiler has already spilled it
+// around the call. The switch makes no system call: the signal mask is left
+// alone, since all strands of a thread share it.
+//
+// The routine carries no unwind info: nothing throws across it, and a DWARF
+// unwinder that samples it mid-switch finds no frame info and stops there.
+//
+// A new strand's first switch "returns" into dacc_sim_strand_start, which
+// calls r12(rbx), i.e. Strand::entry(strand). That call never returns, and
+// `.cfi_undefined rip` marks the stub as the outermost frame for unwinders.
+// ---------------------------------------------------------------------------
+#if !defined(__x86_64__)
+#error "dacc_sim_switch in src/sim/engine.cpp is x86-64 only; port it first"
+#endif
+
+extern "C" {
+void dacc_sim_switch(void** save_sp, void* load_sp);
+void dacc_sim_strand_start();
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl dacc_sim_switch
+  .hidden dacc_sim_switch
+  .type dacc_sim_switch, @function
+dacc_sim_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size dacc_sim_switch, .-dacc_sim_switch
+
+  .p2align 4
+  .globl dacc_sim_strand_start
+  .hidden dacc_sim_strand_start
+  .type dacc_sim_strand_start, @function
+dacc_sim_strand_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %rbx, %rdi
+  call *%r12
+  ud2
+  .cfi_endproc
+  .size dacc_sim_strand_start, .-dacc_sim_strand_start
+  .popsection
+)");
+
+// ---------------------------------------------------------------------------
 // Strand: hands execution back and forth between the engine and one process.
 // The process body runs as a stackful coroutine on a pooled stack; a switch
-// is swapcontext() in user space, no OS scheduler involvement. Exactly one
-// side runs at a time. Under the parallel backend consecutive slices of one
-// process may be driven by different worker threads; the shard's horizon
-// publishes (release) and reads (acquire) order those drives, so the strand
-// still sees a strictly alternating engine/process hand-off.
+// is one dacc_sim_switch call in user space: no system call, no OS scheduler
+// involvement. Exactly one side runs at a time. Under the parallel backend
+// consecutive slices of one process may be driven by different worker
+// threads; the shard's horizon publishes (release) and reads (acquire) order
+// those drives, so the strand still sees a strictly alternating
+// engine/process hand-off.
 //
-// Sanitizers cannot follow swapcontext on their own, so every switch is
+// Sanitizers cannot follow a stack switch on their own, so every switch is
 // annotated: ASan learns which stack is about to run, TSan which fiber (its
 // logical thread). TSan's default fiber switch synchronizes, which is exactly
 // the alternating hand-off. The annotations compile away in builds without
@@ -91,24 +163,16 @@ class Process::Strand {
 
   // Engine side: runs the process until it blocks or finishes.
   void run_slice() {
-    if (!entered_) {
-      entered_ = true;
+    if (coro_sp_ == nullptr) {
       stack_ = pool_.acquire();
-      ::getcontext(&coro_);
-      coro_.uc_stack.ss_sp = stack_.base;
-      coro_.uc_stack.ss_size = stack_.size;
-      coro_.uc_link = &engine_;  // body return resumes the engine side
-      const auto self = reinterpret_cast<std::uintptr_t>(this);
-      ::makecontext(&coro_, reinterpret_cast<void (*)()>(&Strand::entry), 2,
-                    static_cast<unsigned>(self >> 32),
-                    static_cast<unsigned>(self & 0xffffffffu));
+      coro_sp_ = entry_frame();
 #if defined(__SANITIZE_THREAD__)
       fiber_ = __tsan_create_fiber(0);
 #endif
     }
-    // engine_ (and the sanitizers' record of the engine side) is overwritten
-    // on every slice, so it always names the worker that drove this slice —
-    // the coroutine returns to whoever resumed it.
+    // engine_sp_ (and the sanitizers' record of the engine side) is
+    // overwritten on every slice, so it always names the worker that drove
+    // this slice — the coroutine returns to whoever resumed it.
 #if defined(__SANITIZE_THREAD__)
     engine_fiber_ = __tsan_get_current_fiber();
     __tsan_switch_to_fiber(fiber_, 0);
@@ -118,7 +182,7 @@ class Process::Strand {
     __sanitizer_start_switch_fiber(&engine_fake_stack, stack_.base,
                                    stack_.size);
 #endif
-    ::swapcontext(&engine_, &coro_);
+    dacc_sim_switch(&engine_sp_, coro_sp_);
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(engine_fake_stack, nullptr, nullptr);
 #endif
@@ -134,7 +198,7 @@ class Process::Strand {
 #if defined(__SANITIZE_THREAD__)
     __tsan_switch_to_fiber(engine_fiber_, 0);
 #endif
-    ::swapcontext(&coro_, &engine_);
+    dacc_sim_switch(&coro_sp_, engine_sp_);
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(fake_stack_, &engine_stack_,
                                     &engine_stack_size_);
@@ -143,29 +207,49 @@ class Process::Strand {
   }
 
  private:
-  // makecontext passes int arguments only; the strand pointer travels as two
-  // 32-bit halves (the standard 64-bit ucontext idiom).
-  static void entry(unsigned hi, unsigned lo) {
-    auto* self = reinterpret_cast<Strand*>(
-        (static_cast<std::uintptr_t>(hi) << 32) | lo);
+  // The stack image dacc_sim_switch pops, lowest address first.
+  struct SwitchFrame {
+    std::uint32_t mxcsr;
+    std::uint16_t x87_cw;
+    std::uint16_t unused;
+    std::uintptr_t r15, r14, r13, r12, rbx, rbp;
+    std::uintptr_t ret;
+  };
+  static_assert(sizeof(SwitchFrame) == 64);
+
+  // The frame the first switch onto a fresh stack pops: the start stub as
+  // return address, rbx = this, r12 = entry, rbp = 0 (ends frame-pointer
+  // walks) and the engine side's control words, which a new process
+  // inherits. It sits 16 bytes below the top, so the stub runs with rsp
+  // 16-byte aligned, as at a call site, and its CFA inside the stack.
+  void* entry_frame() {
+    std::byte* top = static_cast<std::byte*>(stack_.base) + stack_.size;
+    auto* f = new (top - 16 - sizeof(SwitchFrame)) SwitchFrame{};
+    f->r12 = reinterpret_cast<std::uintptr_t>(&Strand::entry);
+    f->rbx = reinterpret_cast<std::uintptr_t>(this);
+    f->ret = reinterpret_cast<std::uintptr_t>(&dacc_sim_strand_start);
+    asm("stmxcsr %0\n\tfnstcw %1" : "=m"(f->mxcsr), "=m"(f->x87_cw));
+    return f;
+  }
+
+  static void entry(Strand* self) {
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_finish_switch_fiber(nullptr, &self->engine_stack_,
                                     &self->engine_stack_size_);
 #endif
     self->process_->body_main();
-    // Leaving for good. Without a sanitizer, falling off the end switches to
-    // uc_link == the engine context. Under one, the final switch is announced
-    // (ASan: no fake stack to keep) and made explicitly, so no instrumented
-    // epilogue runs after TSan has moved to the engine's fiber.
+    // Leaving for good: one final switch, which nothing resumes. It is
+    // announced first (ASan: no fake stack to keep), so no instrumented code
+    // runs on this stack after TSan has moved to the engine's fiber.
 #if defined(__SANITIZE_ADDRESS__)
     __sanitizer_start_switch_fiber(nullptr, self->engine_stack_,
                                    self->engine_stack_size_);
-    ::setcontext(&self->engine_);
 #endif
 #if defined(__SANITIZE_THREAD__)
     __tsan_switch_to_fiber(self->engine_fiber_, 0);
-    ::setcontext(&self->engine_);
 #endif
+    dacc_sim_switch(&self->coro_sp_, self->engine_sp_);
+    __builtin_unreachable();
   }
 
   // Returns the stack (and TSan fiber) the moment the body finishes, so
@@ -186,9 +270,9 @@ class Process::Strand {
   StackPool& pool_;
   Process* process_;
   StackPool::Stack stack_{};
-  ucontext_t engine_{};
-  ucontext_t coro_{};
-  bool entered_ = false;
+  void* engine_sp_ = nullptr;  // the engine side's rsp while the process runs
+  void* coro_sp_ = nullptr;    // the process's rsp while it is switched out;
+                               // null until its first slice
 #if defined(__SANITIZE_ADDRESS__)
   void* fake_stack_ = nullptr;  // the coroutine's, while it is switched out
   const void* engine_stack_ = nullptr;

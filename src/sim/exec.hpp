@@ -2,11 +2,12 @@
 //
 // Simulated processes are synchronous C++ functions that must be suspended
 // and resumed at blocking points. Every process runs as a stackful coroutine
-// (ucontext swapcontext on a pooled, guard-paged stack): no OS scheduler
-// involvement, a process switch is two user-space context swaps. ASan and
-// TSan follow the switches through fiber annotations. Two backends dispatch
-// events; both execute the exact same canonical event order, so simulated
-// results are bit-for-bit identical either way:
+// on a pooled, guard-paged stack. A process switch is two user-space stack
+// swaps that save only the callee-saved registers and FP control words: no
+// system call, no OS scheduler involvement. ASan and TSan follow the
+// switches through fiber annotations. Two backends dispatch events; both
+// execute the exact same canonical event order, so simulated results are
+// bit-for-bit identical either way:
 //
 //  * kCoroutine — one event queue drained on the calling thread. The
 //                 default.

@@ -62,7 +62,12 @@ StackPool::Stack StackPool::acquire() {
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED) throw std::bad_alloc();
   // Guard at the low end: stacks grow downward on every platform we target.
-  ::mprotect(map, page, PROT_NONE);
+  // Protecting it splits the mapping in two, which fails with ENOMEM near
+  // vm.max_map_count; a stack must never go out without its guard.
+  if (::mprotect(map, page, PROT_NONE) != 0) {
+    ::munmap(map, map_size);
+    throw std::bad_alloc();
+  }
   Stack s;
   s.map_base = map;
   s.map_size = map_size;

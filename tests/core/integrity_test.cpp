@@ -17,6 +17,12 @@ struct Case {
   const char* name;
 };
 
+// ctest names each case after this printout. gtest's default one is a byte
+// dump of the struct, whose pointer value changes from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << "_" << c.bytes << "B";
+}
+
 class IntegrityP : public ::testing::TestWithParam<Case> {};
 
 TEST_P(IntegrityP, RoundTripsBitExact) {
@@ -78,12 +84,7 @@ std::vector<Case> cases() {
   return out;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, IntegrityP, ::testing::ValuesIn(cases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return std::string(info.param.name) + "_" +
-             std::to_string(info.param.bytes) + "B";
-    });
+INSTANTIATE_TEST_SUITE_P(Sweep, IntegrityP, ::testing::ValuesIn(cases()));
 
 }  // namespace
 }  // namespace dacc::core

@@ -1,12 +1,44 @@
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
+#include <linux/filter.h>
+#include <linux/seccomp.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
 
+#include <cerrno>
+#include <cfenv>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "sim/stack_pool.hpp"
+
 namespace dacc::sim {
 namespace {
+
+// Makes every later `nr` system call of this process fail with `err`. For
+// death-test children only: a seccomp filter cannot be removed.
+void fail_syscall(long nr, int err) {
+  sock_filter filter[] = {
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, static_cast<std::uint32_t>(nr), 0,
+               1),
+      BPF_STMT(BPF_RET | BPF_K,
+               SECCOMP_RET_ERRNO | (static_cast<std::uint32_t>(err) &
+                                    SECCOMP_RET_DATA)),
+      BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+  };
+  sock_fprog prog{static_cast<unsigned short>(std::size(filter)), filter};
+  if (::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) != 0 ||
+      ::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &prog) != 0) {
+    std::_Exit(2);
+  }
+}
 
 TEST(Engine, StartsAtTimeZero) {
   Engine engine;
@@ -274,6 +306,93 @@ TEST(Engine, DeterministicReplay) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// A process switch stays in user space. swapcontext calls rt_sigprocmask on
+// every swap; with that call failing, all 10,000 yields must still run.
+TEST(Engine, StrandSwitchMakesNoSystemCall) {
+  EXPECT_EXIT(
+      {
+        fail_syscall(SYS_rt_sigprocmask, EPERM);
+        Engine engine(ExecBackend::kCoroutine);
+        int yields = 0;
+        engine.spawn("p", [&](Context& ctx) {
+          for (int i = 0; i < 10'000; ++i) {
+            ctx.yield();
+            ++yields;
+          }
+        });
+        engine.run();
+        std::_Exit(yields == 10'000 && engine.process_switches() == 10'001
+                       ? 0
+                       : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+// A new strand's entry frame leaves its body 16-byte aligned, and every
+// switch keeps each side's rounding mode (x87 control word and MXCSR) its
+// own: a process that rounds upward does not leak that to the engine or to
+// another process.
+TEST(Engine, StrandKeepsStackAlignmentAndFpControl) {
+  Engine engine(ExecBackend::kCoroutine);
+  // The volatile reads keep the compiler from assuming the declared
+  // alignment (and the default rounding mode) instead of measuring them.
+  auto misalignment = [] {
+    alignas(16) char local[16] = {};
+    volatile std::uintptr_t at = reinterpret_cast<std::uintptr_t>(local);
+    return at % 16;
+  };
+  volatile double one = 1.0;
+  volatile double three = 3.0;
+  const double nearest_third = one / three;
+
+  std::vector<std::uintptr_t> offsets;
+  int upward_mode = -1;
+  double upward_third = 0;
+  std::vector<int> other_modes;
+  int engine_mode = -1;
+  engine.spawn("upward", [&](Context& ctx) {
+    offsets.push_back(misalignment());
+    std::fesetround(FE_UPWARD);
+    ctx.yield();
+    offsets.push_back(misalignment());
+    upward_mode = std::fegetround();
+    upward_third = one / three;
+  });
+  engine.spawn("default", [&](Context& ctx) {
+    other_modes.push_back(std::fegetround());
+    ctx.yield();
+    other_modes.push_back(std::fegetround());
+  });
+  engine.schedule_at(0, [&] { engine_mode = std::fegetround(); });
+  engine.run();
+
+  EXPECT_EQ(offsets, (std::vector<std::uintptr_t>{0, 0}));
+  EXPECT_EQ(upward_mode, FE_UPWARD);
+  EXPECT_GT(upward_third, nearest_third);
+  EXPECT_EQ(other_modes, (std::vector<int>{FE_TONEAREST, FE_TONEAREST}));
+  EXPECT_EQ(engine_mode, FE_TONEAREST);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+}
+
+// Protecting the guard page splits the stack's mapping, which can fail near
+// vm.max_map_count; the pool must then refuse the stack, not hand it out
+// unguarded.
+TEST(StackPool, AcquireThrowsWhenGuardPageFails) {
+  EXPECT_EXIT(
+      {
+        StackPool pool;
+        fail_syscall(SYS_mprotect, ENOMEM);
+        bool threw = false;
+        try {
+          pool.acquire();
+        } catch (const std::bad_alloc&) {
+          threw = true;
+        }
+        std::_Exit(threw ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace
