@@ -391,31 +391,32 @@ void World::arrive_cts(Rank src_w, std::uint64_t send_id, int tag,
   auto pending = std::move(*it);
   sends.erase(it);
 
+  // The callable carries the whole PendingSend behind one pointer, so it
+  // fits the event node's inline storage (no heap fallback per message).
   const std::uint64_t bytes = pending->data.size();
   const Rank dst_w = pending->dst_w;
-  auto send_state = pending->send_state;
-  const Rank sender = pending->src_w;
-  const std::uint64_t trace_id = pending->trace_id;
-  const std::uint64_t nic_span = pending->nic_span;
-
   fabric_.deliver(
       node_of(src_w), node_of(dst_w), bytes + params_.ctrl_bytes,
       engine_.now(),
-      [this, recv_state = std::move(recv_state), send_state, dst_w, trace_id,
-       nic_span, payload = std::move(pending->data), sender, tag,
-       bytes]() mutable {
-        if (nic_span != 0) record_nic_rx(dst_w, trace_id, nic_span);
+      [this, recv_state = std::move(recv_state), pending = std::move(pending),
+       tag]() mutable {
+        const Rank sender = pending->src_w;
+        const std::uint64_t size = pending->data.size();
+        if (pending->nic_span != 0) {
+          record_nic_rx(pending->dst_w, pending->trace_id, pending->nic_span);
+        }
         // This runs at the receiver. The send request belongs to the sender,
         // so its completion (and the wake of anyone waiting on it) is posted
         // back to the sender's node — under the parallel backend the state is
         // only ever touched from its owner's shard.
         engine_.post(node_of(sender), engine_.now(),
-                     [send_state, sender, tag, bytes] {
-                       send_state->complete(Status{sender, tag, bytes},
+                     [send_state = std::move(pending->send_state), sender, tag,
+                      size] {
+                       send_state->complete(Status{sender, tag, size},
                                             util::Buffer{});
                      });
         complete_recv(recv_state, sender, recv_state->context_id, tag,
-                      std::move(payload), params_.recv_overhead);
+                      std::move(pending->data), params_.recv_overhead);
       });
 }
 

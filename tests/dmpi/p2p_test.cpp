@@ -56,6 +56,28 @@ TEST(P2P, RendezvousMessageRoundTripsBytes) {
            }});
 }
 
+TEST(P2P, PipelinedRendezvousDataStaysInline) {
+  // Each rendezvous message's data delivery is one fabric event. Its
+  // callable must fit the event node's inline storage, or every large
+  // message pays a heap allocation.
+  TestBed bed(2);
+  const int k = 8;
+  bed.run({[&](Mpi& mpi, sim::Context&) {
+             std::vector<Request> reqs;
+             for (int i = 0; i < k; ++i) {
+               reqs.push_back(mpi.isend(bed.comm(), 1, i,
+                                        util::Buffer::phantom(1_MiB)));
+             }
+             mpi.wait_all(reqs);
+           },
+           [&](Mpi& mpi, sim::Context&) {
+             for (int i = 0; i < k; ++i) {
+               EXPECT_EQ(mpi.recv(bed.comm(), 0, i).size(), 1_MiB);
+             }
+           }});
+  EXPECT_EQ(bed.engine().event_stats().heap_fallbacks, 0u);
+}
+
 TEST(P2P, RecvBeforeSendWorks) {
   // Receiver posts first (rendezvous RTS finds a posted recv).
   TestBed bed(2);
