@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                   : "serial");
   const std::uint64_t measured = prof.measured_ns();
   const std::uint64_t attributed = prof.attributed_ns();
-  std::printf("  measured   %10.3f ms of worker wallclock\n", measured / 1e6);
+  std::printf("  measured   %10.3f ms of thread wallclock\n", measured / 1e6);
   std::printf("  attributed %10.3f ms (%.1f%% coverage)\n", attributed / 1e6,
               measured > 0 ? 100.0 * attributed / measured : 0.0);
   std::printf("  serial     %10.3f ms\n", prof.serial_ns() / 1e6);

@@ -65,8 +65,12 @@ void Profiler::serial(std::uint64_t ns, std::uint64_t events) {
   serial_events_ += events;
 }
 
-void Profiler::run_complete(std::uint64_t wall_ns, int effective_workers) {
-  measured_ns_ += wall_ns * static_cast<std::uint64_t>(effective_workers);
+void Profiler::coordinator_wait(std::uint64_t ns) {
+  coordinator_wait_ns_ += ns;
+}
+
+void Profiler::run_complete(std::uint64_t wall_ns, int threads) {
+  measured_ns_ += wall_ns * static_cast<std::uint64_t>(threads);
   ++runs_;
 }
 
@@ -103,7 +107,7 @@ std::uint64_t Profiler::worker_wait_ns(int worker) const {
 }
 
 std::uint64_t Profiler::attributed_ns() const {
-  std::uint64_t total = serial_ns_;
+  std::uint64_t total = serial_ns_ + coordinator_wait_ns_;
   for (const ShardSlot& slot : shard_slots_) {
     for (const std::uint64_t ns : slot.ns) total += ns;
   }
@@ -160,6 +164,7 @@ void Profiler::write_prometheus(std::ostream& os) const {
   }
   out.emplace_back(prefix + "serial_ns", serial_ns_);
   out.emplace_back(prefix + "serial_events_total", serial_events_);
+  out.emplace_back(prefix + "coordinator_wait_ns", coordinator_wait_ns_);
   out.emplace_back(prefix + "attributed_ns", attributed_ns());
   out.emplace_back(prefix + "measured_ns", measured_ns_);
   out.emplace_back(prefix + "runs_total", runs_);
@@ -207,6 +212,7 @@ void Profiler::reset() {
   scopes_.clear();
   serial_ns_ = 0;
   serial_events_ = 0;
+  coordinator_wait_ns_ = 0;
   measured_ns_ = 0;
   runs_ = 0;
 }

@@ -16,6 +16,7 @@
 #include "arm/raft/node.hpp"
 #include "arm/raft/wire.hpp"
 #include "common/chaos.hpp"
+#include "common/pool.hpp"
 #include "common/testbed.hpp"
 #include "core/api.hpp"
 #include "proto/wire.hpp"
@@ -330,7 +331,13 @@ ChaosFingerprint run_chaos(sim::ExecBackend backend, int shards) {
   ChaosFingerprint fp;
   cluster.submit(acquire_job(2, 8_ms, &fp.granted0), /*first_cn=*/0);
   cluster.submit(acquire_job(1, 5_ms, &fp.granted1), /*first_cn=*/1);
+  // Widened under every backend, so the parallel runs put the replicas
+  // on the worker pool.
+  dacc::testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
+  if (backend == sim::ExecBackend::kParallel) {
+    EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
+  }
 
   fp.final_now = cluster.engine().now();
   fp.events = cluster.engine().events_executed();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "arm/arm.hpp"
+#include "common/pool.hpp"
 #include "common/testbed.hpp"
 #include "core/api.hpp"
 #include "la/factorizations.hpp"
@@ -295,7 +296,13 @@ QrOutcome qr_with_death(SimDuration die_at, sim::ExecBackend backend) {
     out.factored.assign(a.data(), a.data() + n * n);
   };
   cluster.submit(spec);
+  // Widened under every backend, so a parallel run replays the device
+  // state on the worker pool.
+  dacc::testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
+  if (backend == sim::ExecBackend::kParallel) {
+    EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
+  }
   out.final_now = cluster.engine().now();
   out.replacements = cluster.arm().stats().replacements;
   return out;
@@ -389,7 +396,11 @@ TEST(Recovery, ReplacementFlowIsDeterministicAcrossBackends) {
       ac.mem_free(p);
     };
     cluster.submit(spec);
+    dacc::testing::widen_past_pool_crossover(cluster.engine());
     cluster.run();
+    if (backend == sim::ExecBackend::kParallel) {
+      EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
+    }
     return std::pair<SimTime, SimTime>(replaced_done, cluster.engine().now());
   };
   const auto coro = fingerprint(sim::ExecBackend::kCoroutine);

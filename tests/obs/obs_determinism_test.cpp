@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "core/api.hpp"
 #include "rt/cluster.hpp"
 #include "sim/trace.hpp"
@@ -68,7 +69,13 @@ RunOut run_workload(sim::ExecBackend backend, int shards = 0) {
     }
   };
   cluster.submit(job);
+  // Widened under every backend, so the parallel runs record from the
+  // worker pool's per-shard buffers.
+  dacc::testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
+  if (backend == sim::ExecBackend::kParallel) {
+    EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
+  }
 
   RunOut out;
   // The backend-invariant snapshot excludes the parallel backend's

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "core/api.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -218,6 +219,7 @@ TEST(Profiler, EverySeriesCarriesTheWallclockPrefix) {
   prof.shard_phase(1, sim::WallSink::Phase::kStall, 2'000);
   prof.worker_wait(0, 500);
   prof.serial(3'000, 7);
+  prof.coordinator_wait(250);
   prof.run_complete(10'000, 1);
   { Profiler::Scope s = prof.scope("x"); }
   const std::string prom = prof.prometheus();
@@ -236,8 +238,8 @@ TEST(Profiler, EverySeriesCarriesTheWallclockPrefix) {
   }
   EXPECT_GT(samples, 8);
   // The attribution identity holds on hand-fed numbers: phases + waits +
-  // serial account for everything fed in.
-  EXPECT_EQ(prof.attributed_ns(), 1'000u + 2'000u + 500u + 3'000u);
+  // serial + coordinator waits account for everything fed in.
+  EXPECT_EQ(prof.attributed_ns(), 1'000u + 2'000u + 500u + 3'000u + 250u);
   EXPECT_EQ(prof.measured_ns(), 10'000u);
 }
 
@@ -271,7 +273,13 @@ ProfiledRun run_profiled(sim::ExecBackend backend, int shards = 0) {
     (void)ac.memcpy_d2h(p, 1_MiB);
   };
   cluster.submit(job);
+  // Widened under every backend, so the parallel run is profiled on the
+  // worker pool.
+  dacc::testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
+  if (backend == sim::ExecBackend::kParallel) {
+    EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
+  }
   ProfiledRun out;
   out.metrics_prom =
       cluster.metrics().prometheus(obs::Registry::kShardSeriesPrefix, false);

@@ -9,12 +9,21 @@
 // transfers + kernel streams), an MP2C fluid mini-run over two ranks
 // (halo exchange, migration, collective reductions), and fault injection
 // mid-transfer (error unwinding through the wire protocol).
+//
+// These clusters are small, so on the parallel backend their eras drain
+// merged on the calling thread unless a test widens them past the pool
+// crossover (tests/common/pool.hpp); the tests that do run the same
+// middleware on the worker pool under the horizon protocol and assert
+// that every era went there.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "core/api.hpp"
 #include "la/factorizations.hpp"
 #include "la/kernels.hpp"
@@ -55,9 +64,28 @@ struct Fingerprint {
   std::uint64_t bat_ops = 0;
   std::uint64_t bat_flushes = 0;
   double bat_checksum = 0.0;
+  // Scheduling, not simulation: (pool eras, eras) of each cluster's engine.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> eras;
 };
 
-Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0) {
+void record_eras(Fingerprint& fp, const sim::Engine& engine) {
+  fp.eras.emplace_back(engine.parallel_stats().pool_eras,
+                       engine.parallel_stats().windows);
+}
+
+/// Every cluster of a parallel run sent every era to the worker pool.
+void expect_all_pool_eras(const Fingerprint& fp) {
+  ASSERT_EQ(fp.eras.size(), 3u);
+  for (const auto& [pool, windows] : fp.eras) {
+    EXPECT_GT(windows, 0u);
+    EXPECT_EQ(pool, windows);
+  }
+}
+
+/// `pool`: widen every cluster past the pool crossover before its first
+/// run (under every backend, so the simulations stay comparable).
+Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0,
+                      bool pool = false) {
   auto registry = la::la_registry();
   mdsim::register_mdsim_kernels(*registry);
 
@@ -99,6 +127,7 @@ Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0) {
         mdsim::run_mp2c(job, &gpu, /*total_particles=*/2000, srd);
   };
   cluster.submit(mp2c_job, /*first_cn=*/1);
+  if (pool) testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
 
   // Phase 2: fault injection — the leased accelerator breaks mid-D2H and
@@ -124,6 +153,7 @@ Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0) {
   fp.events = cluster.engine().events_executed();
   fp.switches = cluster.engine().process_switches();
   fp.final_now = cluster.engine().now();
+  record_eras(fp, cluster.engine());
   fp.qr_time = qr.factor_time;
   fp.qr_gflops = qr.gflops;
   fp.mp2c_elapsed = mp2c[0].elapsed;
@@ -172,9 +202,11 @@ Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0) {
     ac.mem_free(p);
   };
   rec.submit(rec_job);
+  if (pool) testing::widen_past_pool_crossover(rec.engine());
   rec.run();
   fp.rec_final_now = rec.engine().now();
   fp.rec_events = rec.engine().events_executed();
+  record_eras(fp, rec.engine());
   const arm::PoolStats rec_stats = rec.arm().stats();
   fp.rec_heartbeats = rec_stats.heartbeats;
   fp.rec_revocations = rec_stats.revocations;
@@ -212,9 +244,11 @@ Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0) {
     ac.mem_free(p);
   };
   bat.submit(bat_job);
+  if (pool) testing::widen_past_pool_crossover(bat.engine());
   bat.run();
   fp.bat_final_now = bat.engine().now();
   fp.bat_events = bat.engine().events_executed();
+  record_eras(fp, bat.engine());
   const std::string chan =
       "{chan=\"fe-r" + std::to_string(bat.cn_rank(0)) + "\"}";
   fp.bat_msgs = bat.metrics().counter_value("dacc_rpc_msgs_total" + chan);
@@ -287,30 +321,42 @@ TEST(Determinism, ParallelBackendReplaysExactly) {
 }
 
 TEST(Determinism, BackendsProduceIdenticalSimulations) {
-  // Both backends replay the same simulation, bit for bit. The parallel
-  // run uses four shards so the windowed scheduler, staged inboxes and
-  // barrier merge are all on the line.
+  // Both backends replay the same simulation, bit for bit: once as the
+  // small clusters run by default (merged eras on the calling thread), and
+  // once widened onto the worker pool, where four shards put the horizon
+  // protocol, staged inboxes and era barriers on the line.
   const Fingerprint coro = run_mixed(sim::ExecBackend::kCoroutine);
   const Fingerprint par = run_mixed(sim::ExecBackend::kParallel, /*shards=*/4);
   expect_sane(coro);
-  expect_identical(coro, par, "coroutine vs parallel");
+  expect_identical(coro, par, "coroutine vs parallel, merged eras");
+  for (const auto& [pool, windows] : par.eras) EXPECT_EQ(pool, 0u);
+
+  const Fingerprint coro_wide =
+      run_mixed(sim::ExecBackend::kCoroutine, 0, /*pool=*/true);
+  const Fingerprint par_wide =
+      run_mixed(sim::ExecBackend::kParallel, /*shards=*/4, /*pool=*/true);
+  expect_sane(coro_wide);
+  expect_all_pool_eras(par_wide);
+  expect_identical(coro_wide, par_wide, "coroutine vs parallel, pool eras");
 }
 
 TEST(Determinism, ShardCountInvariance) {
   // Shard topology must be invisible in the results: one shard per node,
   // two nodes per shard, everything on one shard, more shards than nodes —
-  // identical simulations.
-  const Fingerprint s1 = run_mixed(sim::ExecBackend::kParallel, /*shards=*/1);
-  const Fingerprint s2 = run_mixed(sim::ExecBackend::kParallel, /*shards=*/2);
-  const Fingerprint s4 = run_mixed(sim::ExecBackend::kParallel, /*shards=*/4);
-  const Fingerprint s8 = run_mixed(sim::ExecBackend::kParallel, /*shards=*/8);
-  const Fingerprint s16 =
-      run_mixed(sim::ExecBackend::kParallel, /*shards=*/16);
-  expect_sane(s1);
-  expect_identical(s1, s2, "1 shard vs 2 shards");
-  expect_identical(s1, s4, "1 shard vs 4 shards");
-  expect_identical(s1, s8, "1 shard vs 8 shards");
-  expect_identical(s1, s16, "1 shard vs 16 shards");
+  // identical simulations, every era on the worker pool (one shard runs
+  // the horizon protocol inline).
+  std::vector<Fingerprint> runs;
+  for (const int shards : {1, 2, 4, 8, 16}) {
+    runs.push_back(
+        run_mixed(sim::ExecBackend::kParallel, shards, /*pool=*/true));
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    expect_all_pool_eras(runs.back());
+  }
+  expect_sane(runs[0]);
+  expect_identical(runs[0], runs[1], "1 shard vs 2 shards");
+  expect_identical(runs[0], runs[2], "1 shard vs 4 shards");
+  expect_identical(runs[0], runs[3], "1 shard vs 8 shards");
+  expect_identical(runs[0], runs[4], "1 shard vs 16 shards");
 }
 
 // ---------------------------------------------------------------------------
@@ -330,7 +376,11 @@ struct SkewedFingerprint {
   bool operator==(const SkewedFingerprint& other) const = default;
 };
 
-SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards) {
+/// Runs the skewed cluster widened past the pool crossover, so under the
+/// parallel backend every era runs on the worker pool, bounded by the
+/// per-shard-pair lookahead matrix; `pool_eras` must then equal `windows`.
+SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards,
+                             sim::Engine::ParallelStats* pstats = nullptr) {
   rt::ClusterConfig config;
   config.compute_nodes = 4;
   config.accelerators = 4;
@@ -380,25 +430,38 @@ SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards) {
     ac.mem_free(p);
   };
   cluster.submit(job);
+  testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
   fp.events = cluster.engine().events_executed();
   fp.switches = cluster.engine().process_switches();
   fp.final_now = cluster.engine().now();
+  if (pstats != nullptr) *pstats = cluster.engine().parallel_stats();
   return fp;
+}
+
+void expect_all_pool_eras(const sim::Engine::ParallelStats& s) {
+  EXPECT_GT(s.windows, 0u);
+  EXPECT_EQ(s.pool_eras, s.windows);
 }
 
 TEST(Determinism, SkewedTopologyBackendInvariance) {
   const SkewedFingerprint coro = run_skewed(sim::ExecBackend::kCoroutine, 0);
   EXPECT_GT(coro.events, 100u);
   EXPECT_DOUBLE_EQ(coro.checksum, 512 * 0.5);  // rank 0: fill 1.0, scale
-  EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, 4), coro);
+  sim::Engine::ParallelStats pstats;
+  EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, 4, &pstats), coro);
+  expect_all_pool_eras(pstats);
 }
 
 TEST(Determinism, SkewedTopologyShardCountInvariance) {
-  const SkewedFingerprint one = run_skewed(sim::ExecBackend::kParallel, 1);
+  sim::Engine::ParallelStats pstats;
+  const SkewedFingerprint one =
+      run_skewed(sim::ExecBackend::kParallel, 1, &pstats);
+  expect_all_pool_eras(pstats);
   for (const int shards : {2, 4, 8, 16}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, shards), one);
+    EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, shards, &pstats), one);
+    expect_all_pool_eras(pstats);
   }
 }
 

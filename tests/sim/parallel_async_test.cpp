@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -48,20 +49,27 @@ TEST(ParallelAsync, ZeroLookaheadFallsBackToMergedSerialOrder) {
 }
 
 TEST(ParallelAsync, PositiveLookaheadRunsWindowed) {
-  RingOpts o;
-  o.nodes = 8;
-  o.chains = 4;
-  o.hops = 48;
-  o.backend = sim::ExecBackend::kCoroutine;
-  const RingResult serial = run_ring(o);
+  // Four chains drain their eras merged on the calling thread; as many
+  // chains as the pool crossover send every era to the worker pool.
+  for (const int chains :
+       {4, static_cast<int>(sim::Engine::kPoolCrossover)}) {
+    SCOPED_TRACE("chains " + std::to_string(chains));
+    RingOpts o;
+    o.nodes = 8;
+    o.chains = chains;
+    o.hops = chains == 4 ? 48 : 6;
+    o.backend = sim::ExecBackend::kCoroutine;
+    const RingResult serial = run_ring(o);
 
-  o.backend = sim::ExecBackend::kParallel;
-  o.shards = 4;
-  const RingResult par = run_ring(o);
-  EXPECT_TRUE(par.same_simulation(serial));
-  EXPECT_GT(par.pstats.windows, 0u);
-  EXPECT_EQ(par.pstats.merged_fallbacks, 0u);
-  EXPECT_GT(par.pstats.parallel_events, 0u);
+    o.backend = sim::ExecBackend::kParallel;
+    o.shards = 4;
+    const RingResult par = run_ring(o);
+    EXPECT_TRUE(par.same_simulation(serial));
+    EXPECT_GT(par.pstats.windows, 0u);
+    EXPECT_EQ(par.pstats.merged_fallbacks, 0u);
+    EXPECT_GT(par.pstats.parallel_events, 0u);
+    EXPECT_EQ(par.pstats.pool_eras, chains == 4 ? 0u : par.pstats.windows);
+  }
 }
 
 TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {

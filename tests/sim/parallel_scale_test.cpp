@@ -1,12 +1,15 @@
 // 10k-node scaling scenario for the asynchronous parallel backend: a
 // fabric two orders of magnitude past the paper's cluster, driven as a
 // multi-chain ring so every hop crosses shards through the staged inboxes
-// and horizon clocks. Sized to stay fast under ThreadSanitizer —
+// and horizon clocks. Every ring starts thousands of chains, far above the
+// engine's pool crossover, so all of its eras run on the worker pool (the
+// tests assert it); few hops keep it fast under ThreadSanitizer —
 // scripts/check_tsan.sh runs this suite (ctest -R ParallelScale) with a
 // real multi-thread worker pool, which is the proof vehicle for the
 // lock-free horizon protocol.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -19,11 +22,17 @@ using dacc::testing::RingOpts;
 using dacc::testing::RingResult;
 using dacc::testing::run_ring;
 
+/// Every era of a parallel ring ran on the worker pool.
+void expect_all_pool_eras(const RingResult& r) {
+  EXPECT_GT(r.pstats.windows, 0u);
+  EXPECT_EQ(r.pstats.pool_eras, r.pstats.windows);
+}
+
 TEST(ParallelScale, TenThousandNodeRingIsBitIdenticalToSerial) {
   RingOpts o;
   o.nodes = 10'000;
-  o.chains = 64;
-  o.hops = 80;  // 5120 hop events: TSan-sized, every one cross-shard
+  o.chains = 4096;
+  o.hops = 4;  // 16384 hop events: TSan-sized, every one cross-node
   o.step = 50;
   o.lookahead = 1000;
   o.backend = sim::ExecBackend::kCoroutine;
@@ -33,38 +42,43 @@ TEST(ParallelScale, TenThousandNodeRingIsBitIdenticalToSerial) {
   o.shards = 16;
   const RingResult par = run_ring(o);
   EXPECT_TRUE(par.same_simulation(serial));
-  EXPECT_GT(par.pstats.windows, 0u);
+  expect_all_pool_eras(par);
   EXPECT_EQ(par.pstats.merged_fallbacks, 0u);
-  EXPECT_GT(par.events, 5000u);
+  EXPECT_EQ(par.events, 4096u * 4u);
 }
 
 TEST(ParallelScale, ShardCountInvariantAtTenThousandNodes) {
   RingOpts o;
   o.nodes = 10'000;
-  o.chains = 32;
-  o.hops = 40;
+  o.chains = 4096;
+  o.hops = 4;
   o.step = 50;
   o.lookahead = 1000;
   o.backend = sim::ExecBackend::kParallel;
-  o.shards = 1;
+  o.shards = 1;  // the horizon protocol inline on one thread
   const RingResult one = run_ring(o);
+  expect_all_pool_eras(one);
   for (const int shards : {4, 16, 64}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     o.shards = shards;
     const RingResult s = run_ring(o);
     EXPECT_TRUE(s.same_simulation(one));
+    expect_all_pool_eras(s);
   }
 }
 
 TEST(ParallelScale, PartitionedRingKeepsNeighborsColocated) {
   // Make every ring edge a short link: the partitioner folds the whole
   // ring into one union-find group and splits it into contiguous chunks,
-  // so almost every hop is shard-internal.
+  // so almost every hop is shard-internal. The shard-pair lookahead matrix
+  // is non-uniform (short between neighboring chunks, long elsewhere), and
+  // the horizon protocol must respect it at every shard count.
   const int nodes = 1000;
   RingOpts o;
   o.nodes = nodes;
-  o.chains = 16;
-  o.hops = 60;
+  o.chains = 1000;
+  o.hops = 8;
+  o.both_ways = true;
   o.lookahead = 1200;
   o.override_default = 1200;
   for (int i = 0; i < nodes; ++i) {
@@ -74,10 +88,13 @@ TEST(ParallelScale, PartitionedRingKeepsNeighborsColocated) {
   const RingResult serial = run_ring(o);
 
   o.backend = sim::ExecBackend::kParallel;
-  o.shards = 16;
-  const RingResult par = run_ring(o);
-  EXPECT_TRUE(par.same_simulation(serial));
-  EXPECT_GT(par.pstats.windows, 0u);
+  for (const int shards : {1, 4, 16, 64}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    o.shards = shards;
+    const RingResult par = run_ring(o);
+    EXPECT_TRUE(par.same_simulation(serial));
+    expect_all_pool_eras(par);
+  }
 
   // Contiguity check on the actual placement: at most one shard change per
   // chunk boundary (15 internal splits + the wrap).
