@@ -150,7 +150,10 @@ Outcome run_dynamic(const std::vector<Task>& tasks,
       nodes.acquire(ctx, 1);
       if (task.gpus > 0) {
         const auto leases = client.acquire(
-            static_cast<std::uint64_t>(task.id) + 1, task.gpus, true);
+            arm::ResourceRequest{}
+                .with_job(static_cast<std::uint64_t>(task.id) + 1)
+                .with_count(task.gpus)
+                .with_wait());
         if (leases.size() != task.gpus) {
           throw std::runtime_error("scheduler bench: acquire failed");
         }

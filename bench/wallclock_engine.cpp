@@ -12,11 +12,12 @@
 //     across waves on 129 fabric nodes (64 CNs + 64 ACs + ARM) and on 513
 //     (256 + 256 + ARM), run under the serial backend and the sharded
 //     parallel backend. The two sizes sit on either side of the engine's
-//     pool crossover (DESIGN.md §5.2): at 129 nodes every era drains
-//     merged on the coordinator thread, at 513 the busy eras go to the
-//     worker pool. Besides wall time it reports pool eras and the engine's
-//     exposed parallelism (parallel events / critical-path events): wall
-//     speedup is bounded by min(exposed parallelism, host cores).
+//     pool crossover (DESIGN.md §5.2): at 129 nodes the engine keeps the
+//     serial loop and runs no era, at 513 it moves to the worker pool,
+//     which runs every era. Besides wall time it reports eras, workers and
+//     the engine's exposed parallelism (parallel events / critical-path
+//     events): wall speedup is bounded by min(exposed parallelism, host
+//     cores).
 //
 // A full run writes BENCH_engine.json and BENCH_parallel.json into the
 // working directory (override with --out PATH / --out-parallel PATH); every
@@ -403,11 +404,10 @@ int run(int argc, char** argv) {
       scale.push_back(p);
       scale_base_wall.push_back(sbase.wall_s);
       std::printf(
-          "  parallel:%-3d %.2fM events/s  (%llu windows, %llu on the pool, "
-          "exposed parallelism %.2fx)\n",
+          "  parallel:%-3d %.2fM events/s  (%llu windows, exposed "
+          "parallelism %.2fx)\n",
           shards, p.per_sec / 1e6,
-          static_cast<unsigned long long>(p.pstats.windows),
-          static_cast<unsigned long long>(p.pstats.pool_eras), p.exposed);
+          static_cast<unsigned long long>(p.pstats.windows), p.exposed);
       if (p.events != sbase.events) {
         std::fprintf(stderr,
                      "warning: scaling divergence at %d nodes / %d shards "
@@ -459,12 +459,10 @@ int run(int argc, char** argv) {
     const double exposed = exposed_parallelism(par.pstats);
     std::printf(
         "  parallel:%d %9llu events in %.3f s  ->  %.2fM events/s  "
-        "(%llu windows, %llu on the pool, %d worker(s), exposed "
-        "parallelism %.2fx)\n",
+        "(%llu windows, %d worker(s), exposed parallelism %.2fx)\n",
         churn_shards, static_cast<unsigned long long>(par.events), par.wall_s,
         par.events_per_sec / 1e6,
-        static_cast<unsigned long long>(par.pstats.windows),
-        static_cast<unsigned long long>(par.pstats.pool_eras), par.workers,
+        static_cast<unsigned long long>(par.pstats.windows), par.workers,
         exposed);
     std::printf(
         "  wall speedup %.2fx on %d host core(s); multi-core bound is "
@@ -515,7 +513,6 @@ int run(int argc, char** argv) {
           << ", \"wall_s\": " << r.par.wall_s
           << ", \"events_per_sec\": " << r.par.events_per_sec
           << ", \"windows\": " << r.par.pstats.windows
-          << ", \"pool_eras\": " << r.par.pstats.pool_eras
           << ", \"workers\": " << r.par.workers
           << ", \"parallel_events\": " << r.par.pstats.parallel_events
           << ", \"critical_path_events\": "
@@ -539,7 +536,6 @@ int run(int argc, char** argv) {
           << ", \"wall_speedup\": " << scale_base_wall[i] / p.wall_s
           << ", \"events_per_sec\": " << p.per_sec
           << ", \"windows\": " << p.pstats.windows
-          << ", \"pool_eras\": " << p.pstats.pool_eras
           << ", \"exposed_parallelism\": " << p.exposed << "}"
           << (i + 1 < scale.size() ? "," : "") << "\n";
   }
@@ -626,11 +622,11 @@ int run(int argc, char** argv) {
       "->  %.2f%% (bound 2%%)\n",
       prof_reps, prof_off_s, prof_on_s, prof_overhead_pct);
   std::printf(
-      "  parallel attribution (%d fabric nodes, %llu pool eras): %.3f ms "
+      "  parallel attribution (%d fabric nodes, %llu eras): %.3f ms "
       "attributed of %.3f ms measured (%.1f%%, bounds 95%%-105%%) over "
       "%llu events\n",
       2 * pool_nodes + 1,
-      static_cast<unsigned long long>(prof_par.pstats.pool_eras),
+      static_cast<unsigned long long>(prof_par.pstats.windows),
       par_prof.attributed_ns() / 1e6, par_prof.measured_ns() / 1e6,
       attribution_pct, static_cast<unsigned long long>(prof_par.events));
   for (int shard = 0; shard < churn_shards; ++shard) {
@@ -656,7 +652,7 @@ int run(int argc, char** argv) {
                  prof_overhead_pct, overhead_bound);
     return 1;
   }
-  if (prof_par.pstats.pool_eras == 0) {
+  if (prof_par.pstats.windows == 0) {
     std::fprintf(stderr,
                  "error: the attribution scenario ran no pool era, so it "
                  "measured no worker time\n");
@@ -710,7 +706,7 @@ int run(int argc, char** argv) {
        << ", \"overhead_pct\": " << prof_overhead_pct
        << ", \"overhead_bound_pct\": " << overhead_bound << ",\n"
        << "    \"parallel_fabric_nodes\": " << 2 * pool_nodes + 1
-       << ", \"parallel_pool_eras\": " << prof_par.pstats.pool_eras
+       << ", \"parallel_windows\": " << prof_par.pstats.windows
        << ", \"parallel_attributed_ns\": " << par_prof.attributed_ns()
        << ", \"parallel_measured_ns\": " << par_prof.measured_ns()
        << ", \"attribution_pct\": " << attribution_pct

@@ -8,13 +8,14 @@
 # engine/process hand-off; shard state that never passes through a strand
 # is ordered only by the horizon atomics and era barriers.
 #
-# Eras run on worker threads only once a run starts with at least the
-# engine's pool crossover of events queued on the shards (DESIGN.md §5.2);
-# before that they drain on the coordinator thread. Pass 2 exports
-# DACC_SIM_BACKEND=parallel with a two-worker pool. Most suites' clusters
-# (at most 129 fabric nodes) start below the crossover, so there it checks
-# the merged drain and the lazy pool. The tests that reach the pool, and
-# assert that they did: the Determinism suite's widened legs
+# Eras run on worker threads only once a run reaches its first node-homed
+# event with at least the engine's pool crossover of them queued
+# (DESIGN.md §5.2); before that the engine runs the serial loop and no
+# worker exists. Pass 2 exports DACC_SIM_BACKEND=parallel with a
+# two-worker pool. Most suites' clusters (at most 129 fabric nodes) start
+# below the crossover, so there it checks the serial loop and the lazy
+# pool. The tests that reach the pool, and assert that they did: the
+# Determinism suite's widened legs
 # (tests/sim/determinism_test.cpp: QR, MP2C, fault injection, heartbeat
 # recovery and batched streams, and the skewed-latency cluster, at 1-16
 # shards), the cross-backend RaftDeterminism, Recovery, ObsDeterminism
@@ -22,10 +23,12 @@
 # traces, the profiler), the ParallelPool suite
 # (tests/sim/parallel_pool_test.cpp: a 513-node MP2C cluster, a 129-node
 # cluster that moves to the pool in its second wave, a wide 10k-node
-# ring, the profiler's booking),
+# ring, a ring that moves there inside a bounded run, the profiler's
+# booking),
 # ParallelScale (4096-chain 10k-node rings at 1/4/16/64 shards and a
 # two-way ring over short links, where the per-shard-pair lookahead
-# matrix is non-uniform) and ParallelAsync.PositiveLookaheadRunsWindowed.
+# matrix is non-uniform), ParallelAsync.PositiveLookaheadRunsWindowed and
+# ParallelAsyncCluster (the widened 129-node cluster).
 # Pass 3 reruns ParallelScale and ParallelPool on a four-worker pool.
 # Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.
@@ -47,8 +50,8 @@ cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # Pass 2: every suite on the parallel scheduler — four shards, two workers.
-# Most runs drain merged; the pool tests cross OS threads even on small
-# hosts.
+# Most runs keep the serial loop; the pool tests cross OS threads even on
+# small hosts.
 DACC_SIM_BACKEND=parallel:4 DACC_SIM_PARALLEL_WORKERS=2 \
   ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 

@@ -191,16 +191,6 @@ std::vector<Lease> ArmClient::acquire(const ResourceRequest& req) {
   return leases;
 }
 
-std::vector<Lease> ArmClient::acquire(std::uint64_t job, std::uint32_t count,
-                                      bool wait, const std::string& kind) {
-  ResourceRequest rq;
-  rq.job = job;
-  rq.count = count;
-  rq.wait = wait;
-  rq.kind = kind;
-  return acquire(rq);
-}
-
 ArmResult ArmClient::release(std::uint64_t job, const Lease& lease) {
   const int reply_tag = channel_.next_reply_tag();
   return static_cast<ArmResult>(

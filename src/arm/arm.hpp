@@ -78,11 +78,6 @@ class ArmClient {
   /// leases than asked.
   std::vector<Lease> acquire(const ResourceRequest& req);
 
-  /// Legacy flat shim: acquire(job, count) with default extension fields —
-  /// gang, normal priority, any memory, requester-local placement.
-  std::vector<Lease> acquire(std::uint64_t job, std::uint32_t count,
-                             bool wait = false, const std::string& kind = "");
-
   /// Releases one lease. Returns kNotOwner / kUnknownHandle on misuse.
   ArmResult release(std::uint64_t job, const Lease& lease);
 

@@ -62,13 +62,6 @@ class Fabric {
   Outcome transfer_outcome(NodeId src, NodeId dst, std::uint64_t bytes,
                            SimTime earliest);
 
-  /// Outcome-blind convenience wrapper (legacy callers that model
-  /// fault-free paths).
-  SimTime transfer(NodeId src, NodeId dst, std::uint64_t bytes,
-                   SimTime earliest) {
-    return transfer_outcome(src, dst, bytes, earliest).at;
-  }
-
   /// Asynchronous transfer with an engine callback at the delivery time; the
   /// callback is silently discarded when the transfer is dropped by a failed
   /// link (the wire model of message loss). Templated so move-only callbacks

@@ -129,8 +129,7 @@ struct ClusterConfig {
 
   /// Shard count for the parallel backend: simulated nodes are partitioned
   /// into this many event queues (0 = auto, capped at a host-sized limit).
-  /// Honors DACC_SIM_BACKEND=parallel:N by default; the node -> shard
-  /// placement can be pinned with DACC_SIM_SHARD_MAP. Ignored by the
+  /// Honors DACC_SIM_BACKEND=parallel:N by default. Ignored by the
   /// sequential backend. Results are bit-identical for every shard count.
   int sim_shards = sim::default_parallel_shards();
 

@@ -464,14 +464,14 @@ void Engine::set_shard_map(std::vector<int> map) {
     }
   }
   shard_of_ = std::move(map);
-  shard_map_source_ = ShardMapSource::kExplicit;
+  explicit_shard_map_ = true;
   plan_dirty_ = true;
 }
 
 void Engine::recompute_shard_map() {
   if (num_shards_ <= 0 || node_count_ <= 0) return;
   std::vector<int> map;
-  if (shard_map_source_ == ShardMapSource::kExplicit) {
+  if (explicit_shard_map_) {
     // Keep the user's placement; new nodes (topology growth) fall back to
     // round robin, shrunk shard counts wrap.
     map = shard_of_;
@@ -481,16 +481,10 @@ void Engine::recompute_shard_map() {
     for (int& s : map) {
       if (s >= num_shards_) s %= num_shards_;
     }
-  } else {
-    std::vector<int> env = parse_shard_map_env(node_count_, num_shards_);
-    if (!env.empty()) {
-      map = std::move(env);
-      shard_map_source_ = ShardMapSource::kEnv;
-    } else if (!la_override_.empty()) {
-      map = topology_partition();
-    }
-    // else: empty map == round robin.
+  } else if (!la_override_.empty()) {
+    map = topology_partition();
   }
+  // else: empty map == round robin.
   if (map == shard_of_) return;
   for (const auto& sh : shards_) {
     if (!sh->q.empty()) {
@@ -625,7 +619,7 @@ bool Engine::parallel_trace_key(SimTime* t, std::uint64_t* ord,
     *buffer = c->shard;
     return true;
   }
-  // Serial context: the global band between eras, or a merged era.
+  // Serial context: the global band between eras.
   *t = now_;
   *ord = serial_ord_;
   *seq = serial_trace_seq_++;
@@ -716,11 +710,12 @@ void Engine::wake(Process& p) {
     return;
   }
   if (p.home_node_ == kGlobalNode) {
-    // A node context waking a node-less process. The sequential backend
-    // and the merged no-lookahead drain share one baton so
-    // immediate delivery is safe and keeps historical timings; the era
-    // driver cannot reach the global band from inside an era without
-    // breaking the canonical order.
+    // A node context waking a node-less process. The serial loop holds one
+    // baton, so immediate delivery is safe and keeps historical timings;
+    // an era cannot reach the global band without breaking the canonical
+    // order. A run with a safe horizon width refuses it on either side of
+    // the pool crossover, so whether a model is legal never depends on the
+    // number of events it queues.
     if (backend_ != ExecBackend::kParallel || num_shards_ == 0 ||
         !windowed_) {
       local_wake(p);
@@ -741,28 +736,42 @@ void Engine::set_daemon(Process& p) {
   daemons_.push_back(&p);
 }
 
-void Engine::run() {
+// Always inlined, so run() gets its own copy of the loop in which the limit
+// test folds away.
+__attribute__((always_inline)) inline bool Engine::run_events(
+    SimTime limit) {
+  WallSink* const w = wall_;
+  const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
+  // The promotion probe: armed for a parallel engine still on the serial
+  // loop, when this run has a safe horizon width.
+  bool probe = false;
   if (backend_ == ExecBackend::kParallel && num_shards_ > 0) {
     ensure_parallel_plan();
     windowed_ = lookahead_ > 0 && min_cross_la_ > 0;
-    if (windowed_) {
-      run_parallel(kSimTimeNever);
-    } else {
+    if (on_pool_) {
+      if (!windowed_) {
+        throw SimError("the parallel engine runs on its worker pool, which "
+                       "needs a safe horizon width (a positive lookahead "
+                       "and no zero-latency link crossing shards)");
+      }
+      return run_parallel(limit, wt0, wt0);
+    }
+    probe = windowed_;
+    if (!windowed_) {
       ++pstats_.merged_fallbacks;
       if (flight_note_) {
         flight_note_("engine", "merged fallback: no safe horizon width");
       }
-      run_merged(kSimTimeNever);
     }
-    check_quiescence();
-    return;
   }
-  WallSink* const w = wall_;
-  const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
   const std::uint64_t we0 = events_executed_;
   running_ = true;
-  while (!queue_.empty()) {
+  while (!queue_.empty() && queue_.top_time() <= limit) {
     EventQueue::Node* ev = queue_.pop();
+    if (probe && ev->node != kGlobalNode) [[unlikely]] {
+      probe = false;
+      if (promote(ev)) break;
+    }
     now_ = ev->time;
     cur_node_ = ev->node;
     ++events_executed_;
@@ -774,107 +783,38 @@ void Engine::run() {
   }
   cur_node_ = kGlobalNode;
   running_ = false;
+  std::uint64_t wt1 = 0;
   if (w != nullptr) {
-    const std::uint64_t wt1 = wall_now_ns();
+    wt1 = wall_now_ns();
     w->serial(wt1 - wt0, events_executed_ - we0);
-    w->run_complete(wt1 - wt0, 1);
+    if (!on_pool_) w->run_complete(wt1 - wt0, 1);
   }
+  if (on_pool_) return run_parallel(limit, wt0, wt1);
+  if (queue_.empty() && limit != kSimTimeNever && now_ < limit) now_ = limit;
+  return !queue_.empty();
+}
+
+void Engine::run() {
+  run_events(kSimTimeNever);
   check_quiescence();
 }
 
-bool Engine::run_until(SimTime t) {
-  if (backend_ == ExecBackend::kParallel && num_shards_ > 0) {
-    ensure_parallel_plan();
-    windowed_ = lookahead_ > 0 && min_cross_la_ > 0;
-    if (windowed_) return run_parallel(t);
-    ++pstats_.merged_fallbacks;
-    if (flight_note_) {
-      flight_note_("engine", "merged fallback: no safe horizon width");
-    }
-    return run_merged(t);
-  }
-  WallSink* const w = wall_;
-  const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
-  const std::uint64_t we0 = events_executed_;
-  running_ = true;
-  while (!queue_.empty() && queue_.top_time() <= t) {
-    EventQueue::Node* ev = queue_.pop();
-    now_ = ev->time;
-    cur_node_ = ev->node;
-    ++events_executed_;
-    queue_.run_and_recycle(ev);
-    if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
-      cur_node_ = kGlobalNode;
-      rethrow_failure();
-    }
-  }
-  cur_node_ = kGlobalNode;
-  running_ = false;
-  if (w != nullptr) {
-    const std::uint64_t wt1 = wall_now_ns();
-    w->serial(wt1 - wt0, events_executed_ - we0);
-    w->run_complete(wt1 - wt0, 1);
-  }
-  if (queue_.empty() && now_ < t) now_ = t;
-  return !queue_.empty();
+bool Engine::run_until(SimTime t) { return run_events(t); }
+
+bool Engine::promote(EventQueue::Node* next) {
+  if (queue_.node_homed() + 1 < kPoolCrossover) return false;
+  const auto shard_queue = [this](std::int32_t node) -> EventQueue& {
+    return shards_[static_cast<std::size_t>(shard_target(node))]->q;
+  };
+  shard_queue(next->node).requeue(next);
+  queue_.move_node_homed(shard_queue);
+  on_pool_ = true;
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Parallel driver
 // ---------------------------------------------------------------------------
-
-bool Engine::run_merged(SimTime limit) {
-  WallSink* const w = wall_;
-  const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
-  const std::uint64_t we0 = events_executed_;
-  running_ = true;
-  drain_merged(limit);
-  running_ = false;
-  if (w != nullptr) {
-    const std::uint64_t wt1 = wall_now_ns();
-    w->serial(wt1 - wt0, events_executed_ - we0);
-    w->run_complete(wt1 - wt0, 1);
-  }
-  bool more = !queue_.empty();
-  for (const auto& sh : shards_) more = more || !sh->q.empty();
-  if (!more && limit != kSimTimeNever && now_ < limit) now_ = limit;
-  return more;
-}
-
-void Engine::drain_merged(SimTime last) {
-  // The canonical (time, ord) key totally orders events regardless of which
-  // queue holds them, so a least-key scan over the band queue plus every
-  // shard replays exactly the sequence the era driver executes — and the
-  // one the sequential backend produces.
-  for (;;) {
-    EventQueue* best = queue_.empty() ? nullptr : &queue_;
-    Shard* best_shard = nullptr;
-    for (const auto& sh : shards_) {
-      EventQueue& q = sh->q;
-      if (q.empty()) continue;
-      if (best == nullptr || q.top_time() < best->top_time() ||
-          (q.top_time() == best->top_time() &&
-           q.top_ord() < best->top_ord())) {
-        best = &q;
-        best_shard = sh.get();
-      }
-    }
-    if (best == nullptr || best->top_time() > last) break;
-    EventQueue::Node* ev = best->pop();
-    now_ = ev->time;
-    cur_node_ = ev->node;
-    serial_ord_ = ev->ord;
-    serial_trace_seq_ = 0;
-    ++events_executed_;
-    if (best_shard != nullptr) ++best_shard->events;
-    best->run_and_recycle(ev);
-    if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
-      cur_node_ = kGlobalNode;
-      rethrow_failure();
-    }
-  }
-  cur_node_ = kGlobalNode;
-}
 
 int Engine::pool_size() const {
   return std::min(default_parallel_workers(), num_shards_);
@@ -1100,24 +1040,18 @@ void Engine::run_era(SimTime floor, SimTime era_end) {
       std::rethrow_exception(f);
     }
   }
-  ++pstats_.pool_eras;
-  for (const auto& sh : shards_) {
-    events_executed_ += sh->events;
-    process_switches_ += sh->switches;
-    sh->switches = 0;
-    if (sh->last_time > now_) now_ = sh->last_time;
-  }
-}
-
-void Engine::end_era() {
-  // Absorb every inbox (events staged near the era end land in the next
-  // era; the coordinator's floor scan must see them) and fold the
-  // per-shard counters into the era accounting.
+  // Era barrier: absorb every inbox (events staged near the era end land
+  // in the next era; the coordinator's floor scan must see them) and fold
+  // the per-shard counters into the engine totals and the era accounting.
   queue_.absorb_staged();
   std::uint64_t total = 0;
   std::uint64_t busiest = 0;
   for (const auto& sh : shards_) {
     sh->inbox_events += sh->q.absorb_staged();
+    events_executed_ += sh->events;
+    process_switches_ += sh->switches;
+    sh->switches = 0;
+    if (sh->last_time > now_) now_ = sh->last_time;
     total += sh->events;
     busiest = std::max(busiest, sh->events);
   }
@@ -1141,26 +1075,22 @@ void Engine::end_era() {
   }
 }
 
-bool Engine::run_parallel(SimTime limit) {
+bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
+                          std::uint64_t booked) {
   running_ = true;
   if (tracer_ != nullptr) tracer_->begin_parallel(num_shards_ + 1);
   if (metrics_begin_parallel_) metrics_begin_parallel_(num_shards_ + 1);
-  // Era counters start clean: a merged fallback run counts shard events
-  // and routes too, but never reports them.
-  for (const auto& sh : shards_) {
-    sh->events = 0;
-    sh->inbox_events = 0;
-  }
+  ensure_workers();
   WallSink* const w = wall_;
-  std::uint64_t run_t0 = 0;
-  std::uint64_t ctick = 0;  // coordinator's chained serial-phase timestamp
+  std::uint64_t ctick = booked;  // coordinator's chained serial-phase timestamp
   if (w != nullptr) {
     w->begin_run(num_shards_, pool_size());
-    run_t0 = ctick = wall_now_ns();
+    if (rt_ != nullptr) {
+      for (std::uint64_t& since : rt_->idle_since) since = run_t0;
+    }
   }
   const SimDuration gap = effective_band_gap();
   bool more = false;
-  bool first_era = true;
   try {
     for (;;) {
       if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
@@ -1210,48 +1140,16 @@ bool Engine::run_parallel(SimTime limit) {
       if (limit != kSimTimeNever && era_end > limit) {
         era_end = limit + 1;  // run_until is inclusive of `limit`
       }
-      if (first_era) {
-        // The events queued on the shards at a run's first era are the
-        // width it starts with. A wide run moves the engine to the worker
-        // pool for good; until then eras drain merged, which is cheaper
-        // than a hand-off to other cores while eras are small.
-        first_era = false;
-        if (!on_pool_) {
-          std::uint64_t queued = 0;
-          for (const auto& sh : shards_) queued += sh->q.stats().live;
-          on_pool_ = queued >= kPoolCrossover;
-        }
-        if (on_pool_) {
-          ensure_workers();
-          if (rt_ != nullptr) {
-            for (std::uint64_t& since : rt_->idle_since) since = run_t0;
-          }
-        }
+      if (w != nullptr) {
+        const std::uint64_t wt = wall_now_ns();
+        w->serial(wt - ctick, 0);  // queue scans between eras
+        ctick = wt;
       }
-      if (on_pool_) {
-        if (w != nullptr) {
-          const std::uint64_t wt = wall_now_ns();
-          w->serial(wt - ctick, 0);  // queue scans between eras
-          ctick = wt;
-        }
-        run_era(shard_top, era_end);
-        end_era();
-        if (w != nullptr) {
-          const std::uint64_t wt = wall_now_ns();
-          if (workers_started_ > 0) w->coordinator_wait(wt - ctick);
-          ctick = wt;
-        }
-      } else {
-        // Too little work to pay for a hand-off to other cores: drain the
-        // era here, in the sequential backend's order.
-        const std::uint64_t e0 = events_executed_;
-        drain_merged(era_end - 1);
-        end_era();
-        if (w != nullptr) {
-          const std::uint64_t wt = wall_now_ns();
-          w->serial(wt - ctick, events_executed_ - e0);
-          ctick = wt;
-        }
+      run_era(shard_top, era_end);
+      if (w != nullptr) {
+        const std::uint64_t wt = wall_now_ns();
+        if (workers_started_ > 0) w->coordinator_wait(wt - ctick);
+        ctick = wt;
       }
     }
   } catch (...) {
@@ -1269,7 +1167,7 @@ bool Engine::run_parallel(SimTime limit) {
     const std::uint64_t t = wall_now_ns();
     w->serial(t - ctick, 0);
     int threads = 1;
-    if (on_pool_ && !first_era && workers_started_ > 0) {
+    if (workers_started_ > 0) {
       // The parked workers idled from their last era to here.
       for (int i = 0; i < workers_started_; ++i) {
         std::uint64_t& since = rt_->idle_since[static_cast<std::size_t>(i)];

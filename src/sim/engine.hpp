@@ -10,15 +10,16 @@
 // Every process runs as a stackful coroutine on a pooled stack (a process
 // switch is two user-space context swaps). Two execution backends dispatch
 // events (see sim/exec.hpp): a sequential one, and a conservative parallel
-// backend that partitions node-homed work into per-shard event queues. The
-// parallel backend runs in eras. Until a run's first era finds at least
-// kPoolCrossover events queued on the shards, eras drain on the calling
-// thread in canonical least-key order and no worker thread exists. From
-// that run on, every era goes to a worker pool, where the shards advance
-// asynchronously: each shard repeatedly drains up to the minimum of its
-// neighbors' published horizon clocks plus the per-shard-pair lookahead
-// (DESIGN.md §5.2). Every path produces the same event sequence;
-// tests/sim/determinism_test.cpp enforces that contract.
+// backend that partitions node-homed work into per-shard event queues. Both
+// start on one serial loop over one event queue. A parallel engine leaves
+// it once, at a run's first node-homed event, if a safe horizon width
+// exists and at least kPoolCrossover node-homed events are queued: it moves
+// those events onto their shards and from then on runs in eras on a worker
+// pool, where the shards advance asynchronously: each shard repeatedly
+// drains up to the minimum of its neighbors' published horizon clocks plus
+// the per-shard-pair lookahead (DESIGN.md §5.2). Every path produces the
+// same event sequence; tests/sim/determinism_test.cpp enforces that
+// contract.
 //
 // Threading contract: every callback and every process body executes while
 // holding the (conceptual) simulation baton for its node. Under the
@@ -98,16 +99,16 @@ class WallSink {
   /// barrier and the coordinator's serial work, from the run's start to
   /// its end.
   virtual void worker_wait(int worker, std::uint64_t ns) = 0;
-  /// Serial-context execution: sequential-backend drains, the parallel
-  /// coordinator's global-band events, merged eras and queue scans.
+  /// Serial-context execution: the serial event loop (the sequential
+  /// backend, and a parallel engine until it moves to the pool), and on
+  /// the pool the coordinator's global-band events and queue scans.
   /// `events` may be 0.
   virtual void serial(std::uint64_t ns, std::uint64_t events) = 0;
   /// The coordinator blocked while the worker threads ran a pool era.
   virtual void coordinator_wait(std::uint64_t ns) = 0;
   /// A run() / run_until() call finished after `wall_ns`, having occupied
-  /// `threads`: the pool's workers plus the coordinator for a run on a
-  /// started pool, 1 otherwise (sequential backend, merged runs, inline
-  /// mode).
+  /// `threads`: the pool's workers plus the coordinator once the engine
+  /// has started its pool, 1 otherwise (the serial loop, a pool of one).
   virtual void run_complete(std::uint64_t wall_ns, int threads) = 0;
 };
 
@@ -338,9 +339,9 @@ class Engine {
   }
 
   /// Explicit node -> shard placement (size must equal node_count(), every
-  /// entry in [0, shard_count())). Overrides the topology partitioner and
-  /// the DACC_SIM_SHARD_MAP environment variable. Placement never changes
-  /// simulated results (shard-count invariance), only parallelism.
+  /// entry in [0, shard_count())). Overrides the topology partitioner.
+  /// Placement never changes simulated results (shard-count invariance),
+  /// only parallelism.
   void set_shard_map(std::vector<int> map);
 
   /// Shard that node's events execute on (0 when not parallel).
@@ -353,8 +354,8 @@ class Engine {
   std::int32_t current_node() const { return context_node(); }
 
   int shard_count() const { return num_shards_; }
-  /// Worker threads started so far (1 until the first pool run starts the
-  /// pool, and for a pool of one, which runs inline).
+  /// Worker threads started so far (1 until the engine moves to the pool,
+  /// and for a pool of one, which runs inline).
   int worker_count() const { return workers_started_ > 0 ? workers_started_ : 1; }
 
   // --- scheduling ---------------------------------------------------------
@@ -433,27 +434,25 @@ class Engine {
   /// is the sum over eras of the busiest shard's event count: the events
   /// that cannot overlap anything. parallel_events / critical_path_events
   /// is the exposed parallelism — the speedup an unloaded multi-core host
-  /// can realize on this scenario. Eras count the same whichever path runs
-  /// them; pool_eras counts those run under the horizon protocol (on the
-  /// worker pool, or inline for a pool of one); the rest drained merged on
-  /// the coordinator thread. merged_fallbacks counts runs that
-  /// surrendered concurrency to run_merged because no safe horizon width
-  /// exists (zero lookahead, or a zero-latency link crossing shards). All
-  /// fields are deterministic for a given scenario and shard map.
+  /// can realize on this scenario. Only the pool runs eras (on the worker
+  /// threads, or inline for a pool of one), so all three stay 0 until the
+  /// engine moves there. merged_fallbacks counts runs that kept the serial
+  /// loop because no safe horizon width exists (zero lookahead, or a
+  /// zero-latency link crossing shards). All fields are deterministic for
+  /// a given scenario and shard map.
   struct ParallelStats {
     std::uint64_t windows = 0;
     std::uint64_t parallel_events = 0;
     std::uint64_t critical_path_events = 0;
     std::uint64_t merged_fallbacks = 0;
-    std::uint64_t pool_eras = 0;
   };
   const ParallelStats& parallel_stats() const { return pstats_; }
 
-  /// Pool crossover of the parallel backend: once a run's first era finds
-  /// at least this many events queued on the shards, that run and every
-  /// later one on this engine send their eras to the worker pool; before,
-  /// eras drain merged on the calling thread. Measured by the size sweep
-  /// in DESIGN.md §5.2.
+  /// Pool crossover of the parallel backend: when a run reaches its first
+  /// node-homed event with at least this many node-homed events queued
+  /// (and a safe horizon width), the engine moves to the worker pool for
+  /// that run and every later one; before, it runs the serial loop.
+  /// Measured by the size sweep in DESIGN.md §5.2.
   static constexpr std::uint64_t kPoolCrossover = 96;
 
   /// Currently running process, or nullptr in engine/callback context.
@@ -564,8 +563,7 @@ class Engine {
   }
 
   /// Target shard of a node's events: the shard map when one was computed
-  /// (topology partitioner / DACC_SIM_SHARD_MAP / set_shard_map), round
-  /// robin otherwise.
+  /// (topology partitioner / set_shard_map), round robin otherwise.
   int shard_target(std::int32_t node) const {
     if (!shard_of_.empty()) [[unlikely]] {
       return shard_of_[static_cast<std::size_t>(node)];
@@ -576,8 +574,9 @@ class Engine {
   /// Single funnel for every schedule/post/spawn/resume: applies the
   /// cross-node latency-floor clamp (per pair when overrides exist, the
   /// band gap towards the global band), assigns the canonical key, and
-  /// places the event in the right queue (directly when the caller owns
-  /// it, staged when another worker does).
+  /// places the event in the right queue: the band queue until the engine
+  /// is on the pool, then the target's shard (directly when the caller
+  /// owns it, staged when another worker does).
   template <typename F>
   void route(std::int32_t node, SimTime t, F&& fn) {
     std::int32_t src = cur_node_;
@@ -600,22 +599,15 @@ class Engine {
       throw SimError("schedule_at: time in the past");
     }
     const std::uint64_t ord = next_ord(src);
-    const int target = (node == kGlobalNode || num_shards_ == 0)
-                           ? -1
-                           : shard_target(node);
+    const int target =
+        (node == kGlobalNode || !on_pool_) ? -1 : shard_target(node);
     if (c == nullptr) {
-      // Serial context: sequential backend, the global band, merged drains,
-      // between runs.
+      // Serial context: the serial loop, the global band, between runs.
       if (target < 0) {
         queue_.push(t, ord, node, std::forward<F>(fn));
       } else {
-        Shard& sh = *shards_[static_cast<std::size_t>(target)];
-        // A merged drain's cross-shard route: in a pool era it would have
-        // reached the target through its inbox, so it counts as one.
-        if (src != kGlobalNode && shard_target(src) != target) {
-          ++sh.inbox_events;
-        }
-        sh.q.push(t, ord, node, std::forward<F>(fn));
+        shards_[static_cast<std::size_t>(target)]->q.push(
+            t, ord, node, std::forward<F>(fn));
       }
     } else if (target == c->shard) {
       shards_[static_cast<std::size_t>(target)]->q.push(
@@ -638,22 +630,24 @@ class Engine {
   // the switch counter).
   void resume_slice(Process& p);
 
-  // Parallel driver (engine.cpp).
-  bool run_parallel(SimTime limit);
-  /// Sequential drain of the sharded queues in canonical merged order —
-  /// used when the parallel layout exists but no safe horizon width does
-  /// (zero lookahead, or a zero-latency link crossing shards): concurrency
-  /// is surrendered, not correctness.
-  bool run_merged(SimTime limit);
-  /// Runs every event dated <= `last` in the band queue and the shards on
-  /// the calling thread, one least-key event at a time: the sequential
-  /// backend's order. Counts shard events on their shard's era counters.
-  void drain_merged(SimTime last);
-  /// Runs one era on the worker pool (inline when the pool has one worker).
+  /// run() and run_until(): the serial loop over the band queue, until the
+  /// engine moves to the pool (at this run's first node-homed event, or
+  /// before the run when it already has).
+  bool run_events(SimTime limit);
+  /// Moves the engine to the pool when `next`, a node-homed event just
+  /// popped from the band queue, and the node-homed events still queued
+  /// there number at least kPoolCrossover: hands them all to their shards
+  /// and returns true. run_parallel starts the workers.
+  bool promote(EventQueue::Node* next);
+
+  // Parallel driver (engine.cpp). The run started at wallclock `run_t0`
+  // and booked its serial work up to `booked` (both 0 without a profiler).
+  bool run_parallel(SimTime limit, std::uint64_t run_t0,
+                    std::uint64_t booked);
+  /// Runs one era on the worker pool (inline when the pool has one
+  /// worker), then the era barrier: absorbs the inboxes and folds the
+  /// per-shard counters into ParallelStats and the shard metrics.
   void run_era(SimTime floor, SimTime era_end);
-  /// Era barrier, shared by pool and merged eras: absorbs the inboxes and
-  /// folds the per-shard counters into ParallelStats and the shard metrics.
-  void end_era();
   bool advance_shard(int shard, detail::ExecCursor& cursor);
   void drain_shard(int shard, SimTime bound, detail::ExecCursor& cursor);
   void worker_main(int index);
@@ -666,7 +660,7 @@ class Engine {
   /// minimum cross-shard lookahead) when topology inputs changed.
   void ensure_parallel_plan();
   /// Recomputes the node->shard map from the current source (explicit map,
-  /// DACC_SIM_SHARD_MAP, topology partitioner, round robin).
+  /// topology partitioner, round robin).
   void recompute_shard_map();
   /// Groups nodes connected by short links (latency < the default) onto
   /// the same shard: union-find over short links, split oversized groups
@@ -690,7 +684,10 @@ class Engine {
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_executed_ = 0;
   std::uint64_t process_switches_ = 0;
-  EventQueue queue_;  // global-context events; the only queue when sequential
+  // The band queue: every event until the engine moves to the pool, the
+  // global-context ones after. Declared before shards_: it keeps owning
+  // the nodes promote() hands them, so it must be destroyed after them.
+  EventQueue queue_;
   StackPool stack_pool_;  // declared before processes_: strands release into
                           // it during ~Process
   std::vector<std::unique_ptr<Process>> processes_;
@@ -725,15 +722,14 @@ class Engine {
   SimDuration override_default_ = 0;  // reference latency for "short" links
 
   // Node -> shard map; empty = round robin (node % num_shards_).
-  enum class ShardMapSource { kAuto, kEnv, kExplicit };
   std::vector<int> shard_of_;
-  ShardMapSource shard_map_source_ = ShardMapSource::kAuto;
+  bool explicit_shard_map_ = false;  // set_shard_map placed the nodes
 
   // Derived parallel plan (rebuilt lazily at run start when dirty).
   bool plan_dirty_ = true;
   std::vector<SimTime> pair_la_;   // shard-pair lookahead matrix [S*S]
-  SimDuration min_cross_la_ = 0;   // min off-diagonal entry (gate to merged)
-  bool windowed_ = false;          // current run uses the era/horizon driver
+  SimDuration min_cross_la_ = 0;   // min off-diagonal entry (0: no pool)
+  bool windowed_ = false;          // the current run has a safe horizon width
 
   // Parallel backend state.
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -745,7 +741,7 @@ class Engine {
   ParallelStats pstats_;
   std::uint64_t serial_ord_ = 0;        // key of the running serial event
   std::uint32_t serial_trace_seq_ = 0;  // tracer records within that event
-  bool on_pool_ = false;  // eras go to the worker pool (kPoolCrossover)
+  bool on_pool_ = false;  // promoted: node events live on the shards
 };
 
 }  // namespace dacc::sim

@@ -89,7 +89,6 @@ class EventQueue {
   bool empty() const { return heap_.empty() && inbox_pos_ == inbox_.size(); }
 
   SimTime top_time() const { return top_slot().time; }
-  std::uint64_t top_ord() const { return top_slot().ord; }
 
   template <typename F>
   void push(SimTime time, std::uint64_t ord, std::int32_t node, F&& fn) {
@@ -98,10 +97,42 @@ class EventQueue {
     n->ord = ord;
     n->node = node;
     if (bind(*n, std::forward<F>(fn))) ++stats_.heap_fallbacks;
-    heap_.push_back(Slot{time, ord, n});
-    sift_up(heap_.size() - 1);
-    ++stats_.live;
-    if (stats_.live > stats_.high_water) stats_.high_water = stats_.live;
+    adopt(Slot{time, ord, n});
+  }
+
+  /// Number of queued events homed on a node rather than the global
+  /// context. A linear scan.
+  std::uint64_t node_homed() const {
+    std::uint64_t count = 0;
+    for (const Slot& s : heap_) count += s.n->node >= 0 ? 1 : 0;
+    for (std::size_t i = inbox_pos_; i < inbox_.size(); ++i) {
+      count += inbox_[i].n->node >= 0 ? 1 : 0;
+    }
+    return count;
+  }
+
+  /// Queues a popped event again, here or in another queue; the same
+  /// ownership rule as for move_node_homed applies.
+  void requeue(Node* n) { adopt(Slot{n->time, n->ord, n}); }
+
+  /// Hands every queued event homed on a node to the queue `dest(node)`
+  /// returns; global-context events stay. A moved node is recycled into
+  /// the receiving queue's free list once it fires, while its memory stays
+  /// owned here, so every receiver must be destroyed before this queue.
+  template <typename Dest>
+  void move_node_homed(Dest&& dest) {
+    std::vector<Slot> all(heap_.begin(), heap_.end());
+    all.insert(all.end(),
+               inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_pos_),
+               inbox_.end());
+    heap_.clear();
+    inbox_.clear();
+    inbox_pos_ = 0;
+    stats_.live = 0;
+    for (const Slot& s : all) {
+      EventQueue& q = s.n->node < 0 ? *this : dest(s.n->node);
+      q.adopt(s);
+    }
   }
 
   /// Thread-safe enqueue from a foreign worker: the event lands in a staged
@@ -209,6 +240,13 @@ class EventQueue {
   static bool slot_before(const Slot& a, const Slot& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.ord < b.ord;
+  }
+
+  void adopt(const Slot& s) {
+    heap_.push_back(s);
+    sift_up(heap_.size() - 1);
+    ++stats_.live;
+    if (stats_.live > stats_.high_water) stats_.high_water = stats_.live;
   }
 
   const Slot& top_slot() const {

@@ -75,31 +75,6 @@ int default_auto_shard_cap() {
   return std::max(16, 2 * hardware_threads());
 }
 
-std::vector<int> parse_shard_map_env(int nodes, int shards) {
-  const char* env = std::getenv("DACC_SIM_SHARD_MAP");
-  if (env == nullptr || *env == '\0') return {};
-  std::vector<int> map;
-  map.reserve(static_cast<std::size_t>(nodes));
-  const char* p = env;
-  for (;;) {
-    char* end = nullptr;
-    const long s = std::strtol(p, &end, 10);
-    if (end == p || s < 0 || s >= shards) break;
-    map.push_back(static_cast<int>(s));
-    if (*end == '\0') {
-      if (static_cast<int>(map.size()) == nodes) return map;
-      break;
-    }
-    if (*end != ',') break;
-    p = end + 1;
-  }
-  std::fprintf(stderr,
-               "dacc: ignoring DACC_SIM_SHARD_MAP (expected %d "
-               "comma-separated shard ids in 0..%d)\n",
-               nodes, shards - 1);
-  return {};
-}
-
 int default_parallel_workers() {
   if (const char* env = std::getenv("DACC_SIM_PARALLEL_WORKERS")) {
     char* end = nullptr;

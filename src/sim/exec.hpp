@@ -11,21 +11,19 @@
 //
 //  * kCoroutine — one event queue drained on the calling thread. The
 //                 default.
-//  * kParallel  — conservative parallel discrete-event execution: simulated
-//                 processes and resources are partitioned by cluster node
-//                 into per-shard event queues and run in eras bounded by
-//                 the serial control band. Eras drain on the calling
-//                 thread in canonical (time, src-node, seq) order until a
-//                 run starts with at least Engine::kPoolCrossover events
-//                 queued on the shards; from then on they go to a worker
-//                 pool, where the shards advance against each other's
-//                 horizon clocks and cross-shard effects travel through
-//                 staged inboxes merged in that same order. Requires
-//                 node-homed processes (rt::Cluster homes everything);
-//                 see DESIGN.md §5.2.
+//  * kParallel  — conservative parallel discrete-event execution. It runs
+//                 kCoroutine's loop until a run reaches its first
+//                 node-homed event with at least Engine::kPoolCrossover of
+//                 them queued and a safe horizon width. Then the engine
+//                 partitions simulated processes and resources by cluster
+//                 node into per-shard event queues, for good, and runs in
+//                 eras bounded by the serial control band on a worker pool:
+//                 the shards advance against each other's horizon clocks,
+//                 and cross-shard effects travel through staged inboxes
+//                 merged in the canonical (time, src-node, seq) order.
+//                 Requires node-homed processes (rt::Cluster homes
+//                 everything); see DESIGN.md §5.2.
 #pragma once
-
-#include <vector>
 
 namespace dacc::sim {
 
@@ -59,11 +57,5 @@ int default_parallel_workers();
 /// this only add horizon-scan and queue overhead — a 10k-node topology
 /// does not want 10k shards. Placement never affects simulated results.
 int default_auto_shard_cap();
-
-/// Parses the DACC_SIM_SHARD_MAP environment variable: a comma-separated
-/// node -> shard assignment ("0,0,1,1,..."), which must list exactly
-/// `nodes` entries each in [0, shards). Returns the map, or an empty
-/// vector (with a stderr warning) when the variable is unset or invalid.
-std::vector<int> parse_shard_map_env(int nodes, int shards);
 
 }  // namespace dacc::sim

@@ -15,7 +15,7 @@ using dacc::testing::small_cluster;
 TEST(Arm, AcquireGrantsExclusiveLeases) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto a = arm.acquire(1, 2);
+    const auto a = arm.acquire(ResourceRequest{}.with_job(1).with_count(2));
     ASSERT_EQ(a.size(), 2u);
     EXPECT_NE(a[0].daemon_rank, a[1].daemon_rank);
     EXPECT_NE(a[0].lease_id, a[1].lease_id);
@@ -29,7 +29,8 @@ TEST(Arm, AcquireGrantsExclusiveLeases) {
 TEST(Arm, OverAcquireFailsWithoutWait) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    EXPECT_TRUE(arm.acquire(1, 4).empty());  // only 3 in the pool
+    EXPECT_TRUE(  // only 3 in the pool
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(4)).empty());
     // A failed acquire must not leak partial assignments.
     EXPECT_EQ(arm.stats().free, 3u);
   });
@@ -38,12 +39,13 @@ TEST(Arm, OverAcquireFailsWithoutWait) {
 TEST(Arm, ReleaseReturnsToPool) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(1, 3);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(3));
     ASSERT_EQ(leases.size(), 3u);
     EXPECT_EQ(arm.release(1, leases[1]), ArmResult::kOk);
     EXPECT_EQ(arm.stats().free, 1u);
     // The released accelerator is reacquirable.
-    const auto again = arm.acquire(1, 1);
+    const auto again = arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     ASSERT_EQ(again.size(), 1u);
     EXPECT_EQ(again[0].daemon_rank, leases[1].daemon_rank);
     EXPECT_NE(again[0].lease_id, leases[1].lease_id);  // fresh lease id
@@ -53,7 +55,8 @@ TEST(Arm, ReleaseReturnsToPool) {
 TEST(Arm, StaleLeaseReleaseRejected) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(1, 1);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     ASSERT_EQ(leases.size(), 1u);
     EXPECT_EQ(arm.release(1, leases[0]), ArmResult::kOk);
     // Releasing again with the stale lease id fails.
@@ -64,7 +67,8 @@ TEST(Arm, StaleLeaseReleaseRejected) {
 TEST(Arm, ReleaseByNonOwnerRejected) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(/*job=*/1, 1);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     ASSERT_EQ(leases.size(), 1u);
     EXPECT_EQ(arm.release(/*job=*/2, leases[0]), ArmResult::kNotOwner);
     EXPECT_EQ(arm.stats().assigned, 1u);
@@ -74,7 +78,7 @@ TEST(Arm, ReleaseByNonOwnerRejected) {
 TEST(Arm, ReleaseJobFreesEverything) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    (void)arm.acquire(7, 3);
+    (void)arm.acquire(ResourceRequest{}.with_job(7).with_count(3));
     EXPECT_EQ(arm.release_job(7), ArmResult::kOk);
     EXPECT_EQ(arm.stats().free, 3u);
   });
@@ -91,11 +95,13 @@ TEST(Arm, BrokenAcceleratorLeavesPool) {
     EXPECT_EQ(s.broken, 1u);
     EXPECT_EQ(s.free, 2u);
     // Acquiring everything left never returns the broken one.
-    const auto leases = arm.acquire(1, 2);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(2));
     ASSERT_EQ(leases.size(), 2u);
     for (const Lease& l : leases) EXPECT_NE(l.daemon_rank, broken);
     // A third is now impossible.
-    EXPECT_TRUE(arm.acquire(1, 1).empty());
+    EXPECT_TRUE(
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(1)).empty());
   };
   cluster.submit(spec);
   cluster.run();
@@ -119,13 +125,15 @@ TEST(Arm, WaitingAcquireQueuesFcfs) {
     ArmClient& arm = job.session().arm();
     const std::uint64_t jid = 100 + static_cast<std::uint64_t>(job.rank());
     if (job.rank() == 0) {
-      const auto leases = arm.acquire(jid, 2);
+      const auto leases =
+          arm.acquire(ResourceRequest{}.with_job(jid).with_count(2));
       ASSERT_EQ(leases.size(), 2u);
       job.ctx().wait_for(1_ms);
       EXPECT_EQ(arm.release_job(jid), ArmResult::kOk);
     } else {
       job.ctx().wait_for(10_us);  // ensure rank 0 wins the race
-      const auto leases = arm.acquire(jid, 2, /*wait=*/true);
+      const auto leases = arm.acquire(
+          ResourceRequest{}.with_job(jid).with_count(2).with_wait());
       ASSERT_EQ(leases.size(), 2u);
       granted_at[1] = job.ctx().now();
     }
@@ -140,7 +148,8 @@ TEST(Arm, UtilizationAccounting) {
   rt::JobSpec spec;
   spec.body = [&](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(1, 1);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     ASSERT_EQ(leases.size(), 1u);
     job.ctx().wait_for(10_ms);
     EXPECT_EQ(arm.release_job(1), ArmResult::kOk);
@@ -159,8 +168,8 @@ TEST(Arm, UtilizationAccounting) {
 TEST(Arm, StatsCountAcquisitions) {
   run_job(small_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    (void)arm.acquire(1, 2);
-    (void)arm.acquire(1, 1);
+    (void)arm.acquire(ResourceRequest{}.with_job(1).with_count(2));
+    (void)arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     EXPECT_EQ(arm.stats().acquisitions, 3u);
   });
 }

@@ -43,7 +43,8 @@ TEST(Recovery, MissedHeartbeatsRevokeLease) {
   rt::JobSpec spec;
   spec.body = [&](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(1, 2);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(1).with_count(2));
     ASSERT_EQ(leases.size(), 2u);
     const Lease on_ac0 =
         leases[0].daemon_rank == job.cluster().daemon_rank(0) ? leases[0]
@@ -80,7 +81,8 @@ TEST(Recovery, RevocationRequeuesAndFailsUnsatisfiable) {
   a.name = "holder";
   a.body = [&](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto leases = arm.acquire(101, 2);
+    const auto leases =
+        arm.acquire(ResourceRequest{}.with_job(101).with_count(2));
     ASSERT_EQ(leases.size(), 2u);
     job.ctx().wait_for(10_ms);
     (void)arm.release_job(101);  // frees the healthy slot (+ revoked no-op)
@@ -90,7 +92,8 @@ TEST(Recovery, RevocationRequeuesAndFailsUnsatisfiable) {
   b.name = "wait-one";
   b.body = [&](rt::JobContext& job) {
     job.ctx().wait_for(100_us);  // queue behind the holder
-    const auto leases = job.session().arm().acquire(102, 1, /*wait=*/true);
+    const auto leases = job.session().arm().acquire(
+        ResourceRequest{}.with_job(102).with_count(1).with_wait());
     ASSERT_EQ(leases.size(), 1u);
     b_granted_at = job.ctx().now();
     b_rank = leases[0].daemon_rank;
@@ -100,7 +103,8 @@ TEST(Recovery, RevocationRequeuesAndFailsUnsatisfiable) {
   c.name = "wait-two";
   c.body = [&](rt::JobContext& job) {
     job.ctx().wait_for(200_us);
-    const auto leases = job.session().arm().acquire(103, 2, /*wait=*/true);
+    const auto leases = job.session().arm().acquire(
+        ResourceRequest{}.with_job(103).with_count(2).with_wait());
     c_empty = leases.empty();
     c_failed_at = job.ctx().now();
   };

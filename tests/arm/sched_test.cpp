@@ -272,14 +272,17 @@ TEST(Sched, SessionAcquireThreadsTypedRequests) {
 }
 
 TEST(Sched, LegacyFlatAcquireStillWorks) {
-  // The pre-scheduler shim: acquire(job, count, wait, kind) must behave as
-  // a gang, normal-priority request with no memory constraint.
+  // The pre-scheduler flat request (job, count, wait, kind), every other
+  // field at its default, must behave as a gang, normal-priority request
+  // with no memory constraint.
   run_job(mixed_pool_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto gpus = arm.acquire(1, 2, /*wait=*/false, "gpu");
+    const ResourceRequest two_gpus =
+        ResourceRequest{}.with_job(1).with_count(2).with_kind("gpu");
+    const auto gpus = arm.acquire(two_gpus);
     ASSERT_EQ(gpus.size(), 2u);
-    EXPECT_TRUE(arm.acquire(1, 2, /*wait=*/false, "gpu").empty());  // gang
-    const auto any = arm.acquire(1, 1);
+    EXPECT_TRUE(arm.acquire(two_gpus).empty());  // gang
+    const auto any = arm.acquire(ResourceRequest{}.with_job(1).with_count(1));
     ASSERT_EQ(any.size(), 1u);  // the MIC, via the unconstrained path
     EXPECT_EQ(arm.stats().free, 0u);
   });

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "sim/engine.hpp"
 
 namespace dacc::testing {
@@ -36,6 +37,9 @@ struct RingOpts {
   std::vector<sim::Engine::LatencyOverride> links;
   std::vector<int> shard_map;  ///< non-empty: explicit placement
   obs::Registry* metrics = nullptr;  ///< attached to the engine when set
+  /// Queue widen_past_pool_crossover's no-op events before the run, so a
+  /// parallel engine moves to its worker pool however few chains there are.
+  bool widen = false;
 };
 
 struct RingResult {
@@ -93,6 +97,7 @@ inline RingResult run_ring(const RingOpts& o) {
         (static_cast<std::int64_t>(c) * o.nodes) / o.chains);
     engine.post(start, 0, [&hop, c, start] { hop(c, start); });
   }
+  if (o.widen) widen_past_pool_crossover(engine);
   engine.run();
 
   RingResult r;

@@ -33,7 +33,10 @@ TEST(Cluster, ZeroAcceleratorClusterIsValid) {
   JobSpec spec;
   spec.body = [&](JobContext& job) {
     ran = true;
-    EXPECT_TRUE(job.session().arm().acquire(1, 1).empty());
+    EXPECT_TRUE(job.session()
+                    .arm()
+                    .acquire(arm::ResourceRequest{}.with_job(1).with_count(1))
+                    .empty());
   };
   cluster.submit(spec);
   cluster.run();

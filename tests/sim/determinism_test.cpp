@@ -10,17 +10,16 @@
 // (halo exchange, migration, collective reductions), and fault injection
 // mid-transfer (error unwinding through the wire protocol).
 //
-// These clusters are small, so on the parallel backend their eras drain
-// merged on the calling thread unless a test widens them past the pool
+// These clusters are small, so on the parallel backend they keep the
+// serial loop and run no era unless a test widens them past the pool
 // crossover (tests/common/pool.hpp); the tests that do run the same
 // middleware on the worker pool under the horizon protocol and assert
-// that every era went there.
+// that eras ran there.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/pool.hpp"
@@ -64,22 +63,20 @@ struct Fingerprint {
   std::uint64_t bat_ops = 0;
   std::uint64_t bat_flushes = 0;
   double bat_checksum = 0.0;
-  // Scheduling, not simulation: (pool eras, eras) of each cluster's engine.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> eras;
+  // Scheduling, not simulation: the eras each cluster's engine ran, all of
+  // them on the worker pool.
+  std::vector<std::uint64_t> eras;
 };
 
 void record_eras(Fingerprint& fp, const sim::Engine& engine) {
-  fp.eras.emplace_back(engine.parallel_stats().pool_eras,
-                       engine.parallel_stats().windows);
+  fp.eras.push_back(engine.parallel_stats().windows);
 }
 
-/// Every cluster of a parallel run sent every era to the worker pool.
-void expect_all_pool_eras(const Fingerprint& fp) {
+/// Every cluster of a parallel run moved to the worker pool and ran eras
+/// there.
+void expect_ran_on_pool(const Fingerprint& fp) {
   ASSERT_EQ(fp.eras.size(), 3u);
-  for (const auto& [pool, windows] : fp.eras) {
-    EXPECT_GT(windows, 0u);
-    EXPECT_EQ(pool, windows);
-  }
+  for (const std::uint64_t windows : fp.eras) EXPECT_GT(windows, 0u);
 }
 
 /// `pool`: widen every cluster past the pool crossover before its first
@@ -322,21 +319,21 @@ TEST(Determinism, ParallelBackendReplaysExactly) {
 
 TEST(Determinism, BackendsProduceIdenticalSimulations) {
   // Both backends replay the same simulation, bit for bit: once as the
-  // small clusters run by default (merged eras on the calling thread), and
-  // once widened onto the worker pool, where four shards put the horizon
+  // small clusters run by default (the serial loop, no era), and once
+  // widened onto the worker pool, where four shards put the horizon
   // protocol, staged inboxes and era barriers on the line.
   const Fingerprint coro = run_mixed(sim::ExecBackend::kCoroutine);
   const Fingerprint par = run_mixed(sim::ExecBackend::kParallel, /*shards=*/4);
   expect_sane(coro);
-  expect_identical(coro, par, "coroutine vs parallel, merged eras");
-  for (const auto& [pool, windows] : par.eras) EXPECT_EQ(pool, 0u);
+  expect_identical(coro, par, "coroutine vs parallel, serial loop");
+  for (const std::uint64_t windows : par.eras) EXPECT_EQ(windows, 0u);
 
   const Fingerprint coro_wide =
       run_mixed(sim::ExecBackend::kCoroutine, 0, /*pool=*/true);
   const Fingerprint par_wide =
       run_mixed(sim::ExecBackend::kParallel, /*shards=*/4, /*pool=*/true);
   expect_sane(coro_wide);
-  expect_all_pool_eras(par_wide);
+  expect_ran_on_pool(par_wide);
   expect_identical(coro_wide, par_wide, "coroutine vs parallel, pool eras");
 }
 
@@ -350,7 +347,7 @@ TEST(Determinism, ShardCountInvariance) {
     runs.push_back(
         run_mixed(sim::ExecBackend::kParallel, shards, /*pool=*/true));
     SCOPED_TRACE("shards " + std::to_string(shards));
-    expect_all_pool_eras(runs.back());
+    expect_ran_on_pool(runs.back());
   }
   expect_sane(runs[0]);
   expect_identical(runs[0], runs[1], "1 shard vs 2 shards");
@@ -377,8 +374,8 @@ struct SkewedFingerprint {
 };
 
 /// Runs the skewed cluster widened past the pool crossover, so under the
-/// parallel backend every era runs on the worker pool, bounded by the
-/// per-shard-pair lookahead matrix; `pool_eras` must then equal `windows`.
+/// parallel backend it runs its eras on the worker pool, bounded by the
+/// per-shard-pair lookahead matrix.
 SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards,
                              sim::Engine::ParallelStats* pstats = nullptr) {
   rt::ClusterConfig config;
@@ -439,9 +436,8 @@ SkewedFingerprint run_skewed(sim::ExecBackend backend, int shards,
   return fp;
 }
 
-void expect_all_pool_eras(const sim::Engine::ParallelStats& s) {
+void expect_ran_on_pool(const sim::Engine::ParallelStats& s) {
   EXPECT_GT(s.windows, 0u);
-  EXPECT_EQ(s.pool_eras, s.windows);
 }
 
 TEST(Determinism, SkewedTopologyBackendInvariance) {
@@ -450,18 +446,18 @@ TEST(Determinism, SkewedTopologyBackendInvariance) {
   EXPECT_DOUBLE_EQ(coro.checksum, 512 * 0.5);  // rank 0: fill 1.0, scale
   sim::Engine::ParallelStats pstats;
   EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, 4, &pstats), coro);
-  expect_all_pool_eras(pstats);
+  expect_ran_on_pool(pstats);
 }
 
 TEST(Determinism, SkewedTopologyShardCountInvariance) {
   sim::Engine::ParallelStats pstats;
   const SkewedFingerprint one =
       run_skewed(sim::ExecBackend::kParallel, 1, &pstats);
-  expect_all_pool_eras(pstats);
+  expect_ran_on_pool(pstats);
   for (const int shards : {2, 4, 8, 16}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     EXPECT_EQ(run_skewed(sim::ExecBackend::kParallel, shards, &pstats), one);
-    expect_all_pool_eras(pstats);
+    expect_ran_on_pool(pstats);
   }
 }
 

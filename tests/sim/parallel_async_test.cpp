@@ -1,17 +1,17 @@
-// Asynchronous parallel-backend scheduling (DESIGN.md §5.2): the merged
-// fallback when no safe horizon width exists (zero lookahead, or a
+// Asynchronous parallel-backend scheduling (DESIGN.md §5.2): the serial
+// loop when no safe horizon width exists (zero lookahead, or a
 // zero-latency link crossing shards), topology-aware shard placement (the
-// partitioner, DACC_SIM_SHARD_MAP, explicit maps), and the era-count /
-// exposed-parallelism guard for the 129-node cluster scenario — the
-// tier-1 check that the band-gap eras actually shrink the number of serial
-// synchronization points without costing determinism.
+// partitioner, explicit maps), and the era-count / exposed-parallelism
+// guard for the 129-node cluster scenario, widened onto the worker pool —
+// the tier-1 check that the band-gap eras actually shrink the number of
+// serial synchronization points without costing determinism.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "common/ring.hpp"
 #include "core/api.hpp"
 #include "net/model_params.hpp"
@@ -27,7 +27,7 @@ using dacc::testing::RingResult;
 using dacc::testing::run_ring;
 
 // ---------------------------------------------------------------------------
-// Merged fallback: concurrency is surrendered, never correctness
+// No safe horizon width: concurrency is surrendered, never correctness
 // ---------------------------------------------------------------------------
 
 TEST(ParallelAsync, ZeroLookaheadFallsBackToMergedSerialOrder) {
@@ -49,8 +49,9 @@ TEST(ParallelAsync, ZeroLookaheadFallsBackToMergedSerialOrder) {
 }
 
 TEST(ParallelAsync, PositiveLookaheadRunsWindowed) {
-  // Four chains drain their eras merged on the calling thread; as many
-  // chains as the pool crossover send every era to the worker pool.
+  // Four chains stay below the pool crossover: the engine keeps the serial
+  // loop and runs no era. As many chains as the crossover move it to the
+  // worker pool, which runs the eras.
   for (const int chains :
        {4, static_cast<int>(sim::Engine::kPoolCrossover)}) {
     SCOPED_TRACE("chains " + std::to_string(chains));
@@ -65,10 +66,13 @@ TEST(ParallelAsync, PositiveLookaheadRunsWindowed) {
     o.shards = 4;
     const RingResult par = run_ring(o);
     EXPECT_TRUE(par.same_simulation(serial));
-    EXPECT_GT(par.pstats.windows, 0u);
     EXPECT_EQ(par.pstats.merged_fallbacks, 0u);
-    EXPECT_GT(par.pstats.parallel_events, 0u);
-    EXPECT_EQ(par.pstats.pool_eras, chains == 4 ? 0u : par.pstats.windows);
+    if (chains == 4) {
+      EXPECT_EQ(par.pstats.windows, 0u);
+    } else {
+      EXPECT_GT(par.pstats.windows, 0u);
+      EXPECT_GT(par.pstats.parallel_events, 0u);
+    }
   }
 }
 
@@ -89,7 +93,7 @@ TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {
 
   // Force the zero-latency pair onto different shards (the partitioner
   // would never do this): the pair's lookahead cell is zero, so no safe
-  // horizon width exists and the run must degrade to the merged drain.
+  // horizon width exists and the run must keep the serial loop.
   o.backend = sim::ExecBackend::kParallel;
   o.shards = 2;
   o.shard_map = {0, 1, 0, 1};
@@ -99,16 +103,22 @@ TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {
   EXPECT_EQ(split.pstats.merged_fallbacks, 1u);
 
   // Co-locate the pair: the zero-latency link becomes shard-internal, the
-  // cross-shard minimum is back to the full lookahead, eras resume.
+  // cross-shard minimum is back to the full lookahead, and a run widened
+  // past the pool crossover runs eras again.
+  o.widen = true;
+  o.backend = sim::ExecBackend::kCoroutine;
+  o.shard_map.clear();
+  const RingResult serial_wide = run_ring(o);
+  o.backend = sim::ExecBackend::kParallel;
   o.shard_map = {0, 0, 1, 1};
   const RingResult joined = run_ring(o);
-  EXPECT_TRUE(joined.same_simulation(serial));
+  EXPECT_TRUE(joined.same_simulation(serial_wide));
   EXPECT_GT(joined.pstats.windows, 0u);
   EXPECT_EQ(joined.pstats.merged_fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Shard placement: partitioner, environment map, explicit map
+// Shard placement: partitioner, explicit map
 // ---------------------------------------------------------------------------
 
 TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
@@ -148,33 +158,6 @@ TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
   EXPECT_TRUE(par.same_simulation(serial));
 }
 
-TEST(ParallelAsync, ShardMapEnvironmentVariableSelectsPlacement) {
-  ::setenv("DACC_SIM_SHARD_MAP", "3,2,1,0", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    EXPECT_EQ(engine.shard_of(0), 3);
-    EXPECT_EQ(engine.shard_of(1), 2);
-    EXPECT_EQ(engine.shard_of(2), 1);
-    EXPECT_EQ(engine.shard_of(3), 0);
-  }
-  // Wrong arity: warn and fall back to round robin.
-  ::setenv("DACC_SIM_SHARD_MAP", "0,1", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    for (int n = 0; n < 4; ++n) EXPECT_EQ(engine.shard_of(n), n % 4);
-  }
-  // Out-of-range shard id: same fallback.
-  ::setenv("DACC_SIM_SHARD_MAP", "0,9,0,0", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    for (int n = 0; n < 4; ++n) EXPECT_EQ(engine.shard_of(n), n % 4);
-  }
-  ::unsetenv("DACC_SIM_SHARD_MAP");
-}
-
 TEST(ParallelAsync, ExplicitShardMapValidates) {
   sim::Engine engine(sim::ExecBackend::kParallel, 2);
   engine.set_node_count(4);
@@ -208,7 +191,9 @@ struct ChurnOut {
 
 /// 64 CNs + 64 ACs + the ARM = 129 fabric nodes; every rank drives its
 /// accelerator with async kernel bursts, so the per-node work is symmetric
-/// and the lease churn crosses the whole fabric.
+/// and the lease churn crosses the whole fabric. The cluster starts below
+/// the pool crossover, so it is widened past it under every backend: the
+/// parallel engine then runs its eras on the worker pool.
 ChurnOut run_cluster_churn(sim::ExecBackend backend, int shards,
                            SimDuration band_gap) {
   rt::ClusterConfig cc;
@@ -239,6 +224,7 @@ ChurnOut run_cluster_churn(sim::ExecBackend backend, int shards,
     ac.mem_free(p);
   };
   cluster.submit(spec);
+  testing::widen_past_pool_crossover(cluster.engine());
   cluster.run();
 
   ChurnOut out;
@@ -260,6 +246,7 @@ TEST(ParallelAsyncCluster, BandGapCutsWindowsAndExposesParallelism) {
   // so the shards run many lookaheads between global synchronizations.
   const ChurnOut wide = run_cluster_churn(sim::ExecBackend::kParallel, 16, 0);
 
+  // Eras run only on the worker pool: both widened clusters ran there.
   ASSERT_GT(narrow.pstats.windows, 0u);
   ASSERT_GT(wide.pstats.windows, 0u);
   EXPECT_GT(narrow.pstats.windows, 5 * wide.pstats.windows)
