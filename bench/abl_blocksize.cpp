@@ -7,7 +7,7 @@
 
 using namespace dacc;
 
-int main(int argc, char** argv) {
+int main() {
   const std::vector<std::uint64_t> blocks = {32_KiB,  64_KiB,  128_KiB,
                                              256_KiB, 512_KiB, 1_MiB,
                                              2_MiB};
@@ -56,5 +56,5 @@ int main(int argc, char** argv) {
     std::printf("\n128K/512K crossover observed at ~%s (paper: ~9 MiB)\n\n",
                 bench::size_label(crossover).c_str());
   }
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

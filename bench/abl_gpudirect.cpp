@@ -6,7 +6,7 @@
 
 using namespace dacc;
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"size", "H2D gpudirect", "H2D no-gpudirect",
                      "D2H gpudirect", "D2H no-gpudirect", "H2D gain"});
 
@@ -41,5 +41,5 @@ int main(int argc, char** argv) {
       "(128 KiB blocks; 'gain' is the H2D speedup from page sharing)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

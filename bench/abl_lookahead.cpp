@@ -38,7 +38,7 @@ la::FactorResult qr_with(int n, int g, bool lookahead) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"N", "GPUs", "no look-ahead", "look-ahead", "gain"});
   for (const int n : {2048, 4032, 6048, 8064, 10240}) {
     for (const int g : {1, 3}) {
@@ -64,5 +64,5 @@ int main(int argc, char** argv) {
       "(hides the panel round trip behind the bulk trailing update)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

@@ -6,7 +6,7 @@
 
 using namespace dacc;
 
-int main(int argc, char** argv) {
+int main() {
   const std::vector<int> widths = {32, 64, 96, 128, 192, 256, 384};
   util::Table table({"N", "GPUs", "nb=32", "nb=64", "nb=96", "nb=128",
                      "nb=192", "nb=256", "nb=384", "best"});
@@ -39,5 +39,5 @@ int main(int argc, char** argv) {
       "GPUs)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

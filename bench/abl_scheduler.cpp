@@ -124,7 +124,7 @@ constexpr dmpi::Rank kArmRank = 1;
 const std::vector<dmpi::Rank> kArmEndpoints{kArmRank};
 
 Outcome run_dynamic(const std::vector<Task>& tasks,
-                    arm::Arm::QueuePolicy policy) {
+                    arm::QueuePolicy policy) {
   sim::Engine engine;
   net::Fabric fabric(engine, 2);
   dmpi::World world(engine, fabric, {0, kArmRank});
@@ -169,21 +169,21 @@ Outcome run_dynamic(const std::vector<Task>& tasks,
   engine.run();
   out.makespan = engine.now();
   double util_sum = 0.0;
-  for (double u : arm.utilization(engine.now())) util_sum += u;
+  for (double u : arm.machine().utilization(engine.now())) util_sum += u;
   out.gpu_utilization = util_sum / 4.0;
   return out;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"job mix", "arch", "makespan [ms]", "mean wait [ms]",
                      "GPU util"});
   for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto tasks = make_mix(32, seed);
     const Outcome st = run_static(tasks);
-    const Outcome dy = run_dynamic(tasks, arm::Arm::QueuePolicy::kFcfs);
-    const Outcome bf = run_dynamic(tasks, arm::Arm::QueuePolicy::kBackfill);
+    const Outcome dy = run_dynamic(tasks, arm::QueuePolicy::kFcfs);
+    const Outcome bf = run_dynamic(tasks, arm::QueuePolicy::kBackfill);
     const auto n = static_cast<double>(tasks.size());
     auto add_row = [&](const char* arch, const Outcome& o) {
       table.row()
@@ -210,5 +210,5 @@ int main(int argc, char** argv) {
       " dyn+backfill: pooled with EASY-style backfill at the ARM)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

@@ -41,7 +41,7 @@ rt::ClusterConfig mpi_config() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"size", "dacc (MPI+pipeline)", "rCUDA-like (TCP naive)",
                      "TCP + our pipeline"});
   for (const std::uint64_t size : {1_MiB, 4_MiB, 16_MiB, 64_MiB}) {
@@ -74,5 +74,5 @@ int main(int argc, char** argv) {
       "overhead')\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

@@ -2,12 +2,10 @@
 //
 // Every bench binary follows the same pattern: run the deterministic
 // simulation sweep once, print the paper-style series as an aligned table
-// (plus the paper's expectation for EXPERIMENTS.md), then register the
-// cached results as google-benchmark entries (manual time = simulated time)
-// so standard tooling (--benchmark_format=json etc.) works too.
+// (plus the paper's expectation for EXPERIMENTS.md), and record each point
+// with register_result(); finish() writes the recorded points to the
+// bench's BENCH_*.json file, if it has one.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <fstream>
@@ -117,7 +115,7 @@ inline Probe mpi_pingpong(std::uint64_t bytes,
 }
 
 /// Everything register_result() has seen, in registration order — the
-/// source for the machine-readable JSON finish() can emit.
+/// source for the machine-readable JSON finish() writes.
 struct Result {
   std::string name;
   SimDuration simulated = 0;
@@ -130,22 +128,11 @@ inline std::vector<Result>& results() {
   return cache;
 }
 
-/// One cached result registered as a google-benchmark entry whose manual
-/// time is the simulated duration; also recorded for finish()'s JSON file.
+/// Records one series point (simulated duration, plus whichever of MiB/s
+/// and GFlop/s the figure reports) for finish()'s JSON file.
 inline void register_result(const std::string& name, SimDuration simulated,
                             double mib_s = 0.0, double gflops = 0.0) {
   results().push_back({name, simulated, mib_s, gflops});
-  benchmark::RegisterBenchmark(
-      name.c_str(),
-      [simulated, mib_s, gflops](benchmark::State& state) {
-        for (auto _ : state) {
-          state.SetIterationTime(to_seconds(simulated));
-        }
-        if (mib_s > 0.0) state.counters["MiB/s"] = mib_s;
-        if (gflops > 0.0) state.counters["GFlop/s"] = gflops;
-      })
-      ->UseManualTime()
-      ->Iterations(1);
 }
 
 /// Metrics snapshot finish() folds into the BENCH_*.json file (under an
@@ -175,15 +162,10 @@ inline std::string size_label(std::uint64_t bytes) {
   return std::to_string(bytes / 1_KiB) + "KiB";
 }
 
-/// Runs the registered google-benchmark entries; when json_path is
-/// non-empty, additionally writes every register_result() entry to that
-/// file as one JSON object per series point (the BENCH_fig*.json files
-/// committed at the repo root — simulated nanoseconds plus whichever of
-/// MiB/s and GFlop/s the figure reports).
-inline int finish(int argc, char** argv, const std::string& json_path = "") {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+/// The bench's exit status. When json_path is non-empty, first writes every
+/// register_result() entry to that file as one JSON object per series point
+/// (the BENCH_fig*.json files committed at the repo root).
+inline int finish(const std::string& json_path = "") {
   if (json_path.empty()) return 0;
   std::ofstream json(json_path);
   json << "{\n  \"results\": [\n";

@@ -41,7 +41,7 @@ la::FactorResult lu_point(int n, int g, bool local) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"N", "CUDA local GPU", "1 net GPU", "2 net GPUs",
                      "3 net GPUs", "best/local"});
   for (const int n : bench::figure9_sizes()) {
@@ -70,5 +70,5 @@ int main(int argc, char** argv) {
       "(beyond the paper: the same dynamic-architecture pattern holds)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

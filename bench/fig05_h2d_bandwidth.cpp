@@ -10,7 +10,7 @@
 using namespace dacc;
 using bench::Probe;
 
-int main(int argc, char** argv) {
+int main() {
   struct Curve {
     const char* name;
     proto::TransferConfig config;
@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
       "~2660)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

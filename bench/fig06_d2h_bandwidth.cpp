@@ -9,7 +9,7 @@
 using namespace dacc;
 using bench::Probe;
 
-int main(int argc, char** argv) {
+int main() {
   struct Curve {
     const char* name;
     proto::TransferConfig config;
@@ -45,5 +45,5 @@ int main(int argc, char** argv) {
       "(paper: pipeline-128K best fixed block in this direction)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

@@ -10,7 +10,7 @@
 using namespace dacc;
 using bench::Probe;
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"size", "CUDA local (pinned)", "CUDA local (pageable)",
                      "MPI (IMB PingPong)", "Dyn. arch (pipeline-128-512K)"});
 
@@ -43,5 +43,5 @@ int main(int argc, char** argv) {
       "(paper peaks: pinned ~5700, pageable ~4700, remote ~2600)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

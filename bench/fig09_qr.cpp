@@ -10,7 +10,7 @@
 
 using namespace dacc;
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"N", "CUDA local GPU", "1 net GPU", "2 net GPUs",
                      "3 net GPUs", "best/local"});
 
@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\nmeasured 3-GPU speedup over local at N=10240: %.2fx\n\n",
               speedup_at_max);
-  return bench::finish(argc, argv, "BENCH_fig09.json");
+  return bench::finish("BENCH_fig09.json");
 }

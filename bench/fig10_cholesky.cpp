@@ -8,7 +8,7 @@
 
 using namespace dacc;
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"N", "CUDA local GPU", "1 net GPU", "2 net GPUs",
                      "3 net GPUs", "best/local"});
 
@@ -44,5 +44,5 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\nmeasured 1-remote-GPU/local ratio at N=10240: %.2f\n\n",
               remote1_penalty_at_max);
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

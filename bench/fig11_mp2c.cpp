@@ -44,7 +44,7 @@ SimDuration mp2c_point(std::uint64_t particles, bool local) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   util::Table table({"particles", "CUDA local [min]",
                      "dynamic architecture [min]", "slowdown"});
 
@@ -70,5 +70,5 @@ int main(int argc, char** argv) {
       "(paper: ~13/17/22 minutes; dynamic architecture at most +4%%)\n\n");
   table.print(std::cout);
   std::printf("\n");
-  return bench::finish(argc, argv, "BENCH_fig11.json");
+  return bench::finish("BENCH_fig11.json");
 }

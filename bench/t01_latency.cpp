@@ -44,7 +44,7 @@ Latencies remote_latencies() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   const bench::Probe mpi1 = bench::mpi_pingpong(1);
   const bench::Probe mpi64m = bench::mpi_pingpong(64_MiB);
   const Latencies lat = remote_latencies();
@@ -87,5 +87,5 @@ int main(int argc, char** argv) {
   bench::register_result("t01/remote-h2d-64B", lat.tiny_h2d);
   bench::register_result("t01/remote-kernel-issue", lat.kernel_rtt);
   bench::register_result("t01/local-h2d-64B", local_tiny.elapsed);
-  return bench::finish(argc, argv);
+  return bench::finish();
 }

@@ -10,11 +10,40 @@ namespace dacc::arm {
 using proto::WireReader;
 using proto::WireWriter;
 
+Command command_of(rpc::Inbound& in) {
+  Command cmd;
+  cmd.client = in.source;
+  cmd.reply_tag = in.reply_tag;
+  cmd.op = in.op_word;
+  cmd.body = in.body.rest();
+  return cmd;
+}
+
+void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
+                     std::vector<Effect>& effects) {
+  sim::Engine& engine = ctx.engine();
+  for (Effect& e : effects) {
+    if (e.kind != Effect::Kind::kTrace) {
+      // A reply or an unsolicited revocation notice: one frame to `to`.
+      channel.reply(e.to, e.tag, std::move(e.frame));
+      continue;
+    }
+    // Revocations and replacements surface as trace effects; mirror them
+    // into the flight recorder for post-mortems.
+    if (obs::FlightRecorder* fr = engine.flight()) {
+      fr->note(ctx.now(), "arm", e.label, engine.current_trace().trace_id);
+    }
+    if (sim::Tracer* tracer = engine.tracer()) {
+      tracer->record("arm", e.label, ctx.now(), ctx.now());
+    }
+  }
+}
+
 Arm::Arm(dmpi::World& world, dmpi::Rank self_world_rank,
          std::vector<AcceleratorInfo> pool, QueuePolicy policy,
          PlacementMap placement)
     : world_(world), self_(self_world_rank),
-      machine_(std::move(pool), policy, "dacc_arm", std::move(placement)) {}
+      machine_(std::move(pool), policy, std::move(placement)) {}
 
 void Arm::run(sim::Context& ctx) {
   dmpi::Mpi mpi(world_, ctx, self_);
@@ -30,35 +59,9 @@ void Arm::run(sim::Context& ctx) {
     bool shutdown = false;
     try {
       rpc::Inbound in = channel.decode(source, std::move(msg));
-      Command cmd;
-      cmd.client = in.source;
-      cmd.reply_tag = in.reply_tag;
-      cmd.op = in.op_word;
-      cmd.body = in.body.rest();
-      ApplyResult result = machine_.apply(cmd, ctx.now());
+      ApplyResult result = machine_.apply(command_of(in), ctx.now());
       shutdown = result.shutdown;
-      for (Effect& e : result.effects) {
-        switch (e.kind) {
-          case Effect::Kind::kReply:
-            channel.reply(e.to, e.tag, std::move(e.frame));
-            break;
-          case Effect::Kind::kNotice:
-            channel.mpi().send(channel.comm(), e.to, e.tag,
-                               std::move(e.frame));
-            break;
-          case Effect::Kind::kTrace:
-            // Revocations and replacements surface as trace effects; mirror
-            // them into the flight recorder for post-mortems.
-            if (obs::FlightRecorder* fr = world_.engine().flight()) {
-              fr->note(ctx.now(), "arm", e.label,
-                       world_.engine().current_trace().trace_id);
-            }
-            if (sim::Tracer* tracer = world_.engine().tracer()) {
-              tracer->record("arm", e.label, ctx.now(), ctx.now());
-            }
-            break;
-        }
-      }
+      execute_effects(ctx, channel, result.effects);
     } catch (const proto::WireError&) {
       // Malformed management frame (fuzzed or corrupted): drop it and keep
       // serving — the pool must outlive bad clients.
@@ -71,12 +74,6 @@ void Arm::run(sim::Context& ctx) {
     if (shutdown) return;
     machine_.sample_assigned();
   }
-}
-
-PoolStats Arm::stats() const { return machine_.stats(); }
-
-std::vector<double> Arm::utilization(SimTime now) const {
-  return machine_.utilization(now);
 }
 
 // ---------------------------------------------------------------------------
@@ -98,11 +95,6 @@ rpc::Channel::Options arm_client_options(bool replicated) {
   return o;
 }
 }  // namespace
-
-ArmClient::ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
-                     dmpi::Rank arm_rank)
-    : channel_(mpi, comm, arm_rank, arm_client_options(false)),
-      endpoints_{arm_rank} {}
 
 ArmClient::ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                      std::vector<dmpi::Rank> arm_ranks)

@@ -15,9 +15,9 @@
 // simply never see it.
 //
 // The lease semantics themselves live in lease_machine.hpp: this file hosts
-// the single-ARM server loop (one rank, commands applied as they arrive) and
-// the client. The replicated deployment (arm/raft/) hosts the same machine
-// behind a Raft log instead.
+// the single-ARM server loop (one rank, commands applied as they arrive), the
+// serve step it shares with the replicated deployment (arm/raft/, the same
+// machine behind a Raft log), and the client.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +33,20 @@
 
 namespace dacc::arm {
 
+// --- the serve step both ARM servers share ----------------------------------
+
+/// The lease-machine command carried by a decoded ARM request frame: the
+/// requester, its reply tag and the undecoded op body.
+Command command_of(rpc::Inbound& in);
+
+/// Executes the effects of one applied command, in order: replies and
+/// revocation notices go out on `channel`, trace effects become flight
+/// recorder notes and (with a tracer attached) "arm" trace records.
+void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
+                     std::vector<Effect>& effects);
+
 class Arm {
  public:
-  /// Historical alias: the policy moved to namespace scope when the state
-  /// machine was factored out (lease_machine.hpp).
-  using QueuePolicy = arm::QueuePolicy;
-
   Arm(dmpi::World& world, dmpi::Rank self_world_rank,
       std::vector<AcceleratorInfo> pool,
       QueuePolicy policy = QueuePolicy::kFcfs, PlacementMap placement = {});
@@ -47,10 +55,9 @@ class Arm {
   /// engine daemon).
   void run(sim::Context& ctx);
 
-  /// Direct (in-process) views for experiment harnesses.
-  PoolStats stats() const;
-  /// Fraction of [0, now] each accelerator spent assigned; index = pool slot.
-  std::vector<double> utilization(SimTime now) const;
+  /// The lease state, for in-process views (stats, utilization). Read it
+  /// between engine steps.
+  const LeaseMachine& machine() const { return machine_; }
 
  private:
   dmpi::World& world_;
@@ -59,14 +66,13 @@ class Arm {
 };
 
 /// Front-end side of the ARM protocol: the paper's resource-management API.
-/// Speaks to one ARM rank (the single-ARM deployment) or to an endpoint set
-/// of replicas (arm/raft): with several endpoints the client walks the
+/// Speaks to the ARM's endpoint list: one rank (the single-ARM deployment)
+/// or the replicas of arm/raft. With several endpoints the client walks the
 /// failover ladder — follow kNotLeader redirects, resend on timeout with the
 /// same reply tag (the lease machine's reply cache makes resends safe), and
 /// rotate to the next replica when the addressed one stays silent.
 class ArmClient {
  public:
-  ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank arm_rank);
   ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
             std::vector<dmpi::Rank> arm_ranks);
 

@@ -77,10 +77,6 @@ void ResourceRequest::encode_body(proto::WireWriter& w) const {
       .u32(count)
       .u32(wait ? 1 : 0)
       .str(kind)
-      // Versioned extension. Decoders that stop after the legacy prefix
-      // (none remain in-tree, but the format allows them) would see exactly
-      // the old layout; the current decoder requires the extension to be
-      // complete once any of it is present.
       .u32(kAcquireExtVersion)
       .u64(memory_bytes)
       .u32(priority)
@@ -94,7 +90,6 @@ ResourceRequest ResourceRequest::decode_body(proto::WireReader& r) {
   q.count = r.u32();
   q.wait = r.u32() != 0;
   q.kind = r.str();
-  if (r.exhausted()) return q;  // legacy frame: defaults
   if (r.u32() != kAcquireExtVersion) {
     throw proto::WireError("arm: unknown acquire extension version");
   }
@@ -167,8 +162,7 @@ RevokeNotice RevokeNotice::decode(proto::WireReader& r) {
   n.lease_id = r.u64();
   n.job = r.u64();
   n.revoked_at = r.u64();
-  // Versioned suffix: legacy frames end here and mean a failure revocation.
-  if (!r.exhausted()) n.reason = r.u32();
+  n.reason = r.u32();
   return n;
 }
 
@@ -220,11 +214,8 @@ Command Command::decode(proto::WireReader& r) {
 // ---------------------------------------------------------------------------
 
 LeaseMachine::LeaseMachine(std::vector<AcceleratorInfo> pool,
-                           QueuePolicy policy, std::string metrics_prefix,
-                           PlacementMap placement)
-    : policy_(policy),
-      placement_(std::move(placement)),
-      metrics_prefix_(std::move(metrics_prefix)) {
+                           QueuePolicy policy, PlacementMap placement)
+    : policy_(policy), placement_(std::move(placement)) {
   slots_.reserve(pool.size());
   for (AcceleratorInfo& info : pool) {
     Slot s;
@@ -523,7 +514,7 @@ void LeaseMachine::fail_unsatisfiable(std::vector<Effect>& out) {
 void LeaseMachine::handle_heartbeat(std::vector<Effect>& out,
                                     const Heartbeat& hb, SimTime now) {
   ++heartbeats_;
-  if (metrics_bound_ != nullptr && hb.sent_at != 0 && now >= hb.sent_at) {
+  if (metrics_bound_ != nullptr && now >= hb.sent_at) {
     m_heartbeat_latency_ns_.observe(
         static_cast<std::uint64_t>(now - hb.sent_at));
   }
@@ -1012,8 +1003,7 @@ util::Buffer LeaseMachine::snapshot() const {
   return w.finish();
 }
 
-LeaseMachine LeaseMachine::restore(proto::WireReader& r,
-                                   std::string metrics_prefix) {
+LeaseMachine LeaseMachine::restore(proto::WireReader& r) {
   // Counts are untrusted (InstallSnapshot frames cross the fuzzer): nothing
   // is pre-reserved from them, and every element read is bounds-checked, so
   // a garbage count throws on the first missing byte instead of allocating.
@@ -1022,7 +1012,6 @@ LeaseMachine LeaseMachine::restore(proto::WireReader& r,
     throw proto::WireError("arm: unknown lease snapshot version");
   }
   LeaseMachine m;
-  m.metrics_prefix_ = std::move(metrics_prefix);
   const std::uint32_t policy = r.u32();
   if (policy > static_cast<std::uint32_t>(QueuePolicy::kBackfill)) {
     throw proto::WireError("arm: bad queue policy in snapshot");
@@ -1148,19 +1137,19 @@ void LeaseMachine::bind_metrics(obs::Registry* reg) {
     m_preemptions_ = obs::Counter{};
     return;
   }
-  m_assigned_ = reg->gauge(metrics_prefix_ + "_assigned");
-  m_assign_wait_ns_ = reg->histogram(metrics_prefix_ + "_assign_wait_ns",
-                                     obs::latency_bounds_ns());
+  m_assigned_ = reg->gauge("dacc_arm_assigned");
+  m_assign_wait_ns_ =
+      reg->histogram("dacc_arm_assign_wait_ns", obs::latency_bounds_ns());
   for (std::uint32_t c = 0; c < kPriorityClasses; ++c) {
     m_wait_by_class_[c] = reg->histogram(
-        obs::labeled(metrics_prefix_ + "_assign_wait_ns", "prio",
+        obs::labeled("dacc_arm_assign_wait_ns", "prio",
                      priority_class_name(c)),
         obs::latency_bounds_ns());
   }
-  m_heartbeat_latency_ns_ = reg->histogram(
-      metrics_prefix_ + "_heartbeat_latency_ns", obs::latency_bounds_ns());
-  m_revocations_ = reg->counter(metrics_prefix_ + "_revocations_total");
-  m_preemptions_ = reg->counter(metrics_prefix_ + "_preemptions_total");
+  m_heartbeat_latency_ns_ = reg->histogram("dacc_arm_heartbeat_latency_ns",
+                                           obs::latency_bounds_ns());
+  m_revocations_ = reg->counter("dacc_arm_revocations_total");
+  m_preemptions_ = reg->counter("dacc_arm_preemptions_total");
 }
 
 void LeaseMachine::sample_assigned() {

@@ -93,8 +93,7 @@ const char* priority_class_name(std::uint32_t priority);
 /// Version word of the kAcquire body extension (see encode_body).
 inline constexpr std::uint32_t kAcquireExtVersion = 1;
 
-/// One typed acquisition. The legacy flat acquire(job, count, wait, kind)
-/// maps onto this with every extension field at its default.
+/// One typed acquisition.
 struct ResourceRequest {
   std::uint64_t job = 0;
   std::uint32_t count = 1;
@@ -115,12 +114,11 @@ struct ResourceRequest {
   ResourceRequest& with_priority(std::uint32_t p) { priority = p; return *this; }
   ResourceRequest& with_locality(std::int64_t node) { locality = node; return *this; }
 
-  /// kAcquire body codec. The layout is the legacy prefix (job, count,
-  /// wait, kind) followed by a versioned extension (version word, memory,
-  /// priority, gang, locality). A frame that ends after the prefix is a
-  /// legacy request and decodes to default extension fields; a frame with
-  /// trailing bytes must carry a complete, version-1, in-range extension or
-  /// the whole decode throws proto::WireError — no partial application.
+  /// kAcquire body codec. The layout is a prefix (job, count, wait, kind)
+  /// followed by a versioned extension (version word, memory, priority,
+  /// gang, locality). Every frame must carry the complete, version-1,
+  /// in-range extension and nothing after it, or the whole decode throws
+  /// proto::WireError — no partial application.
   void encode_body(proto::WireWriter& w) const;
   static ResourceRequest decode_body(proto::WireReader& r);
 };
@@ -144,7 +142,7 @@ struct Heartbeat {
   std::uint64_t seq = 0;
   bool device_ok = true;
   /// Simulated send time stamped by the pacer; the ARM turns it into the
-  /// heartbeat-delivery-latency metric. 0 = unstamped (legacy senders).
+  /// heartbeat-delivery-latency metric.
   SimTime sent_at = 0;
 
   util::Buffer encode() const;
@@ -168,9 +166,7 @@ struct SweepRequest {
 inline constexpr std::uint32_t kRevokeFailure = 0;
 inline constexpr std::uint32_t kRevokePreempted = 1;
 
-/// Unsolicited push to a lease owner when its slot is revoked. The reason
-/// word is a versioned suffix: legacy frames end at revoked_at and decode
-/// as kRevokeFailure.
+/// Unsolicited push to a lease owner when its slot is revoked.
 struct RevokeNotice {
   dmpi::Rank daemon_rank = -1;
   std::uint64_t lease_id = 0;
@@ -273,7 +269,6 @@ struct ApplyResult {
 class LeaseMachine {
  public:
   LeaseMachine(std::vector<AcceleratorInfo> pool, QueuePolicy policy,
-               std::string metrics_prefix = "dacc_arm",
                PlacementMap placement = {});
 
   /// Applies one command, returning the messages to send. Commands carrying
@@ -306,18 +301,16 @@ class LeaseMachine {
   /// Rebuilds a machine from snapshot() bytes in the current format.
   /// Throws proto::WireError on any other version and on truncated or
   /// out-of-range input. Metrics stay unbound.
-  static LeaseMachine restore(proto::WireReader& r,
-                              std::string metrics_prefix = "dacc_arm");
+  static LeaseMachine restore(proto::WireReader& r);
   /// FNV-1a over snapshot() — the value replicas compare in tests.
   std::uint64_t fingerprint() const;
 
-  /// Registers the machine's metrics against `reg` (idempotent re-bind,
-  /// plain pointer compare; nullptr unbinds). The prefix keeps replicas'
-  /// series distinct ("dacc_arm" for the single ARM — wire-compatible with
-  /// the pre-replication metric names).
+  /// Registers the machine's "dacc_arm_*" series against `reg`
+  /// (idempotent re-bind, plain pointer compare; nullptr unbinds). A Raft
+  /// group keeps them bound on its leader only, so each event counts once.
   void bind_metrics(obs::Registry* reg);
   /// Samples the assigned-slot gauge (no-op when unbound). The host calls
-  /// this after every applied request, mirroring the legacy server loop.
+  /// this after every served request.
   void sample_assigned();
 
  private:
@@ -467,7 +460,6 @@ class LeaseMachine {
   std::uint32_t broken_total_ = 0;
 
   // Metrics (lazy-bound, no-op handles when no registry is attached).
-  std::string metrics_prefix_ = "dacc_arm";
   obs::Registry* metrics_bound_ = nullptr;
   obs::Gauge m_assigned_;
   obs::Histogram m_assign_wait_ns_;

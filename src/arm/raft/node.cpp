@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "arm/arm.hpp"
 #include "obs/flight.hpp"
 #include "sim/trace.hpp"
 
@@ -33,7 +34,7 @@ RaftNode::RaftNode(dmpi::World& world, dmpi::Rank self_world_rank,
       params_(params),
       heartbeat_(heartbeat),
       rng_(replica_seed(params.seed, replica_index)),
-      machine_(std::move(pool), policy, "dacc_arm", std::move(placement)),
+      machine_(std::move(pool), policy, std::move(placement)),
       peers_(replicas_.size()),
       votes_(replicas_.size(), false),
       prevotes_(replicas_.size(), false) {}
@@ -383,31 +384,6 @@ void RaftNode::maybe_compact() {
   snap_index_ = applied_;
 }
 
-void RaftNode::execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
-                               std::vector<Effect>& effects) {
-  for (Effect& e : effects) {
-    switch (e.kind) {
-      case Effect::Kind::kReply:
-        channel.reply(e.to, e.tag, std::move(e.frame));
-        break;
-      case Effect::Kind::kNotice:
-        channel.mpi().send(channel.comm(), e.to, e.tag, std::move(e.frame));
-        break;
-      case Effect::Kind::kTrace:
-        // Lease-machine events surfaced as trace effects (revocations,
-        // replacements) are flight-recorder material too.
-        if (obs::FlightRecorder* fr = world_.engine().flight()) {
-          fr->note(ctx.now(), "arm", e.label,
-                   world_.engine().current_trace().trace_id);
-        }
-        if (sim::Tracer* tracer = world_.engine().tracer()) {
-          tracer->record("arm", e.label, ctx.now(), ctx.now());
-        }
-        break;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Message handlers
 // ---------------------------------------------------------------------------
@@ -649,11 +625,7 @@ void RaftNode::handle_raft(sim::Context& ctx, dmpi::Mpi& mpi,
 
 void RaftNode::handle_client(sim::Context& ctx, rpc::ServerChannel& channel,
                              dmpi::Mpi& mpi, rpc::Inbound& in) {
-  Command cmd;
-  cmd.client = in.source;
-  cmd.reply_tag = in.reply_tag;
-  cmd.op = in.op_word;
-  cmd.body = in.body.rest();
+  Command cmd = command_of(in);
   if (role_ != Role::kLeader) {
     // Redirect; one-way frames (heartbeats) are simply dropped — the
     // pacers broadcast to every replica, so the leader has its own copy.

@@ -144,8 +144,6 @@ class RaftNode {
   void advance_commit();
   void apply_committed(sim::Context& ctx, rpc::ServerChannel& channel);
   void maybe_compact();
-  void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
-                       std::vector<Effect>& effects);
 
   void handle_raft(sim::Context& ctx, dmpi::Mpi& mpi, rpc::Inbound& in);
   void handle_client(sim::Context& ctx, rpc::ServerChannel& channel,

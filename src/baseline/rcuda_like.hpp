@@ -51,7 +51,8 @@ inline proto::TransferConfig tcp_transfer_config() {
 }
 
 /// A cluster whose remoting runs over the TCP baseline transport. Identical
-/// topology and devices; only the transport differs.
+/// topology and devices; only the transport differs. The data path is per
+/// job: pair it with JobSpec::transfer = tcp_transfer_config().
 inline rt::ClusterConfig tcp_cluster_config(int compute_nodes,
                                             int accelerators) {
   rt::ClusterConfig c;
@@ -59,7 +60,6 @@ inline rt::ClusterConfig tcp_cluster_config(int compute_nodes,
   c.accelerators = accelerators;
   c.fabric = tcp_fabric_params();
   c.mpi = tcp_mpi_params();
-  c.transfer = tcp_transfer_config();
   return c;
 }
 

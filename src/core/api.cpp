@@ -212,7 +212,7 @@ void Accelerator::proxy_main(sim::Context& ctx) {
       // Greedy flush-rule implementation: everything already enqueued at
       // this instant coalesces (up to the watermark). A synchronous caller
       // blocks on its future, so its op is always alone here and goes out
-      // on the unchanged legacy frame; async bursts build real batches.
+      // on its own single-op frame; async bursts build real batches.
       std::vector<std::unique_ptr<ProxyOp>> group;
       group.push_back(std::move(op));
       while (group.size() < stream.watermark) {
@@ -323,7 +323,7 @@ void Accelerator::execute_batch(rpc::Channel& ch, sim::Context& ctx,
                                 std::vector<std::unique_ptr<ProxyOp>>& group) {
   const proto::ProtoParams& pp = session_->config().proto;
   sim::Engine& engine = session_->world_.engine();
-  const RetryPolicy& rp = session_->config().retry;
+  const rpc::RetryPolicy& rp = session_->config().retry;
   const SimTime begin = ctx.now();
   // Marshalling still costs the CN CPU once per sub-request; batching
   // amortises the messaging, not the encoding.
@@ -590,15 +590,12 @@ bool Accelerator::attempt_with_retry(rpc::Channel& ch, sim::Context& ctx,
 }
 
 bool Accelerator::consume_revocation(rpc::Channel& ch, std::uint32_t* reason) {
-  const dmpi::Rank arm_rank = session_->config().arm_rank;
-  if (arm_rank < 0) return false;
-  // Replicated ARM: the notice may come from whichever replica led when the
-  // revocation committed, so probe any source on the revoke tag.
-  const dmpi::Rank src =
-      session_->config().arm_replicated() ? dmpi::kAnySource : arm_rank;
+  // Only ARM ranks send on the revoke tag, and a replicated ARM's notice
+  // comes from whichever replica led when the revocation committed: probe
+  // any source.
   const int tag = arm::kArmRevokeTagBase + lease_.daemon_rank;
-  if (!ch.mpi().iprobe(session_->comm_, src, tag)) return false;
-  util::Buffer frame = ch.mpi().recv(session_->comm_, src, tag);
+  if (!ch.mpi().iprobe(session_->comm_, dmpi::kAnySource, tag)) return false;
+  util::Buffer frame = ch.mpi().recv(session_->comm_, dmpi::kAnySource, tag);
   *reason = arm::kRevokeFailure;
   try {
     WireReader r(frame.view());
@@ -636,18 +633,16 @@ bool Accelerator::replay(rpc::Channel& ch, sim::Context& ctx,
 
 bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
                               bool broken) {
-  const RetryPolicy& rp = session_->config().retry;
+  const rpc::RetryPolicy& rp = session_->config().retry;
   if (!rp.replace_on_failure || replacements_ >= rp.max_replacements) {
     return false;
   }
-  const dmpi::Rank arm_rank = session_->config().arm_rank;
-  if (arm_rank < 0) return false;
 
   const arm::Lease failed = lease_;
   const std::uint64_t job = session_->config().job_id;
   const SimTime begin = ctx.now();
   arm::ArmClient arm_client(ch.mpi(), session_->comm_,
-                            session_->config().arm_endpoints());
+                            session_->config().arm_ranks);
 
   // Make sure the pool knows (idempotent if the liveness sweep beat us to
   // it), give the dead lease back, and take any healthy accelerator. A
@@ -668,11 +663,9 @@ bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
   ++replacements_;
 
   // Drop a revocation notice for the dead lease that raced with us.
-  const dmpi::Rank stale_src =
-      session_->config().arm_replicated() ? dmpi::kAnySource : arm_rank;
   const int stale_tag = arm::kArmRevokeTagBase + failed.daemon_rank;
-  while (ch.mpi().iprobe(session_->comm_, stale_src, stale_tag)) {
-    (void)ch.mpi().recv(session_->comm_, stale_src, stale_tag);
+  while (ch.mpi().iprobe(session_->comm_, dmpi::kAnySource, stale_tag)) {
+    (void)ch.mpi().recv(session_->comm_, dmpi::kAnySource, stale_tag);
   }
 
   std::uint32_t replayed_ops = 0;
@@ -742,7 +735,7 @@ void Accelerator::commit(const ProxyOp& op, AttemptOut& out) {
 
 void Accelerator::exec_op(rpc::Channel& ch, sim::Context& ctx, ProxyOp& op) {
   Future::State& res = *op.result;
-  const RetryPolicy& rp = session_->config().retry;
+  const rpc::RetryPolicy& rp = session_->config().retry;
   for (;;) {
     std::uint32_t reason = arm::kRevokeFailure;
     if (rp.replace_on_failure && consume_revocation(ch, &reason)) {
@@ -917,7 +910,7 @@ Session::Session(dmpi::World& world, sim::Context& ctx, dmpi::Rank self,
       comm_(comm),
       config_(config),
       mpi_(world, ctx, self),
-      arm_client_(mpi_, comm, config.arm_endpoints()) {}
+      arm_client_(mpi_, comm, config.arm_ranks) {}
 
 Session::~Session() {
   // Best effort: stop the proxies (no blocking in a destructor). Proper

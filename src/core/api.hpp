@@ -44,10 +44,6 @@ namespace dacc::core {
 class Session;
 class Accelerator;
 
-/// Failure-handling policy for front-end requests; lives with the channel
-/// layer now (rpc::RetryPolicy), re-exported under its historical name.
-using RetryPolicy = rpc::RetryPolicy;
-
 /// Raised by the synchronous API on any middleware or device failure.
 class AcError : public std::runtime_error {
  public:
@@ -170,7 +166,7 @@ class Accelerator {
   /// context is given (release paths) and not from the destructor.
   void stop_proxy(sim::Context* ctx = nullptr);
 
-  /// Full service of one queued op on its own legacy frame: marshalling
+  /// Full service of one queued op on its own single-op frame: marshalling
   /// cost, trace span, exec_op, latency metrics.
   void execute_one(rpc::Channel& ch, sim::Context& ctx, ProxyOp& op);
   /// Full service of a coalesced group (>= 2 batchable ops) as one kBatch
@@ -184,7 +180,7 @@ class Accelerator {
   /// (the virtual->physical table may change across replacements).
   rpc::BatchItem to_batch_item(const ProxyOp& op) const;
 
-  // --- failure handling (RetryPolicy) --------------------------------------
+  // --- failure handling (rpc::RetryPolicy) ---------------------------------
   /// One wire exchange against the current lease. Returns false on deadline
   /// expiry (outstanding requests cancelled); otherwise fills `out`.
   bool attempt_op(rpc::Channel& ch, sim::Context& ctx, const ProxyOp& op,
@@ -240,11 +236,10 @@ class Accelerator {
 class Session {
  public:
   struct Config {
-    dmpi::Rank arm_rank = -1;
-    /// Replicated ARM (DESIGN.md §11): every replica endpoint, in replica
-    /// order. Empty means the single-ARM deployment ({arm_rank}). Clients
-    /// walk the failover ladder across these ranks, so a leader kill is
-    /// invisible to the job.
+    /// The ARM's endpoints: the single ARM's rank, or every replica of a
+    /// replicated ARM (DESIGN.md §11) in replica order, across which the
+    /// client walks the failover ladder so a leader kill is invisible to
+    /// the job.
     std::vector<dmpi::Rank> arm_ranks;
     std::uint64_t job_id = 1;
     /// Scheduling priority for every ARM request this session makes
@@ -253,17 +248,10 @@ class Session {
     std::uint32_t priority = arm::kPriorityNormal;
     proto::TransferConfig transfer = proto::TransferConfig::pipeline_adaptive();
     proto::ProtoParams proto;
-    RetryPolicy retry;
+    rpc::RetryPolicy retry;
     /// Command-stream batching (DESIGN.md §10). Defaults to the
     /// DACC_RPC_BATCH environment knob; off unless set.
     rpc::StreamConfig batch = rpc::default_stream_config();
-
-    /// The ARM endpoint set: {arm_rank} unless `arm_ranks` says otherwise.
-    std::vector<dmpi::Rank> arm_endpoints() const {
-      if (!arm_ranks.empty()) return arm_ranks;
-      return {arm_rank};
-    }
-    bool arm_replicated() const { return arm_ranks.size() > 1; }
   };
 
   /// `ctx` is the owning compute-node process; `self` its world rank; `comm`

@@ -21,10 +21,9 @@ Fabric::Fabric(sim::Engine& engine, int num_nodes, FabricParams params)
     for (const FabricParams::LinkLatency& l : params_.link_latency_overrides) {
       check_node(l.a);
       check_node(l.b);
-      if (l.a == l.b || l.latency < 0) {
+      if (l.a == l.b) {
         throw std::invalid_argument(
-            "Fabric: link latency override needs two distinct nodes and a "
-            "non-negative latency");
+            "Fabric: link latency override needs two distinct nodes");
       }
       link_latency_[link_key(l.a, l.b)] = l.latency;
       link_latency_[link_key(l.b, l.a)] = l.latency;

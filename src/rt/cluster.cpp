@@ -36,13 +36,10 @@ int arm_node_count(const ClusterConfig& config) {
 /// pair matrix — fine at control-plane scale), zone ids are assigned in
 /// first-member order so the map is deterministic, and the zone-to-zone
 /// latency matrix reads representative nodes. A fabric without overrides
-/// yields the trivial single-zone map (legacy grant order).
+/// yields the trivial single-zone map (ascending-slot grant order).
 arm::PlacementMap build_placement(const ClusterConfig& config,
                                   const net::Fabric& fabric, int nodes) {
-  if (!config.topology_placement ||
-      config.fabric.link_latency_overrides.empty()) {
-    return {};
-  }
+  if (config.fabric.link_latency_overrides.empty()) return {};
   std::vector<int> parent(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) parent[static_cast<std::size_t>(i)] = i;
   std::function<int(int)> find = [&](int x) {
@@ -249,7 +246,7 @@ void Cluster::heartbeat_pacer(sim::Context& ctx, int ac) {
   dmpi::Mpi mpi(*world_, ctx, daemon_rank(ac));
   gpu::Device* dev = ac_devices_[static_cast<std::size_t>(ac)].get();
   sim::WaitQueue& gate = *hb_gates_[static_cast<std::size_t>(ac)];
-  const std::vector<dmpi::Rank> arm_endpoints = arm_ranks();
+  const std::vector<dmpi::Rank> targets = arm_ranks();
   std::uint64_t seq = 0;
   for (;;) {
     while (active_jobs_ == 0) gate.wait(ctx);
@@ -262,7 +259,7 @@ void Cluster::heartbeat_pacer(sim::Context& ctx, int ac) {
     beat.sent_at = ctx.now();
     // Broadcast to every replica: a beat must not die with a killed
     // leader. Only the leader logs its copy; followers drop theirs.
-    for (const dmpi::Rank target : arm_endpoints) {
+    for (const dmpi::Rank target : targets) {
       mpi.send(world_->world_comm(), target, arm::kArmRequestTag,
                beat.encode());
     }
@@ -319,16 +316,9 @@ std::vector<dmpi::Rank> Cluster::arm_ranks() const {
   return ranks;
 }
 
-arm::Arm& Cluster::arm() {
-  if (arm_replicated()) {
-    throw std::logic_error("arm(): replicated deployment, use arm_replica()");
-  }
-  return *arm_;
-}
-
 arm::raft::RaftNode& Cluster::arm_replica(int replica) {
   if (!arm_replicated()) {
-    throw std::logic_error("arm_replica(): single-ARM deployment, use arm()");
+    throw std::logic_error("arm_replica(): single-ARM deployment");
   }
   return *raft_nodes_.at(static_cast<std::size_t>(replica));
 }
@@ -343,20 +333,17 @@ int Cluster::arm_leader() const {
   return -1;
 }
 
-arm::PoolStats Cluster::arm_stats() const {
-  if (!arm_replicated()) return arm_->stats();
+const arm::LeaseMachine& Cluster::arm_machine() const {
+  if (!arm_replicated()) return arm_->machine();
   const int leader = arm_leader();
   return raft_nodes_[static_cast<std::size_t>(leader < 0 ? 0 : leader)]
-      ->machine()
-      .stats();
+      ->machine();
 }
 
+arm::PoolStats Cluster::arm_stats() const { return arm_machine().stats(); }
+
 std::vector<double> Cluster::arm_utilization(SimTime now) const {
-  if (!arm_replicated()) return arm_->utilization(now);
-  const int leader = arm_leader();
-  return raft_nodes_[static_cast<std::size_t>(leader < 0 ? 0 : leader)]
-      ->machine()
-      .utilization(now);
+  return arm_machine().utilization(now);
 }
 
 gpu::Device& Cluster::accelerator_device(int ac) {
@@ -446,7 +433,6 @@ JobHandle Cluster::submit(JobSpec spec, int first_cn) {
               [this, shared_spec, job_base, r, world_rank, &job_comm,
                completion, remaining, leases](sim::Context& ctx) {
                 core::Session::Config sc;
-                sc.arm_rank = arm_rank();
                 sc.arm_ranks = arm_ranks();
                 sc.job_id = job_base + static_cast<std::uint64_t>(r);
                 sc.priority = shared_spec->priority;
@@ -567,15 +553,7 @@ Cluster::Report Cluster::report() const {
   Report r;
   r.now = engine_.now();
   const double now = r.now > 0 ? static_cast<double>(r.now) : 1.0;
-  std::vector<double> lease;
-  if (!arm_replicated()) {
-    lease = arm_->utilization(r.now);
-  } else {
-    const int leader = arm_leader();
-    lease = raft_nodes_[static_cast<std::size_t>(leader < 0 ? 0 : leader)]
-                ->machine()
-                .utilization(r.now);
-  }
+  const std::vector<double> lease = arm_utilization(r.now);
   for (int ac = 0; ac < config_.accelerators; ++ac) {
     const gpu::Device& dev = *ac_devices_[static_cast<std::size_t>(ac)];
     Report::AcceleratorRow row;

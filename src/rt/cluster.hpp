@@ -49,24 +49,16 @@ struct ClusterConfig {
   dmpi::MpiParams mpi;
   gpu::DeviceParams device = gpu::tesla_c1060();
   proto::ProtoParams proto;
-  proto::TransferConfig transfer = proto::TransferConfig::pipeline_adaptive();
 
   /// Heterogeneous pools: when non-empty, one accelerator per entry is
   /// built (overriding `accelerators`/`device`), e.g. two C1060s plus a
   /// MIC. Jobs pick by kind through Session::acquire.
   std::vector<gpu::DeviceParams> accelerator_devices;
 
-  /// How the ARM serves queued allocations.
-  arm::Arm::QueuePolicy arm_policy = arm::Arm::QueuePolicy::kFcfs;
-
-  /// Topology-aware placement: when the fabric declares per-link latency
-  /// overrides, the cluster derives latency zones (connected components of
-  /// links at or under the uniform wire latency) and hands the ARM a
-  /// PlacementMap, so grants prefer accelerators near the requester. With a
-  /// uniform fabric the map is trivial and grant order is exactly the
-  /// legacy ascending-slot scan. Disable to force the legacy order even on
-  /// a non-uniform fabric.
-  bool topology_placement = true;
+  /// How the ARM serves queued allocations. Grants prefer accelerators near
+  /// the requester when `fabric` declares per-link latency overrides
+  /// (DESIGN.md §13.2).
+  arm::QueuePolicy arm_policy = arm::QueuePolicy::kFcfs;
 
   /// Replicated ARM (DESIGN.md §11): with a value > 1, the lease table is
   /// hosted by this many Raft replicas — each on its own fabric node —
@@ -87,7 +79,7 @@ struct ClusterConfig {
 
   /// Front-end failure policy handed to every job's Session (timeouts,
   /// retries, transparent replacement).
-  core::RetryPolicy retry;
+  rpc::RetryPolicy retry;
 
   /// Command-stream batching handed to every job's Session (DESIGN.md §10):
   /// front-end proxies coalesce pending small control ops into one kBatch
@@ -229,18 +221,14 @@ class Cluster {
   std::vector<dmpi::Rank> arm_ranks() const;
   bool arm_replicated() const { return config_.arm_replicas > 1; }
 
-  /// Single-ARM deployment only; throws std::logic_error when replicated.
-  arm::Arm& arm();
   /// Replicated deployment only (0 <= replica < arm_replicas).
   arm::raft::RaftNode& arm_replica(int replica);
   /// Replica index of the current leader, -1 while no replica leads. Read
   /// it between engine steps or from the serial global band.
   int arm_leader() const;
-  /// Pool statistics from whichever machine is authoritative (the single
-  /// ARM, or the leader replica's lease machine).
+  /// Pool statistics from the authoritative lease machine (arm_machine()).
   arm::PoolStats arm_stats() const;
-  /// Per-accelerator busy fraction from the authoritative machine; same
-  /// deployment-agnostic contract as arm_stats().
+  /// Per-accelerator busy fraction from the authoritative lease machine.
   std::vector<double> arm_utilization(SimTime now) const;
   sim::Tracer& tracer() { return tracer_; }
   obs::Registry& metrics() { return metrics_; }
@@ -311,6 +299,9 @@ class Cluster {
   void heartbeat_pacer(sim::Context& ctx, int ac);
   /// Periodically asks the ARM to sweep for missed beats while jobs run.
   void heartbeat_monitor(sim::Context& ctx);
+  /// The authoritative lease machine: the single ARM's, or the leader
+  /// replica's (replica 0's while no replica leads).
+  const arm::LeaseMachine& arm_machine() const;
 
   ClusterConfig config_;
   sim::Engine engine_;

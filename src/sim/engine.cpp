@@ -430,7 +430,7 @@ void Engine::set_lookahead_overrides(
     SimDuration default_latency, const std::vector<LatencyOverride>& links) {
   la_override_.clear();
   for (const LatencyOverride& l : links) {
-    if (l.a < 0 || l.b < 0 || l.a == l.b || l.latency < 0) {
+    if (l.a < 0 || l.b < 0 || l.a == l.b) {
       throw SimError("set_lookahead_overrides: invalid link override");
     }
     for (const std::uint64_t key : {pair_key(l.a, l.b), pair_key(l.b, l.a)}) {

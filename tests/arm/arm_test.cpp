@@ -157,7 +157,7 @@ TEST(Arm, UtilizationAccounting) {
   };
   cluster.submit(spec);
   cluster.run();
-  const auto util = cluster.arm().utilization(cluster.engine().now());
+  const auto util = cluster.arm_utilization(cluster.engine().now());
   // One accelerator was held ~half the time, the other never.
   const double hi = std::max(util[0], util[1]);
   const double lo = std::min(util[0], util[1]);

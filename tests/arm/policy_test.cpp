@@ -21,7 +21,7 @@ TEST(Heterogeneous, PoolMixesDeviceKinds) {
   rt::Cluster cluster(mixed_pool_cluster());
   EXPECT_EQ(cluster.accelerator_device(0).params().kind, "gpu");
   EXPECT_EQ(cluster.accelerator_device(2).params().kind, "mic");
-  EXPECT_EQ(cluster.arm().stats().total, 3u);
+  EXPECT_EQ(cluster.arm_stats().total, 3u);
 }
 
 TEST(Heterogeneous, AcquireByKind) {
@@ -88,7 +88,7 @@ struct PolicyTimes {
   SimTime small_granted = 0;
 };
 
-PolicyTimes run_policy(Arm::QueuePolicy policy) {
+PolicyTimes run_policy(QueuePolicy policy) {
   rt::ClusterConfig c;
   c.compute_nodes = 3;
   c.accelerators = 2;
@@ -142,7 +142,7 @@ PolicyTimes run_policy(Arm::QueuePolicy policy) {
 }
 
 TEST(QueuePolicy, FcfsHeadBlocksSmallRequest) {
-  const PolicyTimes t = run_policy(Arm::QueuePolicy::kFcfs);
+  const PolicyTimes t = run_policy(QueuePolicy::kFcfs);
   // One accelerator frees at ~6 ms, but FCFS keeps it idle for the queued
   // big request; small waits until big ran (after full release at ~10 ms).
   EXPECT_GE(t.big_granted, 10_ms);
@@ -150,7 +150,7 @@ TEST(QueuePolicy, FcfsHeadBlocksSmallRequest) {
 }
 
 TEST(QueuePolicy, BackfillLetsSmallRequestJumpIn) {
-  const PolicyTimes t = run_policy(Arm::QueuePolicy::kBackfill);
+  const PolicyTimes t = run_policy(QueuePolicy::kBackfill);
   // Backfill hands the early-released accelerator to the small request at
   // ~6 ms while big keeps waiting for the pair.
   EXPECT_GE(t.small_granted, 6_ms);
@@ -159,7 +159,7 @@ TEST(QueuePolicy, BackfillLetsSmallRequestJumpIn) {
 }
 
 TEST(QueuePolicy, BackfillStillServesEveryone) {
-  const PolicyTimes t = run_policy(Arm::QueuePolicy::kBackfill);
+  const PolicyTimes t = run_policy(QueuePolicy::kBackfill);
   EXPECT_GT(t.big_granted, 0u);
   EXPECT_GT(t.small_granted, 0u);
 }

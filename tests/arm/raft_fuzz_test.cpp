@@ -39,7 +39,10 @@ Command sample_command() {
   cmd.client = 3;
   cmd.reply_tag = 2'000'017;
   cmd.op = static_cast<std::uint32_t>(ArmOp::kAcquire);
-  cmd.body = WireWriter{}.u64(7).u32(2).u32(1).str("gpu").finish();
+  WireWriter body;
+  ResourceRequest{}.with_job(7).with_count(2).with_wait(true).with_kind("gpu")
+      .encode_body(body);
+  cmd.body = body.finish();
   return cmd;
 }
 
@@ -241,7 +244,7 @@ TEST(RaftWireFuzz, LiveReplicaDropsPoisonWhole) {
       [&](dmpi::Mpi& mpi, sim::Context& ctx) {
         const dmpi::Comm& comm = bed.comm();
         ctx.wait_until(10_ms);  // the lone replica elected itself by now
-        ArmClient client(mpi, comm, 0);
+        ArmClient client(mpi, comm, {0});
         const PoolStats before = client.stats();
         EXPECT_EQ(before.total, 2u);
         EXPECT_EQ(before.free, 2u);

@@ -171,7 +171,7 @@ TEST(Recovery, ReplacementReplaysAllocationsAndPayloads) {
   };
   cluster.submit(spec);
   cluster.run();
-  const PoolStats stats = cluster.arm().stats();
+  const PoolStats stats = cluster.arm_stats();
   EXPECT_EQ(stats.replacements, 1u);
   EXPECT_EQ(stats.broken, 1u);
 }
@@ -205,7 +205,7 @@ TEST(Recovery, TimeoutRetriesThenReplacesOnSilentDaemon) {
   };
   cluster.submit(spec);
   cluster.run();
-  EXPECT_EQ(cluster.arm().stats().replacements, 1u);
+  EXPECT_EQ(cluster.arm_stats().replacements, 1u);
 }
 
 TEST(Recovery, TimeoutWithoutReplacementReportsUnavailable) {
@@ -257,7 +257,7 @@ TEST(Recovery, RevocationNoticeTriggersProactiveReplacement) {
   };
   cluster.submit(spec);
   cluster.run();
-  const PoolStats stats = cluster.arm().stats();
+  const PoolStats stats = cluster.arm_stats();
   EXPECT_EQ(stats.revocations, 1u);
   EXPECT_EQ(stats.replacements, 1u);
 }
@@ -308,7 +308,7 @@ QrOutcome qr_with_death(SimDuration die_at, sim::ExecBackend backend) {
     EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
   }
   out.final_now = cluster.engine().now();
-  out.replacements = cluster.arm().stats().replacements;
+  out.replacements = cluster.arm_stats().replacements;
   return out;
 }
 

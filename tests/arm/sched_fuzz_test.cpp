@@ -1,16 +1,20 @@
 // Hardening of the typed-acquire wire format (DESIGN.md §13): the versioned
-// request extension must reject truncation at every byte except the legacy
-// boundary, bound every enum-like field, drop malformed frames whole (no
-// partial application to the lease machine), and answer absurd-but-well-
-// formed values with one clean status.
+// request extension must reject truncation at every byte, bound every
+// enum-like field, drop malformed frames whole (no partial application to
+// the lease machine), and answer absurd-but-well-formed values with one
+// clean status.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "arm/arm.hpp"
 #include "arm/lease_machine.hpp"
+#include "common/testbed.hpp"
+#include "obs/flight.hpp"
 #include "proto/wire.hpp"
+#include "rpc/channel.hpp"
 #include "util/buffer.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -40,17 +44,6 @@ util::Buffer encode(const ResourceRequest& req) {
   return w.finish();
 }
 
-/// The legacy flat-acquire prefix of `req` (job, count, wait, kind) — the
-/// one boundary where a shorter frame is still a valid request.
-util::Buffer encode_legacy_prefix(const ResourceRequest& req) {
-  return WireWriter{}
-      .u64(req.job)
-      .u32(req.count)
-      .u32(req.wait ? 1 : 0)
-      .str(req.kind)
-      .finish();
-}
-
 TEST(SchedWireFuzz, RequestRoundTripsWithExtension) {
   const ResourceRequest req = sample_request();
   const util::Buffer body = encode(req);
@@ -66,35 +59,12 @@ TEST(SchedWireFuzz, RequestRoundTripsWithExtension) {
   EXPECT_EQ(back.locality, req.locality);
 }
 
-TEST(SchedWireFuzz, LegacyFrameDecodesToDefaultExtension) {
-  const ResourceRequest req = sample_request();
-  const util::Buffer legacy = encode_legacy_prefix(req);
-  WireReader r(legacy.view());
-  const ResourceRequest back = ResourceRequest::decode_body(r);
-  EXPECT_EQ(back.job, req.job);
-  EXPECT_EQ(back.count, req.count);
-  EXPECT_EQ(back.wait, req.wait);
-  EXPECT_EQ(back.kind, req.kind);
-  // Extension fields at their defaults: the old flat semantics.
-  EXPECT_EQ(back.memory_bytes, 0u);
-  EXPECT_TRUE(back.gang);
-  EXPECT_EQ(back.priority, kPriorityNormal);
-  EXPECT_EQ(back.locality, -1);
-}
-
-TEST(SchedWireFuzz, TruncationThrowsEverywhereButTheLegacyBoundary) {
-  const ResourceRequest req = sample_request();
-  const util::Buffer full = encode(req);
-  const std::uint64_t legacy_len = encode_legacy_prefix(req).size();
-  ASSERT_LT(legacy_len, full.size());
+TEST(SchedWireFuzz, TruncationThrowsAtEveryCut) {
+  // Including the cut after (job, count, wait, kind): every peer encodes
+  // the extension, so a frame without it is malformed.
+  const util::Buffer full = encode(sample_request());
   for (std::uint64_t cut = 0; cut < full.size(); ++cut) {
     WireReader r(full.slice(0, cut));
-    if (cut == legacy_len) {
-      // The one valid shorter frame: a complete legacy request.
-      const ResourceRequest back = ResourceRequest::decode_body(r);
-      EXPECT_EQ(back.priority, kPriorityNormal);
-      continue;
-    }
     EXPECT_THROW((void)ResourceRequest::decode_body(r), WireError)
         << "cut at " << cut;
   }
@@ -165,9 +135,7 @@ TEST(SchedWireFuzz, MalformedAcquireLeavesTheMachineUntouched) {
   LeaseMachine machine = test_machine();
   const std::uint64_t before = machine.fingerprint();
   const util::Buffer full = encode(sample_request());
-  const std::uint64_t legacy_len = encode_legacy_prefix(sample_request()).size();
   for (std::uint64_t cut = 0; cut < full.size(); ++cut) {
-    if (cut == legacy_len) continue;  // valid legacy frame, would apply
     const Command cmd = acquire_command(full.slice(0, cut));
     EXPECT_THROW((void)LeaseMachine::validate(cmd), WireError);
     EXPECT_THROW((void)machine.apply(cmd, /*now=*/1000), WireError);
@@ -206,7 +174,6 @@ TEST(SchedWireFuzz, CountOverflowAnswersOneBareStatus) {
 
 TEST(SchedWireFuzz, GarbageBodiesNeverPerturbTheMachine) {
   LeaseMachine machine = test_machine();
-  const std::uint64_t before = machine.fingerprint();
   util::Rng rng(0xFEED5);
   int survived = 0;
   for (int round = 0; round < 500; ++round) {
@@ -214,10 +181,13 @@ TEST(SchedWireFuzz, GarbageBodiesNeverPerturbTheMachine) {
     for (auto& b : junk) b = static_cast<std::byte>(rng.next_below(256));
     Command cmd = acquire_command(util::Buffer::backed(std::move(junk)),
                                   2'000'100 + round);
+    const std::uint64_t before = machine.fingerprint();
     try {
       (void)machine.apply(cmd, 1000 + round);
     } catch (const WireError&) {
       ++survived;
+      // Dropped whole: not even the reply cache moved.
+      EXPECT_EQ(machine.fingerprint(), before) << "round " << round;
     }
   }
   EXPECT_GT(survived, 0);
@@ -225,6 +195,85 @@ TEST(SchedWireFuzz, GarbageBodiesNeverPerturbTheMachine) {
   // authoritative counters never tore.
   const PoolStats s = machine.stats();
   EXPECT_EQ(s.total, s.free + s.assigned + s.broken);
+}
+
+// ---------------------------------------------------------------------------
+// The single-ARM server loop: malformed frames on the wire are dropped whole
+// and noted, and the ARM keeps serving. (RaftWireFuzz covers the replicas.)
+// ---------------------------------------------------------------------------
+
+/// A whole kAcquire or kRelease request frame: rpc header, then the body.
+util::Buffer request_frame(ArmOp op, int reply_tag,
+                           const util::Buffer& body) {
+  return rpc::request_header(static_cast<std::uint32_t>(op), reply_tag)
+      .bytes(body.bytes())
+      .finish();
+}
+
+TEST(ArmWireFuzz, LiveArmDropsMalformedFramesWhole) {
+  // Rank 0 runs a raw single ARM; rank 1 sends every truncation of a valid
+  // kAcquire and kRelease frame (the cut after the (job, count, wait, kind)
+  // prefix included), a frame with an out-of-range reply tag and an
+  // unknown op, then a valid acquire, stats and shutdown.
+  obs::FlightRecorder flight;  // outlives the engine that notes into it
+  dacc::testing::MpiBed bed(2);
+  bed.engine().set_flight_recorder(&flight);
+  Arm arm(bed.world(), /*self=*/0,
+          {{10, "c1060", "gpu", 4_GiB}, {11, "c1060", "gpu", 4_GiB}});
+
+  // Grantable if it ever applied: one GPU, waiting.
+  const ResourceRequest grantable =
+      ResourceRequest{}.with_job(7).with_count(1).with_wait(true).with_kind(
+          "gpu");
+  // Reply tags far above the client's own, so a frame the ARM wrongly
+  // applied could never answer one of the client's requests.
+  const util::Buffer acquire =
+      request_frame(ArmOp::kAcquire, 2'900'001, encode(grantable));
+  const util::Buffer release = request_frame(
+      ArmOp::kRelease, 2'900'002,
+      WireWriter{}.u64(7).u64(10).u64(1).finish());
+  int malformed = 0;
+  PoolStats stats;
+  std::vector<Lease> leases;
+  bed.run({
+      [&arm](dmpi::Mpi&, sim::Context& ctx) { arm.run(ctx); },
+      [&](dmpi::Mpi& mpi, sim::Context&) {
+        const dmpi::Comm& comm = bed.comm();
+        for (const util::Buffer* full : {&acquire, &release}) {
+          for (std::uint64_t cut = 0; cut < full->size(); ++cut) {
+            mpi.send(comm, 0, kArmRequestTag, full->slice(0, cut));
+            ++malformed;
+          }
+        }
+        mpi.send(comm, 0, kArmRequestTag,
+                 request_frame(ArmOp::kAcquire, 2 * dmpi::kMaxUserTag,
+                               encode(grantable)));
+        ++malformed;
+        mpi.send(comm, 0, kArmRequestTag,
+                 rpc::request_header(99, 2'900'003).finish());
+        ++malformed;
+
+        ArmClient client(mpi, comm, {0});
+        leases = client.acquire(grantable);
+        stats = client.stats();
+        client.shutdown();
+      },
+  });
+
+  // Nothing from the malformed phase applied: the one acquisition is the
+  // valid one, nothing queued, nothing broken.
+  ASSERT_EQ(leases.size(), 1u);
+  EXPECT_EQ(stats.acquisitions, 1u);
+  EXPECT_EQ(stats.assigned, 1u);
+  EXPECT_EQ(stats.queued_requests, 0u);
+  EXPECT_EQ(stats.broken, 0u);
+  int wire_errors = 0;
+  for (const obs::FlightRecorder::Event& e : flight.events()) {
+    if (e.category == "arm" && e.what.rfind("wire-error", 0) == 0) {
+      ++wire_errors;
+    }
+  }
+  EXPECT_EQ(wire_errors, malformed);
 }
 
 }  // namespace

@@ -215,22 +215,6 @@ TEST(Sched, PlacementPrefersTheRequestersZone) {
   cluster.run();
 }
 
-TEST(Sched, PlacementDisabledRestoresLegacyOrder) {
-  rt::ClusterConfig config = far_ac0_cluster();
-  config.topology_placement = false;
-  rt::Cluster cluster(config);
-  const dmpi::Rank legacy_first = cluster.daemon_rank(0);
-  rt::JobSpec spec;
-  spec.body = [&](rt::JobContext& job) {
-    const auto first = job.session().arm().acquire(
-        ResourceRequest{}.with_job(1));
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first[0].daemon_rank, legacy_first);  // ascending slot scan
-  };
-  cluster.submit(spec);
-  cluster.run();
-}
-
 TEST(Sched, LocalityHintOverridesTheRequesterNode) {
   // The requester sits in the fast zone but asks to be placed near ac0's
   // node; the hint, not the origin, drives zone selection.

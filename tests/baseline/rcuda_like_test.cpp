@@ -13,13 +13,13 @@ struct Probe {
   SimDuration alloc_rtt = 0;
 };
 
-Probe probe(rt::ClusterConfig config) {
+Probe probe(rt::ClusterConfig config, proto::TransferConfig transfer) {
   config.functional_gpus = false;
   rt::Cluster cluster(std::move(config));
   Probe p;
   rt::JobSpec spec;
   spec.accelerators_per_rank = 1;
-  spec.transfer = config.transfer;
+  spec.transfer = transfer;
   spec.body = [&](rt::JobContext& job) {
     auto& ac = job.session()[0];
     const SimTime a0 = job.ctx().now();
@@ -44,11 +44,10 @@ rt::ClusterConfig dacc_config() {
 
 TEST(RcudaBaseline, FunctionalCorrectnessIsPreserved) {
   // Same middleware; only slower. Data still round-trips bit-exactly.
-  rt::ClusterConfig config = tcp_cluster_config(1, 1);
-  rt::Cluster cluster(config);
+  rt::Cluster cluster(tcp_cluster_config(1, 1));
   rt::JobSpec spec;
   spec.accelerators_per_rank = 1;
-  spec.transfer = config.transfer;
+  spec.transfer = tcp_transfer_config();
   spec.body = [](rt::JobContext& job) {
     auto& ac = job.session()[0];
     const std::int64_t n = 256;
@@ -62,27 +61,29 @@ TEST(RcudaBaseline, FunctionalCorrectnessIsPreserved) {
 }
 
 TEST(RcudaBaseline, MpiTransportDeliversHigherBandwidth) {
-  const Probe mpi = probe(dacc_config());
-  const Probe tcp = probe(tcp_cluster_config(1, 1));
+  const Probe mpi =
+      probe(dacc_config(), proto::TransferConfig::pipeline_adaptive());
+  const Probe tcp = probe(tcp_cluster_config(1, 1), tcp_transfer_config());
   // Paper claim: the MPI-based solution clearly outperforms TCP remoting.
   EXPECT_GT(mpi.h2d_mib_s, tcp.h2d_mib_s * 2.0);
   EXPECT_GT(tcp.h2d_mib_s, 500.0);  // but TCP is not absurdly slow either
 }
 
 TEST(RcudaBaseline, MpiTransportDeliversLowerLatency) {
-  const Probe mpi = probe(dacc_config());
-  const Probe tcp = probe(tcp_cluster_config(1, 1));
+  const Probe mpi =
+      probe(dacc_config(), proto::TransferConfig::pipeline_adaptive());
+  const Probe tcp = probe(tcp_cluster_config(1, 1), tcp_transfer_config());
   EXPECT_LT(mpi.alloc_rtt, tcp.alloc_rtt);
   EXPECT_GT(to_us(tcp.alloc_rtt), 15.0);  // socket-era request RTT
 }
 
 TEST(RcudaBaseline, PipelineOnTcpRecoverSomeBandwidth) {
   // Ablation interior point: our pipeline on their transport.
-  rt::ClusterConfig hybrid = tcp_cluster_config(1, 1);
-  hybrid.transfer = proto::TransferConfig::pipeline(512_KiB);
-  hybrid.transfer.gpudirect = false;
-  const Probe naive_tcp = probe(tcp_cluster_config(1, 1));
-  const Probe pipe_tcp = probe(hybrid);
+  proto::TransferConfig pipeline = proto::TransferConfig::pipeline(512_KiB);
+  pipeline.gpudirect = false;
+  const Probe naive_tcp =
+      probe(tcp_cluster_config(1, 1), tcp_transfer_config());
+  const Probe pipe_tcp = probe(tcp_cluster_config(1, 1), pipeline);
   EXPECT_GT(pipe_tcp.h2d_mib_s, naive_tcp.h2d_mib_s);
 }
 

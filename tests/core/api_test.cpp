@@ -89,7 +89,7 @@ TEST(Api, SessionCloseReturnsLeases) {
   cluster.submit(spec);
   cluster.run();
   // After the job finished, everything is free again.
-  EXPECT_EQ(cluster.arm().stats().free, 2u);
+  EXPECT_EQ(cluster.arm_stats().free, 2u);
 }
 
 TEST(Api, AllocationFailureThrowsAcError) {

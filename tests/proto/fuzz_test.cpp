@@ -144,24 +144,13 @@ TEST(WireFuzz, LivenessTruncationThrowsAtEveryByte) {
       arm::ReplayReport{.failed_rank = 1, .replacement_rank = 2}.encode(7),
       [](WireReader& r) { return arm::ReplayReport::decode(r); },
       /*header=*/true);
-  // RevokeNotice carries a versioned suffix: a cut at the legacy boundary
-  // (exactly the four u64 words, no reason) is a VALID v0 frame and decodes
-  // as a failure revocation; every other cut must still throw.
-  const util::Buffer revoke_full =
+  // A RevokeNotice must carry its reason word: the cut before it throws too.
+  expect_all_cuts_throw(
       arm::RevokeNotice{.daemon_rank = 1, .lease_id = 2,
                         .reason = arm::kRevokePreempted}
-          .encode();
-  constexpr std::uint64_t kLegacyRevokeBytes = 4 * 8;
-  for (std::uint64_t cut = 0; cut < revoke_full.size(); ++cut) {
-    WireReader r(revoke_full.slice(0, cut));
-    if (cut == kLegacyRevokeBytes) {
-      const arm::RevokeNotice legacy = arm::RevokeNotice::decode(r);
-      EXPECT_EQ(legacy.reason, arm::kRevokeFailure);
-      continue;
-    }
-    EXPECT_THROW((void)arm::RevokeNotice::decode(r), std::runtime_error)
-        << "cut at " << cut;
-  }
+          .encode(),
+      [](WireReader& r) { return arm::RevokeNotice::decode(r); },
+      /*header=*/false);
 }
 
 TEST(WireFuzz, CorruptedLivenessFramesNeverCrash) {

@@ -190,7 +190,7 @@ TEST(Cluster, SequentialJobsReuseAccelerators) {
   }
   cluster.run();
   EXPECT_EQ(jobs_ran, 3);
-  EXPECT_EQ(cluster.arm().stats().free, 1u);
+  EXPECT_EQ(cluster.arm_stats().free, 1u);
 }
 
 TEST(Cluster, ReportAggregatesUtilization) {

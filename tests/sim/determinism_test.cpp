@@ -204,7 +204,7 @@ Fingerprint run_mixed(sim::ExecBackend backend, int shards = 0,
   fp.rec_final_now = rec.engine().now();
   fp.rec_events = rec.engine().events_executed();
   record_eras(fp, rec.engine());
-  const arm::PoolStats rec_stats = rec.arm().stats();
+  const arm::PoolStats rec_stats = rec.arm_stats();
   fp.rec_heartbeats = rec_stats.heartbeats;
   fp.rec_revocations = rec_stats.revocations;
   fp.rec_replacements = rec_stats.replacements;
