@@ -40,6 +40,10 @@ using arm::ResourceRequest;
 using proto::WireReader;
 using proto::WireWriter;
 
+/// Acquire reply tags encode the requesting job: kArmReplyTagBase + job.
+/// Release tags count up from 1, below this range.
+constexpr int kArmReplyTagBase = 2'000'000;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -54,8 +58,7 @@ struct HeldLease {
 Command acquire_command(const ResourceRequest& req) {
   Command c;
   c.client = 7;
-  c.reply_tag =
-      arm::kArmReplyTagBase + static_cast<int>(req.job);  // tag -> job
+  c.reply_tag = kArmReplyTagBase + static_cast<int>(req.job);  // tag -> job
   c.op = static_cast<std::uint32_t>(ArmOp::kAcquire);
   WireWriter w;
   req.encode_body(w);
@@ -85,14 +88,13 @@ Command release_command(const HeldLease& h, int tag) {
 void harvest_grants(const std::vector<Effect>& effects,
                     std::vector<HeldLease>& held, std::uint64_t* grants) {
   for (const Effect& e : effects) {
-    if (e.kind != Effect::Kind::kReply || e.tag < arm::kArmReplyTagBase) {
+    if (e.kind != Effect::Kind::kReply || e.tag < kArmReplyTagBase) {
       continue;
     }
     WireReader r(e.frame.view());
     if (static_cast<ArmResult>(r.u32()) != ArmResult::kOk) continue;
     const std::uint32_t n = r.u32();
-    const auto job =
-        static_cast<std::uint64_t>(e.tag - arm::kArmReplyTagBase);
+    const auto job = static_cast<std::uint64_t>(e.tag - kArmReplyTagBase);
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto rank = static_cast<dmpi::Rank>(r.u64());
       held.push_back({job, rank, r.u64()});

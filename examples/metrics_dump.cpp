@@ -5,7 +5,10 @@
 // (scripts/check_determinism.sh runs this binary under
 // DACC_SIM_BACKEND=coroutine|parallel:4 and compares the outputs).
 //
-//   $ ./examples/metrics_dump [out_prefix]
+// A second argument turns on command-stream batching (DESIGN.md §10) at
+// that watermark; the determinism gate's batched leg passes 8.
+//
+//   $ ./examples/metrics_dump [out_prefix [watermark]]
 //   wrote dacc_metrics.json and dacc_metrics.prom
 #include <cstdio>
 #include <fstream>
@@ -24,6 +27,10 @@ int main(int argc, char** argv) {
   config.compute_nodes = 2;
   config.accelerators = 2;
   config.metrics = true;
+  if (argc > 2) {
+    config.batch.enabled = true;
+    config.batch.watermark = static_cast<std::uint32_t>(std::stoul(argv[2]));
+  }
   rt::Cluster cluster(config);
 
   rt::JobSpec job;

@@ -3,8 +3,7 @@
 // Prints the conservation checks and the simulated runtime, then drives an
 // explicit command-stream burst to show kBatch flushing (DESIGN.md §10).
 //
-//   $ ./examples/mp2c_mini                  # unbatched: 2 msgs per op
-//   $ DACC_RPC_BATCH=16 ./examples/mp2c_mini  # async burst flushes as batches
+//   $ ./examples/mp2c_mini
 #include <cstdio>
 #include <vector>
 
@@ -23,9 +22,9 @@ int main() {
   config.accelerators = 2;
   config.registry = registry;
   config.metrics = true;
-  // config.batch defaults to rpc::default_stream_config(), which reads
-  // DACC_RPC_BATCH: unset/0/off = legacy wire, 1/on = watermark 16,
-  // N > 1 = watermark N.
+  // Batching is off by default; on here so the burst below flushes as
+  // kBatch frames of up to 16 ops.
+  config.batch = {.enabled = true, .watermark = 16};
   rt::Cluster cluster(config);
 
   const std::uint64_t particles = 20'000;
@@ -102,7 +101,7 @@ int main() {
   const std::uint64_t ops = m.counter_value("dacc_rpc_ops_total" + chan);
   std::printf("command-stream burst: 26 ops (alloc + 24 async dscal + free)\n");
   std::printf("  batching %s (watermark %u)\n",
-              config.batch.enabled ? "ON" : "OFF — set DACC_RPC_BATCH=16",
+              config.batch.enabled ? "ON" : "OFF",
               config.batch.watermark);
   std::printf("  front-end wire: %llu messages for %llu ops = %.2f msgs/op\n",
               static_cast<unsigned long long>(msgs - msgs0),

@@ -5,8 +5,9 @@
 #
 # Two layers of checking:
 #   1. ctest: the in-process determinism suites (tests/sim, tests/obs),
-#      every obs-labelled smoke test, and the mixed-path test that also
-#      checks the per-shard era series.
+#      every obs-labelled smoke test, the mixed-path test that also
+#      checks the per-shard era series, and the arm-storm regression on
+#      both backends.
 #   2. process-level: run examples/metrics_dump once per backend via
 #      DACC_SIM_BACKEND and byte-compare the exported JSON + Prometheus
 #      snapshots across the runs.
@@ -39,6 +40,12 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L obs
 # crossover, so it registers no shard series under either backend.
 ctest --test-dir "$build" --output-on-failure \
   -R 'ParallelPool.MixedPathErasMatchTheCoroutineBackend'
+
+# Failover fault 3's regression (tests/arm/storm_test.cpp): 1,500 arm-storm
+# jobs must drain the pool with every job complete under both backends.
+# Its parallel leg runs its eras on the worker pool.
+ctest --test-dir "$build" --output-on-failure \
+  -R '^ArmStorm\..*\.(coroutine|parallel)$'
 
 # Process-level: identical metrics snapshots from separate processes pinned
 # to each backend.
@@ -82,14 +89,15 @@ for tag in coroutine parallel_4; do
   fi
 done
 
-# Batched command streams: repeat the process-level check with DACC_RPC_BATCH
-# coalescing small ops into kBatch frames. The frame boundaries (rpc message
-# counts, flush-size histograms) land in the snapshot, so this also pins the
-# coalescing itself to be backend-invariant.
+# Batched command streams: repeat the process-level check with metrics_dump's
+# watermark argument coalescing small ops into kBatch frames of up to 8. The
+# frame boundaries (rpc message counts, flush-size histograms) land in the
+# snapshot, so this also pins the coalescing itself to be backend-invariant.
 for backend in coroutine parallel:4; do
   tag="${backend/:/_}"
-  (cd "$out" && DACC_SIM_BACKEND="$backend" DACC_RPC_BATCH=8 \
-    "$build/examples/metrics_dump" "metrics_batch_$tag" > "run_batch_$tag.log")
+  (cd "$out" && DACC_SIM_BACKEND="$backend" \
+    "$build/examples/metrics_dump" "metrics_batch_$tag" 8 \
+    > "run_batch_$tag.log")
 done
 
 for ext in json prom; do
@@ -133,4 +141,4 @@ for ext in json prom sched; do
   done
 done
 
-echo "determinism check passed: metrics snapshots identical across backends (mixed paths + shard series in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos)"
+echo "determinism check passed: metrics snapshots identical across backends (mixed paths + shard series + arm storm in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos)"

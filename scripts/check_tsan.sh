@@ -27,8 +27,9 @@
 # booking),
 # ParallelScale (4096-chain 10k-node rings at 1/4/16/64 shards and a
 # two-way ring over short links, where the per-shard-pair lookahead
-# matrix is non-uniform), ParallelAsync.PositiveLookaheadRunsWindowed and
-# ParallelAsyncCluster (the widened 129-node cluster).
+# matrix is non-uniform), ParallelAsync.PositiveLookaheadRunsWindowed,
+# ParallelAsyncCluster (the widened 129-node cluster) and ArmStorm's
+# parallel leg (1,500 jobs on 16 CNs, 64 accelerators and 3 ARM replicas).
 # Pass 3 reruns ParallelScale and ParallelPool on a four-worker pool.
 # Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.

@@ -80,26 +80,11 @@ void Arm::run(sim::Context& ctx) {
 // ArmClient
 // ---------------------------------------------------------------------------
 
-namespace {
-rpc::Channel::Options arm_client_options(bool replicated) {
-  rpc::Channel::Options o;
-  o.request_tag = kArmRequestTag;
-  o.reply_tag_base = kArmReplyTagBase;
-  o.reply_tag_span = 1'000'000;
-  o.tag_stride = 1;
-  o.endpoint_tags = true;
-  // With several replicas the answer to a resent request may come from a
-  // replica other than the one last addressed (the old leader's queued
-  // grant, say); the reply tag alone identifies the request.
-  o.any_source_replies = replicated;
-  return o;
-}
-}  // namespace
-
 ArmClient::ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                      std::vector<dmpi::Rank> arm_ranks)
     : channel_(mpi, comm, arm_ranks.at(0),
-               arm_client_options(arm_ranks.size() > 1)),
+               rpc::Channel::Options{kArmRequestTag, /*trace_context=*/false,
+                                     /*metrics_label=*/{}}),
       endpoints_(std::move(arm_ranks)) {}
 
 WireReader ArmClient::call(util::Buffer frame, int reply_tag) {

@@ -105,13 +105,12 @@ class ArmClient {
   /// Walks the failover ladder when configured with several endpoints.
   proto::WireReader call(util::Buffer frame, int reply_tag);
 
-  /// Channel to the ARM. Reply tags come from the rank's endpoint counter
-  /// (dmpi::Mpi::fresh_tag_seed, Options::endpoint_tags): unique across
-  /// every client sharing this rank — several launchers can hold queued
-  /// acquires on one endpoint at once — race-free under the parallel
-  /// execution backend (all users of an endpoint run on the rank's home
-  /// shard), and deterministic (the sequence does not depend on how other
-  /// shards interleave).
+  /// Channel to the ARM. Its reply tags come from the rank's one tag space
+  /// (rpc::Channel::next_reply_tag): unique across every channel on this
+  /// rank — several launchers can hold queued acquires on one endpoint
+  /// while sessions talk to their daemons — and replies match on the tag
+  /// from any source, so the answer to a resent request may come from
+  /// another replica than the one last addressed.
   rpc::Channel channel_;
 
   /// Replica endpoint set; size 1 for the single-ARM deployment. The

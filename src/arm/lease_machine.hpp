@@ -44,12 +44,12 @@
 namespace dacc::arm {
 
 /// Tags for ARM traffic on the middleware communicator. Requests carry a
-/// per-request reply tag (>= kArmReplyTagBase) so that several clients
-/// sharing one rank endpoint (a job launcher and a running session, say)
-/// can never receive each other's responses. Revocation notices are pushed
-/// (unsolicited) to the lease holder on kArmRevokeTagBase + daemon_rank.
+/// reply tag from the client rank's one tag space
+/// (rpc::Channel::next_reply_tag), so several clients sharing one rank
+/// endpoint (a job launcher and a running session, say) can never receive
+/// each other's responses. Revocation notices are pushed (unsolicited) to
+/// the lease holder on kArmRevokeTagBase + daemon_rank.
 inline constexpr int kArmRequestTag = 200;
-inline constexpr int kArmReplyTagBase = 2'000'000;
 inline constexpr int kArmRevokeTagBase = 3'000'000;
 
 enum class ArmOp : std::uint32_t {

@@ -249,9 +249,8 @@ class Session {
     proto::TransferConfig transfer = proto::TransferConfig::pipeline_adaptive();
     proto::ProtoParams proto;
     rpc::RetryPolicy retry;
-    /// Command-stream batching (DESIGN.md §10). Defaults to the
-    /// DACC_RPC_BATCH environment knob; off unless set.
-    rpc::StreamConfig batch = rpc::default_stream_config();
+    /// Command-stream batching (DESIGN.md §10). Off by default.
+    rpc::StreamConfig batch;
   };
 
   /// `ctx` is the owning compute-node process; `self` its world rank; `comm`

@@ -11,8 +11,6 @@
 namespace dacc::daemon {
 
 using gpu::Result;
-using proto::kDataTag;
-using proto::kResponseTag;
 using proto::Op;
 using proto::TransferConfig;
 using proto::WireReader;
@@ -317,11 +315,12 @@ void Daemon::handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,
   // Head of the daemon-to-daemon leg: the peer executes it as an H2D copy
   // whose payload we stream directly from our device — the compute node is
   // not involved, which is the point of the paper's accelerator-to-
-  // accelerator transfer claim (Section III.C). The fixed legacy tag pair
-  // is fine here: the leg is source-disambiguated daemon-to-daemon traffic.
+  // accelerator transfer claim (Section III.C). The put takes a tag from
+  // this rank's tag space like any other request; its data rides tag + 1.
   rpc::Channel peer_ch(mpi, ch.comm(), peer, rpc::Channel::Options{});
-  dmpi::Request verdict = peer_ch.post_reply(kResponseTag);
-  peer_ch.send_request(peer_ch.request(Op::kPeerPut, kResponseTag)
+  const int put_tag = peer_ch.next_reply_tag();
+  dmpi::Request verdict = peer_ch.post_reply(put_tag);
+  peer_ch.send_request(peer_ch.request(Op::kPeerPut, put_tag)
                            .u64(peer_dst)
                            .u64(bytes)
                            .transfer_config(config)
@@ -337,7 +336,7 @@ void Daemon::handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,
         gpu::HostMemType::kPinned, ctx.now(), &block);
     if (!op.ok()) block = util::Buffer::phantom(plan.size(i));
     if (op.ok()) ctx.wait_until(op.done_at);
-    sends.push_back(mpi.isend(ch.comm(), peer, kDataTag, std::move(block)));
+    sends.push_back(mpi.isend(ch.comm(), peer, put_tag + 1, std::move(block)));
   }
   mpi.wait_all(sends);
 

@@ -233,12 +233,13 @@ class Mpi {
   /// data is in flight and will land; the caller simply ignores it).
   void cancel(Request& request);
 
-  /// Monotonic per-rank sequence for building unique user-level reply tags
-  /// (the ARM request/reply pairing). Shared by every Mpi view of this
-  /// rank — several processes may borrow one endpoint (e.g. job launchers
-  /// queueing concurrent acquires) and must never mint the same tag. All
-  /// of them execute on the rank's home shard, so the counter needs no
-  /// lock and its values are deterministic under every backend.
+  /// Monotonic per-rank sequence behind the rank's one reply-tag space
+  /// (rpc::Channel::next_reply_tag). Shared by every Mpi view of this
+  /// rank — several processes may borrow one endpoint (job launchers
+  /// queueing concurrent acquires, the proxies of several jobs on one CN)
+  /// and must never mint the same tag. All of them execute on the rank's
+  /// home shard, so the counter needs no lock and its values are
+  /// deterministic under every backend.
   std::uint64_t fresh_tag_seed();
 
   /// Combined send + receive (halo-exchange staple); posts the receive

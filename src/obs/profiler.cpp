@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -11,13 +10,6 @@
 namespace dacc::obs {
 
 namespace {
-
-std::uint64_t scope_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void json_escape(std::ostream& os, std::string_view s) {
   for (const char c : s) {
@@ -72,23 +64,6 @@ void Profiler::coordinator_wait(std::uint64_t ns) {
 void Profiler::run_complete(std::uint64_t wall_ns, int threads) {
   measured_ns_ += wall_ns * static_cast<std::uint64_t>(threads);
   ++runs_;
-}
-
-Profiler::Scope::Scope(Profiler& prof, const std::string& name)
-    : prof_(prof), idx_(prof.intern_scope(name)), t0_(scope_now_ns()) {}
-
-Profiler::Scope::~Scope() {
-  NamedScope& s = prof_.scopes_[idx_];
-  s.ns += scope_now_ns() - t0_;
-  ++s.samples;
-}
-
-std::size_t Profiler::intern_scope(const std::string& name) {
-  for (std::size_t i = 0; i < scopes_.size(); ++i) {
-    if (scopes_[i].name == name) return i;
-  }
-  scopes_.push_back(NamedScope{name, 0, 0});
-  return scopes_.size() - 1;
 }
 
 std::uint64_t Profiler::shard_ns(int shard, Phase phase) const {
@@ -157,11 +132,6 @@ void Profiler::write_prometheus(std::ostream& os) const {
     out.emplace_back(labeled(prefix + "worker_waits_total", "worker", id),
                      worker_slots_[i].waits);
   }
-  for (const NamedScope& s : scopes_) {
-    out.emplace_back(labeled(prefix + "scope_ns", "name", s.name), s.ns);
-    out.emplace_back(labeled(prefix + "scope_samples_total", "name", s.name),
-                     s.samples);
-  }
   out.emplace_back(prefix + "serial_ns", serial_ns_);
   out.emplace_back(prefix + "serial_events_total", serial_events_);
   out.emplace_back(prefix + "coordinator_wait_ns", coordinator_wait_ns_);
@@ -209,7 +179,6 @@ std::string Profiler::json() const {
 void Profiler::reset() {
   shard_slots_.clear();
   worker_slots_.clear();
-  scopes_.clear();
   serial_ns_ = 0;
   serial_events_ = 0;
   coordinator_wait_ns_ = 0;

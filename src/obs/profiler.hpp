@@ -43,25 +43,6 @@ class Profiler final : public sim::WallSink {
   void coordinator_wait(std::uint64_t ns) override;
   void run_complete(std::uint64_t wall_ns, int threads) override;
 
-  /// Scoped wallclock timer for arbitrary hot paths outside the engine:
-  /// accumulates into `dacc_prof_scope_ns{name="..."}` (+ a sample counter)
-  /// when the scope closes. `name` is interned on first use (serial
-  /// contexts only — scopes are for harness/bench/cluster code, not shard
-  /// workers).
-  class Scope {
-   public:
-    Scope(Profiler& prof, const std::string& name);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Profiler& prof_;
-    std::size_t idx_;
-    std::uint64_t t0_;
-  };
-  Scope scope(const std::string& name) { return Scope(*this, name); }
-
   // --- readouts (after run) ----------------------------------------------
   int shards() const { return static_cast<int>(shard_slots_.size()); }
   std::uint64_t shard_ns(int shard, Phase phase) const;
@@ -94,8 +75,6 @@ class Profiler final : public sim::WallSink {
   void reset();
 
  private:
-  friend class Scope;
-
   struct alignas(64) ShardSlot {
     std::uint64_t ns[kPhases] = {0, 0, 0, 0};
     std::uint64_t samples[kPhases] = {0, 0, 0, 0};
@@ -104,17 +83,8 @@ class Profiler final : public sim::WallSink {
     std::uint64_t wait_ns = 0;
     std::uint64_t waits = 0;
   };
-  struct NamedScope {
-    std::string name;
-    std::uint64_t ns = 0;
-    std::uint64_t samples = 0;
-  };
-
-  std::size_t intern_scope(const std::string& name);
-
   std::vector<ShardSlot> shard_slots_;
   std::vector<WorkerSlot> worker_slots_;
-  std::vector<NamedScope> scopes_;
   std::uint64_t serial_ns_ = 0;
   std::uint64_t serial_events_ = 0;
   std::uint64_t coordinator_wait_ns_ = 0;

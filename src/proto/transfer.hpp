@@ -45,7 +45,7 @@ class TransferTimeout : public std::runtime_error {
 /// completed in time are cancelled and TransferTimeout is thrown.
 void send_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank dst,
                  util::Buffer payload, const TransferConfig& config,
-                 int data_tag = kDataTag, SimTime deadline = kSimTimeNever);
+                 int data_tag, SimTime deadline = kSimTimeNever);
 
 /// Receives `total` bytes from `src` under the same plan. All receives are
 /// pre-posted; `on_block(offset, data)` runs in block order, at the
@@ -55,14 +55,13 @@ void recv_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank src,
                  std::uint64_t total, const TransferConfig& config,
                  const std::function<void(std::uint64_t, util::Buffer)>&
                      on_block,
-                 int data_tag = kDataTag, SimTime deadline = kSimTimeNever);
+                 int data_tag, SimTime deadline = kSimTimeNever);
 
 /// recv_blocks() assembling everything into one buffer (front-end side of a
 /// device-to-host copy). Phantom blocks yield a phantom result.
 util::Buffer recv_assemble(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                            dmpi::Rank src, std::uint64_t total,
                            const TransferConfig& config,
-                           int data_tag = kDataTag,
-                           SimTime deadline = kSimTimeNever);
+                           int data_tag, SimTime deadline = kSimTimeNever);
 
 }  // namespace dacc::proto

@@ -18,14 +18,10 @@
 
 namespace dacc::proto {
 
-/// Message tags on the middleware communicator. Requests carry a per-request
-/// reply tag right after the op code; the daemon answers on that tag and
-/// streams bulk data on reply_tag + 1. The legacy constants follow the same
-/// pairing (kDataTag == kResponseTag + 1), so hand-rolled clients that pass
-/// kResponseTag as their reply tag get data exactly where they always did.
-inline constexpr int kRequestTag = 100;   ///< FE -> daemon request headers
-inline constexpr int kResponseTag = 101;  ///< daemon -> FE responses
-inline constexpr int kDataTag = 102;      ///< bulk payload blocks
+/// Request tag on the middleware communicator. Requests carry a per-request
+/// reply tag right after the op code (rpc::Channel::next_reply_tag); the
+/// daemon answers on that tag and streams bulk data on reply_tag + 1.
+inline constexpr int kRequestTag = 100;  ///< FE -> daemon request headers
 
 /// Bit 31 of a request header's reply-tag word marks an appended causal
 /// trace context (two u64s right after the tag: trace id, parent span id).

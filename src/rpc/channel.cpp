@@ -1,32 +1,17 @@
 #include "rpc/channel.hpp"
 
-#include <cstdlib>
 #include <string>
 
 namespace dacc::rpc {
 
 namespace {
-/// Front-end reply tags: each request attempt takes a fresh (reply, data)
-/// tag pair. Daemon replies land on the even tag, bulk data on the odd one
-/// (reply_tag + 1). The range stays below dmpi::kMaxUserTag and clear of
-/// the ARM tag bases.
-constexpr int kFeReplyTagBase = 4'000'000;
-constexpr std::uint64_t kFeTagSpan = 100'000'000;
+/// The reply-tag space of every rank: the n-th tag a rank draws is
+/// base + 2 * (n % span). Replies land on the even tag, bulk data on the odd
+/// one (reply_tag + 1). The range stays below dmpi::kMaxUserTag and clear of
+/// the ARM request and revocation tags.
+constexpr int kReplyTagBase = 4'000'000;
+constexpr std::uint64_t kReplyTagSpan = 100'000'000;
 }  // namespace
-
-StreamConfig default_stream_config() {
-  StreamConfig config;
-  const char* env = std::getenv("DACC_RPC_BATCH");
-  if (env == nullptr || *env == '\0') return config;
-  const std::string v(env);
-  if (v == "0" || v == "off") return config;
-  config.enabled = true;
-  if (v != "1" && v != "on") {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 1) config.watermark = static_cast<std::uint32_t>(n);
-  }
-  return config;
-}
 
 proto::WireWriter request_header(std::uint32_t op_word, int reply_tag) {
   proto::WireWriter w;
@@ -36,10 +21,6 @@ proto::WireWriter request_header(std::uint32_t op_word, int reply_tag) {
 
 Channel::Options Channel::frontend(dmpi::Rank self) {
   Options o;
-  o.request_tag = proto::kRequestTag;
-  o.reply_tag_base = kFeReplyTagBase;
-  o.reply_tag_span = kFeTagSpan;
-  o.tag_stride = 2;
   o.trace_context = true;
   o.metrics_label = "fe-r" + std::to_string(self);
   return o;
@@ -50,10 +31,8 @@ Channel::Channel(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank server,
     : mpi_(mpi), comm_(comm), server_(server), options_(std::move(options)) {}
 
 int Channel::next_reply_tag() {
-  const std::uint64_t seq =
-      options_.endpoint_tags ? mpi_.fresh_tag_seed() : seq_++;
-  return options_.reply_tag_base +
-         options_.tag_stride * static_cast<int>(seq % options_.reply_tag_span);
+  return kReplyTagBase +
+         2 * static_cast<int>(mpi_.fresh_tag_seed() % kReplyTagSpan);
 }
 
 void Channel::bind_metrics(obs::Registry* reg) {
@@ -114,9 +93,7 @@ void Channel::post(util::Buffer frame) {
 }
 
 dmpi::Request Channel::post_reply(int reply_tag) {
-  const dmpi::Rank source =
-      options_.any_source_replies ? dmpi::kAnySource : server_;
-  return mpi_.irecv(comm_, source, reply_tag);
+  return mpi_.irecv(comm_, dmpi::kAnySource, reply_tag);
 }
 
 void Channel::send_request(util::Buffer frame) {

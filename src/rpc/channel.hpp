@@ -14,10 +14,11 @@
 //   errors   = decoders throw proto::WireError; servers turn it into a
 //              typed status instead of crashing or partially replying
 //
-// Channel also owns reply-tag allocation (per-channel sequence or the rank
-// endpoint counter — both deterministic under every execution backend), the
-// front-end RetryPolicy ladder (with_retry), and the per-channel message /
-// ops instrumentation behind the command-stream batching of rpc/batch.hpp.
+// Channel also owns reply-tag allocation (one tag space per rank, drawn from
+// the rank's endpoint counter — deterministic under every execution
+// backend), the front-end RetryPolicy ladder (with_retry), and the
+// per-channel message / ops instrumentation behind the command-stream
+// batching of rpc/batch.hpp.
 #pragma once
 
 #include <cstdint>
@@ -88,11 +89,6 @@ struct StreamConfig {
   std::uint32_t watermark = 16;
 };
 
-/// Process-wide default, from the DACC_RPC_BATCH environment knob:
-/// unset/"0"/"off" -> disabled, "1"/"on" -> enabled with the default
-/// watermark, N > 1 -> enabled with watermark N.
-StreamConfig default_stream_config();
-
 /// Bare request header (op word + reply-tag word, no trace context): the
 /// building block Channel::request composes, exposed for one-way frames
 /// encoded away from a live channel (the ARM liveness messages).
@@ -103,32 +99,14 @@ class Channel {
  public:
   struct Options {
     int request_tag = proto::kRequestTag;
-    /// Reply-tag allocator: base + stride * (seq % span). Stride 2 reserves
-    /// reply_tag + 1 for bulk data blocks.
-    int reply_tag_base = proto::kResponseTag;
-    std::uint64_t reply_tag_span = 1;
-    int tag_stride = 1;
-    /// Draw the sequence from the rank endpoint counter
-    /// (dmpi::Mpi::fresh_tag_seed) instead of a per-channel one — required
-    /// when several channels share one endpoint and must never mint the
-    /// same tag (concurrent ARM clients on a launcher rank).
-    bool endpoint_tags = false;
     /// Append the engine's current causal trace context to request headers
     /// (proto::kTraceContextFlag).
     bool trace_context = false;
-    /// Post reply receives with dmpi::kAnySource instead of pinning them to
-    /// the addressed server. Required by replicated-service clients: after
-    /// a failover the answer to a resent request may come from a different
-    /// replica than the one last addressed (the reply tag alone already
-    /// identifies the request).
-    bool any_source_replies = false;
     /// Label for the per-channel obs instruments; empty disables them.
     std::string metrics_label;
   };
 
-  /// Front-end -> daemon options: a fresh (reply, data) tag pair per
-  /// attempt, so a response arriving after its deadline can never be
-  /// mistaken for the answer to a retry; traced; metered per CN rank.
+  /// Front-end -> daemon options: traced, metered per CN rank.
   static Options frontend(dmpi::Rank self);
 
   Channel(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank server,
@@ -140,7 +118,11 @@ class Channel {
   /// Reroutes subsequent requests (transparent accelerator replacement).
   void set_server(dmpi::Rank server) { server_ = server; }
 
-  /// Allocates the next reply tag (plus its data tag under stride 2).
+  /// Allocates the next reply tag from the rank's one tag space
+  /// (dmpi::Mpi::fresh_tag_seed): every channel on a rank draws from the
+  /// same counter, so a tag names exactly one request on its rank — across
+  /// channels, servers and retries alike. Tags are even; `tag + 1` carries
+  /// the request's bulk data blocks.
   int next_reply_tag();
 
   /// Builds a request header; the caller appends the body and hands the
@@ -162,7 +144,10 @@ class Channel {
 
   // Split-phase exchange, for calls that move bulk payload blocks between
   // request and response (H2D, the peer-put leg): post the reply receive,
-  // send the request, stream the blocks, then finish().
+  // send the request, stream the blocks, then finish(). The reply receive
+  // matches its tag from any source: the tag alone names the request, and
+  // after a failover the answer to a resent request may come from another
+  // replica than the one last addressed.
   dmpi::Request post_reply(int reply_tag);
   void send_request(util::Buffer frame);
   /// Waits for a posted reply until `deadline`; cancels it on expiry and
@@ -182,7 +167,6 @@ class Channel {
   const dmpi::Comm& comm_;
   dmpi::Rank server_;
   Options options_;
-  std::uint64_t seq_ = 0;
 
   // Metrics (lazy-bound, no-op handles when no registry is attached).
   obs::Registry* metrics_bound_ = nullptr;

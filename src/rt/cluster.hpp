@@ -83,9 +83,8 @@ struct ClusterConfig {
 
   /// Command-stream batching handed to every job's Session (DESIGN.md §10):
   /// front-end proxies coalesce pending small control ops into one kBatch
-  /// frame per flush. Defaults to the DACC_RPC_BATCH environment knob; off
-  /// unless set.
-  rpc::StreamConfig batch = rpc::default_stream_config();
+  /// frame per flush. Off by default.
+  rpc::StreamConfig batch;
 
   /// Record middleware spans (daemon requests, front-end proxy ops) into
   /// Cluster::tracer() for timeline inspection / Chrome-trace export.

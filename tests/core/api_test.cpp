@@ -246,5 +246,35 @@ TEST(Api, BrokenAcceleratorSurfacesEccAndCanBeReported) {
   cluster.run();
 }
 
+TEST(Api, TwoProxiesOfOneRankOnOneDaemonGetTheirOwnReplies) {
+  // Two sessions of one CN rank drive one daemon through two proxies, as
+  // the proxies of two jobs on one node do. Each must get its own replies,
+  // so the reply tags their channels mint must never coincide.
+  rt::Cluster cluster(one_cn_two_acs());
+  rt::JobSpec spec;
+  spec.accelerators_per_rank = 1;
+  spec.body = [&](rt::JobContext& job) {
+    Session& a = job.session();
+    Session b(cluster.world(), job.ctx(), cluster.cn_rank(0),
+              cluster.world().world_comm(), a.config());
+    Accelerator& ac_a = a[0];
+    Accelerator& ac_b = *b.attach(ac_a.lease());
+    // One synchronous op each, so both channels sit at the same count.
+    const gpu::DevPtr p = ac_a.mem_alloc(4_KiB);
+    EXPECT_FALSE(ac_b.info().name.empty());
+    // A D2H answers twice on its reply tag (a status before the data, a
+    // status after it); the alloc's reply must not take the second.
+    Future d2h = ac_a.memcpy_d2h_async(p, 4_KiB);
+    Future alloc = ac_b.mem_alloc_async(256);
+    d2h.get(job.ctx());
+    alloc.get(job.ctx());
+    EXPECT_EQ(d2h.take_data().size(), 4_KiB);
+    EXPECT_NE(alloc.ptr(), p);
+    b.release(&ac_b);
+  };
+  cluster.submit(spec);
+  cluster.run();
+}
+
 }  // namespace
 }  // namespace dacc::core

@@ -14,6 +14,9 @@
 namespace dacc::net {
 namespace {
 
+/// Tag the pipelined blocks travel on.
+constexpr int kDataTag = 102;
+
 FabricParams exact_params() {
   FabricParams p;
   p.link_bandwidth_mib_s = 1000.0;  // 1 MiB serializes in exactly 1 ms
@@ -185,7 +188,7 @@ TEST(FabricFault, PipelinedTransferTimesOutMidStream) {
         EXPECT_THROW(
             proto::send_blocks(mpi, bed.comm(), 1,
                                util::Buffer::backed_zero(64_MiB), config,
-                               proto::kDataTag, ctx.now() + 40_ms),
+                               kDataTag, ctx.now() + 40_ms),
             proto::TransferTimeout);
       },
       [&](dmpi::Mpi& mpi, sim::Context& ctx) {
@@ -193,7 +196,7 @@ TEST(FabricFault, PipelinedTransferTimesOutMidStream) {
             proto::recv_blocks(
                 mpi, bed.comm(), 0, 64_MiB, config,
                 [&](std::uint64_t, util::Buffer b) { received += b.size(); },
-                proto::kDataTag, ctx.now() + 40_ms),
+                kDataTag, ctx.now() + 40_ms),
             proto::TransferTimeout);
       },
   });

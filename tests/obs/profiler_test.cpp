@@ -189,28 +189,8 @@ TEST(Slos, TargetsDoNotPerturbTheSnapshot) {
 }
 
 // ---------------------------------------------------------------------------
-// Profiler scopes and export
+// Profiler export
 // ---------------------------------------------------------------------------
-
-TEST(Profiler, ScopesAccumulateAndExport) {
-  Profiler prof;
-  for (int i = 0; i < 3; ++i) {
-    Profiler::Scope s = prof.scope("drain");
-    volatile int sink = 0;
-    for (int j = 0; j < 1000; ++j) sink = sink + j;
-  }
-  { Profiler::Scope s = prof.scope("flush"); }
-  const std::string prom = prof.prometheus();
-  EXPECT_NE(prom.find("dacc_prof_scope_samples_total{name=\"drain\"} 3"),
-            std::string::npos)
-      << prom;
-  EXPECT_NE(prom.find("dacc_prof_scope_ns{name=\"drain\"}"),
-            std::string::npos);
-  EXPECT_NE(prom.find("dacc_prof_scope_samples_total{name=\"flush\"} 1"),
-            std::string::npos);
-  prof.reset();
-  EXPECT_EQ(prof.prometheus().find("drain"), std::string::npos);
-}
 
 TEST(Profiler, EverySeriesCarriesTheWallclockPrefix) {
   Profiler prof;
@@ -221,7 +201,6 @@ TEST(Profiler, EverySeriesCarriesTheWallclockPrefix) {
   prof.serial(3'000, 7);
   prof.coordinator_wait(250);
   prof.run_complete(10'000, 1);
-  { Profiler::Scope s = prof.scope("x"); }
   const std::string prom = prof.prometheus();
   // Every non-comment line is a dacc_prof_ sample: the deterministic
   // snapshot filter only has to know one prefix.

@@ -14,13 +14,16 @@ namespace dacc::daemon {
 namespace {
 
 using gpu::Result;
-using proto::kDataTag;
 using proto::kRequestTag;
-using proto::kResponseTag;
 using proto::Op;
 using proto::TransferConfig;
 using proto::WireReader;
 using proto::WireWriter;
+
+/// The hand-rolled front end's one reply tag; the daemon streams bulk data
+/// on reply tag + 1.
+constexpr int kResponseTag = 101;
+constexpr int kDataTag = kResponseTag + 1;
 
 /// Node 0: client. Nodes 1..n: one daemon each.
 class DaemonBed {
@@ -89,7 +92,7 @@ class DaemonBed {
                  .u64(data.size())
                  .transfer_config(config)
                  .finish());
-    proto::send_blocks(mpi, comm(), d, std::move(data), config);
+    proto::send_blocks(mpi, comm(), d, std::move(data), config, kDataTag);
     return WireReader(mpi.recv(comm(), d, kResponseTag)).result();
   }
 
@@ -106,7 +109,7 @@ class DaemonBed {
                  .finish());
     const Result pre = WireReader(mpi.recv(comm(), d, kResponseTag)).result();
     if (pre != Result::kSuccess) return pre;
-    *out = proto::recv_assemble(mpi, comm(), d, bytes, config);
+    *out = proto::recv_assemble(mpi, comm(), d, bytes, config, kDataTag);
     return WireReader(mpi.recv(comm(), d, kResponseTag)).result();
   }
 

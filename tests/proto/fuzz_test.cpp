@@ -13,6 +13,11 @@
 namespace dacc::proto {
 namespace {
 
+/// The hand-rolled clients' one reply tag; bulk data travels on reply tag
+/// + 1.
+constexpr int kResponseTag = 101;
+constexpr int kDataTag = kResponseTag + 1;
+
 TEST(WireFuzz, RandomBytesNeverCrashTheDecoder) {
   util::Rng rng(0xf022);
   int clean_throws = 0;
@@ -438,11 +443,12 @@ TEST(TransferProperty, RandomSizesAndBlocksRoundTrip) {
       dmpi::Mpi mpi(world, ctx, 0);
       send_blocks(mpi, world.world_comm(), 1,
                   util::Buffer::backed(std::vector<std::byte>(payload)),
-                  config);
+                  config, kDataTag);
     });
     engine.spawn("rx", [&](sim::Context& ctx) {
       dmpi::Mpi mpi(world, ctx, 1);
-      got = recv_assemble(mpi, world.world_comm(), 0, total, config);
+      got = recv_assemble(mpi, world.world_comm(), 0, total, config,
+                          kDataTag);
     });
     engine.run();
     ASSERT_EQ(got.size(), total) << "round " << round;

@@ -23,6 +23,9 @@ void PrintTo(const TransferConfig& c, std::ostream* os) {
 
 namespace {
 
+/// Tag the blocks travel on between the two test ranks.
+constexpr int kDataTag = 102;
+
 TEST(BlockPlan, ExactMultiple) {
   const BlockPlan plan(1_MiB, TransferConfig::pipeline(256_KiB));
   EXPECT_EQ(plan.count(), 4u);
@@ -78,12 +81,13 @@ class TransferTest : public ::testing::TestWithParam<TransferConfig> {
       dmpi::Mpi mpi(world, ctx, 0);
       send_blocks(mpi, world.world_comm(), 1,
                   util::Buffer::backed(std::vector<std::byte>(payload)),
-                  config);
+                  config, kDataTag);
     });
     util::Buffer got;
     engine.spawn("rx", [&](sim::Context& ctx) {
       dmpi::Mpi mpi(world, ctx, 1);
-      got = recv_assemble(mpi, world.world_comm(), 0, bytes, config);
+      got = recv_assemble(mpi, world.world_comm(), 0, bytes, config,
+                          kDataTag);
     });
     engine.run();
 
@@ -115,7 +119,7 @@ TEST(Transfer, OnBlockSeesOrderedOffsets) {
   engine.spawn("tx", [&](sim::Context& ctx) {
     dmpi::Mpi mpi(world, ctx, 0);
     send_blocks(mpi, world.world_comm(), 1, util::Buffer::phantom(total),
-                config);
+                config, kDataTag);
   });
   std::vector<std::uint64_t> offsets;
   engine.spawn("rx", [&](sim::Context& ctx) {
@@ -124,7 +128,8 @@ TEST(Transfer, OnBlockSeesOrderedOffsets) {
                 [&](std::uint64_t off, util::Buffer block) {
                   offsets.push_back(off);
                   EXPECT_EQ(block.size(), 128_KiB);
-                });
+                },
+                kDataTag);
   });
   engine.run();
   ASSERT_EQ(offsets.size(), 8u);
@@ -144,7 +149,7 @@ TEST(Transfer, BlocksArriveProgressivelyNotAllAtEnd) {
   engine.spawn("tx", [&](sim::Context& ctx) {
     dmpi::Mpi mpi(world, ctx, 0);
     send_blocks(mpi, world.world_comm(), 1, util::Buffer::phantom(total),
-                config);
+                config, kDataTag);
   });
   SimTime first_block = 0;
   SimTime last_block = 0;
@@ -154,7 +159,8 @@ TEST(Transfer, BlocksArriveProgressivelyNotAllAtEnd) {
                 [&](std::uint64_t off, util::Buffer) {
                   if (off == 0) first_block = ctx.now();
                   last_block = ctx.now();
-                });
+                },
+                kDataTag);
   });
   engine.run();
   // First block lands in roughly a block's worth of time; the rest stream
@@ -170,13 +176,13 @@ TEST(Transfer, ZeroByteTransferIsNoop) {
   engine.spawn("tx", [&](sim::Context& ctx) {
     dmpi::Mpi mpi(world, ctx, 0);
     send_blocks(mpi, world.world_comm(), 1, util::Buffer{},
-                TransferConfig::pipeline(128_KiB));
+                TransferConfig::pipeline(128_KiB), kDataTag);
   });
   engine.spawn("rx", [&](sim::Context& ctx) {
     dmpi::Mpi mpi(world, ctx, 1);
     recv_blocks(mpi, world.world_comm(), 0, 0,
                 TransferConfig::pipeline(128_KiB),
-                [&](std::uint64_t, util::Buffer) { ++calls; });
+                [&](std::uint64_t, util::Buffer) { ++calls; }, kDataTag);
   });
   engine.run();
   EXPECT_EQ(calls, 0);
