@@ -30,7 +30,12 @@
 # matrix is non-uniform), ParallelAsync.PositiveLookaheadRunsWindowed,
 # ParallelAsyncCluster (the widened 129-node cluster) and ArmStorm's
 # parallel leg (1,500 jobs on 16 CNs, 64 accelerators and 3 ARM replicas).
-# Pass 3 reruns ParallelScale and ParallelPool on a four-worker pool.
+# The event queue has its own leg on real threads in every pass:
+# EventQueue.StageFromAnotherThreadWhileTheOwnerAbsorbsAndPops
+# (tests/sim/event_queue_test.cpp) stages events from a std::thread while
+# the owner absorbs them into its radix buckets and pops.
+# Pass 3 reruns ParallelScale, ParallelPool and that EventQueue leg on a
+# four-worker pool.
 # Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.
 #
@@ -58,6 +63,8 @@ DACC_SIM_BACKEND=parallel:4 DACC_SIM_PARALLEL_WORKERS=2 \
 
 # Pass 3: the pool-era tests with a wider pool — four workers, so the
 # horizon publishes, staged-inbox absorbs, null-message pushes and the
-# middleware's cross-shard traffic all cross OS threads at scale.
+# middleware's cross-shard traffic all cross OS threads at scale — and
+# the event queue's staging-thread leg.
 DACC_SIM_PARALLEL_WORKERS=4 \
-  ctest --test-dir "$build" --output-on-failure -R 'ParallelScale|ParallelPool'
+  ctest --test-dir "$build" --output-on-failure \
+  -R 'ParallelScale|ParallelPool|EventQueue\.StageFromAnotherThread'

@@ -878,6 +878,9 @@ void Engine::drain_shard(int shard, SimTime bound,
 /// absorb_staged() (release store on j's horizon, acquire load here). So
 /// draining strictly below `bound` can never miss an earlier event — the
 /// canonical (time, ord) execution order is exactly the sequential one.
+/// The same bound keeps the shard queue monotone: every event absorbed here
+/// is at or above the last bound this shard drained below, so none is
+/// earlier than the queue's base (sim/event_queue.hpp).
 bool Engine::advance_shard(int shard, detail::ExecCursor& cursor) {
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   WallSink* const w = wall_;

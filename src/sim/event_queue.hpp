@@ -12,33 +12,45 @@
 //    buffers through events instead of wrapping them in shared_ptrs);
 //    oversized callables fall back to the heap and are counted, so tests can
 //    assert the hot path stays allocation-free;
-//  * ordering is a binary heap over (time, ord) — ord packs the scheduling
-//    node and a per-node sequence number (see Engine), so it is unique, the
-//    order is total and independent of node addresses, and — because the
-//    per-node counters advance identically under every execution backend —
-//    the order is also independent of backend and shard count (determinism);
-//  * the heap stores (time, ord, node*) slots, not node pointers: sift
-//    operations compare keys held in the heap array itself, so re-ordering
-//    never dereferences event nodes (one cache line of slots covers two
-//    full heap levels). Nodes themselves are cache-line aligned with the
-//    hot header fields packed into the first line;
+//  * events pop in (time, ord) order — ord packs the scheduling node and a
+//    per-node sequence number (see Engine), so it is unique, the order is
+//    total and independent of node addresses, and — because the per-node
+//    counters advance identically under every execution backend — the order
+//    is also independent of backend and shard count (determinism);
+//  * the order is kept by a monotone radix queue on the time (Ahuja,
+//    Mehlhorn, Orlin and Tarjan, J. ACM 37(2), 1990). The base is the time
+//    of the last popped event. Bucket 0 holds the events at the base,
+//    ascending by ord behind a cursor; bucket i >= 1 holds those whose time
+//    first differs from the base at bit i-1, unsorted, with its minimum time
+//    kept beside it. A 64-bit mask finds the lowest occupied bucket. Only
+//    pop() moves the base: when bucket 0 runs dry it moves the base to the
+//    lowest bucket's minimum and redistributes that bucket into lower ones.
+//    A push appends to its bucket, or inserts by ord into bucket 0 when it
+//    is at the base, and an event moves down at most 64 times;
+//  * the radix order needs monotone pushes: no event may be earlier than
+//    the base. The serial loop guarantees it because Engine::route refuses
+//    a time before now(), which is never before the last popped event; a
+//    shard guarantees it by the horizon argument at Engine::advance_shard,
+//    which puts every staged event at or above the bound the shard last
+//    drained below. A push before the base throws std::logic_error instead
+//    of misordering. top_time() never moves the base: run_until() peeks,
+//    and its caller may then schedule between now() and the peeked minimum;
 //  * for the parallel backend, stage() enqueues an event from a foreign
 //    worker thread into a mutex-protected side list with its own node pool
-//    (the owner's free list stays uncontended); the owner folds staged
-//    events into a sorted inbox lane with absorb_staged() — one sort of the
-//    batch plus a linear merge with the unconsumed remainder, cheaper than
-//    per-event heap pushes, and the canonical (time, ord) key makes the
-//    lane's order identical under every backend. top()/pop() read the min
-//    of the heap front and the inbox cursor.
+//    (the owner's free list stays uncontended); the owner files staged
+//    events straight into the buckets with absorb_staged().
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -77,21 +89,25 @@ class EventQueue {
 
   EventQueue() = default;
   ~EventQueue() {
-    for (const Slot& s : heap_) s.n->destroy(*s.n);
-    for (std::size_t i = inbox_pos_; i < inbox_.size(); ++i) {
-      inbox_[i].n->destroy(*inbox_[i].n);
-    }
+    for_each_queued([](const Slot& s) { s.n->destroy(*s.n); });
     for (Node* n = staged_; n != nullptr; n = n->next_free) n->destroy(*n);
   }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  bool empty() const { return heap_.empty() && inbox_pos_ == inbox_.size(); }
+  bool empty() const { return stats_.live == 0; }
 
-  SimTime top_time() const { return top_slot().time; }
+  /// Time of the earliest event; the queue must not be empty. Never moves
+  /// the base, so a push between the last popped time and this one stays
+  /// legal.
+  SimTime top_time() const {
+    if (!at_base_.empty()) return base_;
+    return far_min_[static_cast<std::size_t>(std::countr_zero(far_mask_))];
+  }
 
   template <typename F>
   void push(SimTime time, std::uint64_t ord, std::int32_t node, F&& fn) {
+    check_not_before_base(time);
     Node* n = allocate();
     n->time = time;
     n->ord = ord;
@@ -104,30 +120,35 @@ class EventQueue {
   /// context. A linear scan.
   std::uint64_t node_homed() const {
     std::uint64_t count = 0;
-    for (const Slot& s : heap_) count += s.n->node >= 0 ? 1 : 0;
-    for (std::size_t i = inbox_pos_; i < inbox_.size(); ++i) {
-      count += inbox_[i].n->node >= 0 ? 1 : 0;
-    }
+    for_each_queued([&](const Slot& s) { count += s.n->node >= 0 ? 1 : 0; });
     return count;
   }
 
   /// Queues a popped event again, here or in another queue; the same
   /// ownership rule as for move_node_homed applies.
-  void requeue(Node* n) { adopt(Slot{n->time, n->ord, n}); }
+  void requeue(Node* n) {
+    check_not_before_base(n->time);
+    adopt(Slot{n->time, n->ord, n});
+  }
 
   /// Hands every queued event homed on a node to the queue `dest(node)`
   /// returns; global-context events stay. A moved node is recycled into
   /// the receiving queue's free list once it fires, while its memory stays
   /// owned here, so every receiver must be destroyed before this queue.
+  /// Throws, moving nothing, when an event is earlier than its receiver's
+  /// base.
   template <typename Dest>
   void move_node_homed(Dest&& dest) {
-    std::vector<Slot> all(heap_.begin(), heap_.end());
-    all.insert(all.end(),
-               inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_pos_),
-               inbox_.end());
-    heap_.clear();
-    inbox_.clear();
-    inbox_pos_ = 0;
+    for_each_queued([&](const Slot& s) {
+      if (s.n->node >= 0) dest(s.n->node).check_not_before_base(s.time);
+    });
+    std::vector<Slot> all;
+    all.reserve(stats_.live);
+    for_each_queued([&](const Slot& s) { all.push_back(s); });
+    at_base_.clear();
+    cursor_ = 0;
+    for (std::vector<Slot>& bucket : far_) bucket.clear();
+    far_mask_ = 0;
     stats_.live = 0;
     for (const Slot& s : all) {
       EventQueue& q = s.n->node < 0 ? *this : dest(s.n->node);
@@ -136,8 +157,8 @@ class EventQueue {
   }
 
   /// Thread-safe enqueue from a foreign worker: the event lands in a staged
-  /// side list (LIFO; order is irrelevant because absorb_staged() sorts by
-  /// the canonical key) built from a separate node pool so the owner's
+  /// side list (LIFO; order is irrelevant because absorb_staged() files each
+  /// event by its key) built from a separate node pool so the owner's
   /// hot-path free list is never contended.
   template <typename F>
   void stage(SimTime time, std::uint64_t ord, std::int32_t node, F&& fn) {
@@ -151,11 +172,14 @@ class EventQueue {
     staged_ = n;
   }
 
-  /// Owner-side: folds every staged event into the sorted inbox lane — one
-  /// batch sort plus a linear merge with the unconsumed remainder, instead
-  /// of a heap push per event. Safe to run concurrently with stage()
-  /// callers (the conservative horizon protocol guarantees anything staged
-  /// after this call executes in a later drain). Returns the batch size.
+  /// Owner-side: files every staged event into the buckets, as a push
+  /// would. The horizon protocol puts every staged event at or above the
+  /// bound the shard last drained below, so none is earlier than the base;
+  /// if one is, it and the events not yet filed go back to the staged list
+  /// (the destructor still destroys them) and the call throws
+  /// std::logic_error. Safe to run concurrently with stage() callers (the
+  /// conservative horizon protocol guarantees anything staged after this
+  /// call executes in a later drain). Returns the number of events filed.
   std::size_t absorb_staged() {
     Node* head = nullptr;
     {
@@ -167,46 +191,34 @@ class EventQueue {
       stats_.pool_nodes += staged_pool_nodes_;
       staged_pool_nodes_ = 0;
     }
-    if (head == nullptr) return 0;
-    // Drop the consumed prefix so the merge below touches live slots only.
-    if (inbox_pos_ > 0) {
-      inbox_.erase(inbox_.begin(),
-                   inbox_.begin() + static_cast<std::ptrdiff_t>(inbox_pos_));
-      inbox_pos_ = 0;
-    }
-    const std::size_t old_size = inbox_.size();
     std::size_t count = 0;
-    while (head != nullptr) {
+    for (; head != nullptr; ++count) {
       Node* n = head;
-      head = head->next_free;
-      inbox_.push_back(Slot{n->time, n->ord, n});
-      ++count;
+      if (n->time < base_) [[unlikely]] {
+        std::lock_guard<std::mutex> lock(stage_mutex_);
+        Node* tail = n;
+        while (tail->next_free != nullptr) tail = tail->next_free;
+        tail->next_free = staged_;
+        staged_ = n;
+        throw std::logic_error(
+            "EventQueue: staged event earlier than the last popped event");
+      }
+      head = n->next_free;
+      adopt(Slot{n->time, n->ord, n});
     }
-    std::sort(inbox_.begin() + static_cast<std::ptrdiff_t>(old_size),
-              inbox_.end(), slot_before);
-    std::inplace_merge(inbox_.begin(),
-                       inbox_.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       inbox_.end(), slot_before);
-    stats_.live += count;
-    if (stats_.live > stats_.high_water) stats_.high_water = stats_.live;
     return count;
   }
 
   /// Removes the earliest event. Invoke it with run_and_recycle().
   Node* pop() {
     --stats_.live;
-    if (inbox_pos_ != inbox_.size() &&
-        (heap_.empty() || slot_before(inbox_[inbox_pos_], heap_.front()))) {
-      return inbox_[inbox_pos_++].n;
+    if (at_base_.empty()) refill();
+    Node* n = at_base_[cursor_].n;
+    if (++cursor_ == at_base_.size()) {
+      at_base_.clear();
+      cursor_ = 0;
     }
-    Node* top = heap_.front().n;
-    const Slot last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      sift_down(0);
-    }
-    return top;
+    return n;
   }
 
   /// Calls the node's callback, then returns the node to the free list —
@@ -229,32 +241,101 @@ class EventQueue {
  private:
   static constexpr std::size_t kChunkNodes = 256;
 
-  /// Heap/inbox entry: the ordering key lives next to the pointer so heap
-  /// maintenance never touches the nodes themselves.
+  /// Bucket entry: the ordering key lives next to the pointer, so filing,
+  /// redistributing and sorting a bucket never touch the nodes themselves.
   struct Slot {
     SimTime time;
     std::uint64_t ord;
     Node* n;
   };
 
-  static bool slot_before(const Slot& a, const Slot& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.ord < b.ord;
+  void check_not_before_base(SimTime time) const {
+    if (time < base_) [[unlikely]] {
+      throw std::logic_error(
+          "EventQueue: push earlier than the last popped event");
+    }
   }
 
+  /// Files `s` (at or after the base) and counts it as queued.
   void adopt(const Slot& s) {
-    heap_.push_back(s);
-    sift_up(heap_.size() - 1);
+    if (s.time == base_) {
+      insert_at_base(s);
+    } else {
+      file_far(s);
+    }
     ++stats_.live;
     if (stats_.live > stats_.high_water) stats_.high_water = stats_.live;
   }
 
-  const Slot& top_slot() const {
-    if (inbox_pos_ != inbox_.size() &&
-        (heap_.empty() || slot_before(inbox_[inbox_pos_], heap_.front()))) {
-      return inbox_[inbox_pos_];
+  /// Bucket 0 stays sorted by ord from the cursor on: an event at the base
+  /// appends when its ord is the largest there and is otherwise inserted
+  /// behind the cursor, never before it. When the lane is full and at
+  /// least half consumed, the consumed prefix is dropped instead of
+  /// growing, so over a long run of events at one time the lane's capacity
+  /// stays within four times the most events pending there at once.
+  void insert_at_base(const Slot& s) {
+    if (at_base_.size() == at_base_.capacity() &&
+        2 * cursor_ >= at_base_.size()) {
+      at_base_.erase(at_base_.begin(),
+                     at_base_.begin() + static_cast<std::ptrdiff_t>(cursor_));
+      cursor_ = 0;
     }
-    return heap_.front();
+    if (at_base_.empty() || at_base_.back().ord < s.ord) {
+      at_base_.push_back(s);
+      return;
+    }
+    at_base_.insert(
+        std::upper_bound(
+            at_base_.begin() + static_cast<std::ptrdiff_t>(cursor_),
+            at_base_.end(), s, ord_before),
+        s);
+  }
+
+  /// Files an event later than the base into bucket i = bit_width(time ^
+  /// base), kept in far_[i - 1] under mask bit i - 1.
+  void file_far(const Slot& s) {
+    const auto k = static_cast<std::size_t>(std::bit_width(s.time ^ base_) - 1);
+    std::vector<Slot>& bucket = far_[k];
+    if (bucket.empty()) {
+      far_mask_ |= std::uint64_t{1} << k;
+      far_min_[k] = s.time;
+    } else if (s.time < far_min_[k]) {
+      far_min_[k] = s.time;
+    }
+    bucket.push_back(s);
+  }
+
+  /// Bucket 0 is empty: moves the base to the lowest occupied bucket's
+  /// minimum and redistributes that bucket. Every event in it agrees with
+  /// the new base above its bit, so each lands in a lower bucket, and the
+  /// events at the new base are sorted into bucket 0. Higher buckets keep
+  /// their events: the new base agrees with the old one above that bit.
+  void refill() {
+    const auto k = static_cast<std::size_t>(std::countr_zero(far_mask_));
+    far_mask_ &= far_mask_ - 1;
+    base_ = far_min_[k];
+    std::vector<Slot>& from = far_[k];
+    for (const Slot& s : from) {
+      if (s.time == base_) {
+        at_base_.push_back(s);
+      } else {
+        file_far(s);
+      }
+    }
+    from.clear();
+    if (at_base_.size() > 1) {
+      std::sort(at_base_.begin(), at_base_.end(), ord_before);
+    }
+  }
+
+  static bool ord_before(const Slot& a, const Slot& b) { return a.ord < b.ord; }
+
+  template <typename Fn>
+  void for_each_queued(Fn&& fn) const {
+    for (std::size_t i = cursor_; i < at_base_.size(); ++i) fn(at_base_[i]);
+    for (const std::vector<Slot>& bucket : far_) {
+      for (const Slot& s : bucket) fn(s);
+    }
   }
 
   /// Returns true when the callable spilled to the heap (too big for the
@@ -328,42 +409,17 @@ class EventQueue {
     stats_.pool_nodes += kChunkNodes;
   }
 
-  void sift_up(std::size_t i) {
-    const Slot s = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!slot_before(s, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = s;
-  }
+  // Radix buckets; every bucket keeps its capacity.
+  SimTime base_ = 0;               // time of the last popped event
+  std::vector<Slot> at_base_;      // bucket 0: ascending ord from cursor_
+  std::size_t cursor_ = 0;         // consumed prefix of at_base_
+  std::uint64_t far_mask_ = 0;     // bit i-1 set: bucket i occupied
+  std::array<std::vector<Slot>, 64> far_;  // buckets 1..64
+  std::array<SimTime, 64> far_min_{};      // minimum time per occupied bucket
 
-  void sift_down(std::size_t i) {
-    const Slot s = heap_[i];
-    const std::size_t size = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= size) break;
-      if (child + 1 < size && slot_before(heap_[child + 1], heap_[child])) {
-        ++child;
-      }
-      if (!slot_before(heap_[child], s)) break;
-      heap_[i] = heap_[child];
-      i = child;
-    }
-    heap_[i] = s;
-  }
-
-  std::vector<Slot> heap_;  // binary min-heap; capacity is retained
   std::vector<std::unique_ptr<Node[]>> chunks_;
   Node* free_list_ = nullptr;
   Stats stats_;
-
-  // Sorted inbox lane: absorbed cross-shard events, ascending (time, ord);
-  // entries before inbox_pos_ are consumed.
-  std::vector<Slot> inbox_;
-  std::size_t inbox_pos_ = 0;
 
   // Staged inbox (parallel backend). Guarded by stage_mutex_; the owner
   // only takes the mutex briefly in absorb_staged().

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/pool.hpp"
 #include "sim/stack_pool.hpp"
 
 namespace dacc::sim {
@@ -227,6 +228,32 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired, 1);
   EXPECT_FALSE(engine.run_until(1000));
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, RunUntilThenEarlierEventRunsFirst) {
+  // run_until() stops after peeking at the event at 200. Work scheduled
+  // between the last executed event (100) and that peeked minimum must
+  // still be accepted and run first: on the serial loop, and on the worker
+  // pool, whose coordinator peeks the band and shard queues the same way.
+  for (const bool pool : {false, true}) {
+    SCOPED_TRACE(pool ? "worker pool" : "serial loop");
+    Engine engine(pool ? ExecBackend::kParallel : ExecBackend::kCoroutine, 4);
+    engine.set_node_count(8);
+    engine.set_lookahead(10);
+    if (pool) testing::widen_past_pool_crossover(engine);
+    std::vector<SimTime> ran;
+    engine.post(1, 100, [&] { ran.push_back(engine.now()); });
+    engine.post(1, 200, [&] { ran.push_back(engine.now()); });
+    EXPECT_TRUE(engine.run_until(150));
+    engine.schedule_at(170, [&] { ran.push_back(engine.now()); });
+    engine.spawn_on(1, "p", [&](Context& ctx) {
+      ctx.wait_until(160);
+      ran.push_back(ctx.now());
+    });
+    engine.run();
+    EXPECT_EQ(ran, (std::vector<SimTime>{100, 160, 170, 200}));
+    EXPECT_EQ(testing::ran_all_eras_on_pool(engine), pool);
+  }
 }
 
 TEST(Engine, RunUntilAdvancesClockWhenIdle) {
