@@ -164,8 +164,8 @@ ChurnProbe cluster_churn(sim::ExecBackend backend, int shards, int nodes,
   cc.registry = registry;
   cc.sim_backend = backend;
   cc.sim_shards = shards;
-  cc.sim_band_gap = band_gap;
   rt::Cluster cluster(cc);
+  if (band_gap > 0) cluster.engine().set_band_gap(band_gap);
   if (prof != nullptr) cluster.engine().set_wall_profiler(prof);
 
   const auto t0 = std::chrono::steady_clock::now();

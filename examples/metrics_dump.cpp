@@ -1,7 +1,8 @@
 // Middleware observability: run a small remote-GPU workload with the
-// metrics registry attached and dump the snapshot in both exporter formats.
-// The snapshot is deterministic — byte-identical under every execution
-// backend — so the files double as a cross-backend equality probe
+// metrics registry attached and dump the whole snapshot in both exporter
+// formats. The snapshot is deterministic — byte-identical under every
+// execution backend and shard count, since no series describes the shard
+// map — so the files double as a cross-backend equality probe
 // (scripts/check_determinism.sh runs this binary under
 // DACC_SIM_BACKEND=coroutine|parallel:4 and compares the outputs).
 //
@@ -59,23 +60,12 @@ int main(int argc, char** argv) {
   const std::string json_path = prefix + ".json";
   const std::string prom_path = prefix + ".prom";
   {
-    // Backend-invariant snapshot: the parallel backend's per-shard era
-    // series (dacc_sim_shard_*) describe scheduling — they depend on the
-    // shard map by design — so they go to a separate file that the
-    // determinism gate compares parallel-run against parallel-replay.
     std::ofstream out(json_path);
-    metrics.write_json(out, obs::Registry::kShardSeriesPrefix,
-                       /*include=*/false);
+    metrics.write_json(out);
   }
   {
     std::ofstream out(prom_path);
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/false);
-  }
-  {
-    std::ofstream out(prefix + ".shard.prom");
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/true);
+    metrics.write_prometheus(out);
   }
   if (config.profile) {
     // The wallclock tier (DACC_PROF=1): dacc_prof_* series go to their own

@@ -3,7 +3,8 @@
 // snapshot in both exporter formats plus a text digest of the consensus
 // events (elections, leader terms, the kill itself) and the final lease
 // table fingerprint. Everything written is deterministic — byte-identical
-// under every execution backend and shard count — so the files double as
+// under every execution backend and shard count; the snapshot is written
+// whole, since no series describes the shard map — so the files double as
 // the replicated-ARM probe in scripts/check_determinism.sh.
 //
 //   $ ./examples/raft_dump [out_prefix] [chaos_seed]
@@ -76,22 +77,12 @@ int main(int argc, char** argv) {
 
   const obs::Registry& metrics = cluster.metrics();
   {
-    // Backend-invariant snapshot: the parallel backend's per-shard era
-    // series (dacc_sim_shard_*) describe scheduling, not simulated
-    // behavior, so they are split into their own file below.
     std::ofstream out(prefix + ".json");
-    metrics.write_json(out, obs::Registry::kShardSeriesPrefix,
-                       /*include=*/false);
+    metrics.write_json(out);
   }
   {
     std::ofstream out(prefix + ".prom");
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/false);
-  }
-  {
-    std::ofstream out(prefix + ".shard.prom");
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/true);
+    metrics.write_prometheus(out);
   }
   {
     // Consensus digest: every raft/chaos trace event in order, then the

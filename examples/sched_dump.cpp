@@ -7,7 +7,8 @@
 // plus a scheduler digest (trace events, per-priority assign-wait SLO
 // readout, pool counters, replica fingerprints). Everything written is
 // deterministic — byte-identical under every execution backend and shard
-// count — so the files double as the scheduler probe in
+// count; the snapshot is written whole, since no series describes the
+// shard map — so the files double as the scheduler probe in
 // scripts/check_determinism.sh.
 //
 //   $ ./examples/sched_dump [out_prefix] [chaos_seed]
@@ -168,18 +169,11 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream out(prefix + ".json");
-    metrics.write_json(out, obs::Registry::kShardSeriesPrefix,
-                       /*include=*/false);
+    metrics.write_json(out);
   }
   {
     std::ofstream out(prefix + ".prom");
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/false);
-  }
-  {
-    std::ofstream out(prefix + ".shard.prom");
-    metrics.write_prometheus(out, obs::Registry::kShardSeriesPrefix,
-                             /*include=*/true);
+    metrics.write_prometheus(out);
   }
 
   const std::vector<obs::SloResult> slos = metrics.check_slos();

@@ -5,12 +5,13 @@
 #
 # Two layers of checking:
 #   1. ctest: the in-process determinism suites (tests/sim, tests/obs),
-#      every obs-labelled smoke test, the mixed-path test that also
-#      checks the per-shard era series, and the arm-storm regression on
+#      every obs-labelled smoke test, the mixed-path test, which compares
+#      the whole snapshot with the worker pool's and checks the per-shard
+#      era stats across worker counts, and the arm-storm regression on
 #      both backends.
 #   2. process-level: run examples/metrics_dump once per backend via
 #      DACC_SIM_BACKEND and byte-compare the exported JSON + Prometheus
-#      snapshots across the runs.
+#      snapshots, written whole, across the runs.
 #
 #   $ scripts/check_determinism.sh [build-dir]
 set -euo pipefail
@@ -31,13 +32,12 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L obs
 
 # Mixed paths: a 129-node MP2C cluster whose first wave runs the serial
 # loop and whose second wave, widened past the pool crossover, runs its
-# eras on the worker pool. Its events, pool stats, metrics snapshot and
-# Chrome trace must match the coroutine backend across 1/2/4 workers and
-# 2/4/8 shards. The same test checks the per-shard era series (windows
-# entered, horizon stalls, inbox batches): the parallel runs register
-# them, replays reproduce them byte for byte, and the coroutine backend
-# registers none. metrics_dump's cluster below stays under the pool
-# crossover, so it registers no shard series under either backend.
+# eras on the worker pool. Its events, pool stats, whole metrics
+# snapshot and Chrome trace must match the coroutine backend across 1/2/4
+# workers and 2/4/8 shards. The same test checks the per-shard era stats
+# in Engine::ParallelStats (eras with and without events, events, inbox
+# events): they depend on the shard map alone, never on the worker count.
+# No snapshot carries a series that depends on the shard map.
 ctest --test-dir "$build" --output-on-failure \
   -R 'ParallelPool.MixedPathErasMatchTheCoroutineBackend'
 
@@ -141,4 +141,4 @@ for ext in json prom sched; do
   done
 done
 
-echo "determinism check passed: metrics snapshots identical across backends (mixed paths + shard series + arm storm in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos)"
+echo "determinism check passed: whole metrics snapshots identical across backends (mixed paths + per-shard era stats + arm storm in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos)"

@@ -24,7 +24,8 @@
 # (tests/sim/parallel_pool_test.cpp: a 513-node MP2C cluster, a 129-node
 # cluster that moves to the pool in its second wave, a wide 10k-node
 # ring, a ring that moves there inside a bounded run, the profiler's
-# booking),
+# booking, and a pool run whose process fails, after which the engine
+# replays the spans the workers kept),
 # ParallelScale (4096-chain 10k-node rings at 1/4/16/64 shards and a
 # two-way ring over short links, where the per-shard-pair lookahead
 # matrix is non-uniform), ParallelAsync.PositiveLookaheadRunsWindowed,

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -178,22 +177,17 @@ Histogram Registry::histogram(const std::string& name,
 }
 
 // ---------------------------------------------------------------------------
-// Hot path + canonical-order merge (mirrors sim::Tracer)
+// Hot path. On the worker pool the engine defers `apply` and replays it in
+// canonical order: for counters and histograms the order is immaterial
+// (commutative); for gauges (kSet) it decides which write wins.
 // ---------------------------------------------------------------------------
 
 void Registry::record(std::uint32_t idx, OpKind op, std::int64_t value) {
-  if (engine_ != nullptr && !pending_.empty()) {
-    SimTime t = 0;
-    std::uint64_t ord = 0;
-    std::uint32_t seq = 0;
-    int buffer = 0;
-    if (engine_->parallel_trace_key(&t, &ord, &seq, &buffer)) {
-      pending_[static_cast<std::size_t>(buffer)].push_back(
-          PendingOp{idx, op, value, t, ord, seq});
-      return;
-    }
+  if (engine_ != nullptr) {
+    engine_->record([this, idx, op, value] { apply(idx, op, value); });
+  } else {
+    apply(idx, op, value);
   }
-  apply(idx, op, value);
 }
 
 void Registry::apply(std::uint32_t idx, OpKind op, std::int64_t value) {
@@ -217,37 +211,6 @@ void Registry::apply(std::uint32_t idx, OpKind op, std::int64_t value) {
       break;
     }
   }
-}
-
-void Registry::begin_parallel(int buffers) {
-  pending_.resize(static_cast<std::size_t>(buffers));
-}
-
-void Registry::merge_parallel() {
-  std::size_t n = 0;
-  for (const auto& buf : pending_) n += buf.size();
-  if (n == 0) {
-    pending_.clear();
-    return;
-  }
-  std::vector<PendingOp> all;
-  all.reserve(n);
-  for (auto& buf : pending_) {
-    for (auto& p : buf) all.push_back(p);
-    buf.clear();
-  }
-  pending_.clear();
-  // Canonical order: the emitting event's (time, ord), then emission order
-  // within the event — exactly the order a sequential run applies in. For
-  // counters and histograms the order is immaterial (commutative); for
-  // gauges (kSet) it decides which write wins, so it must match.
-  std::sort(all.begin(), all.end(),
-            [](const PendingOp& a, const PendingOp& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.ord != b.ord) return a.ord < b.ord;
-              return a.seq < b.seq;
-            });
-  for (const PendingOp& p : all) apply(p.idx, p.op, p.value);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +259,6 @@ void Registry::reset() {
     m.sum = 0;
     std::fill(m.buckets.begin(), m.buckets.end(), 0);
   }
-  pending_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -341,28 +303,17 @@ void split_labels(const std::string& name, std::string* base,
 
 }  // namespace
 
-std::vector<const Registry::Metric*> Registry::collect(std::string_view prefix,
-                                                       bool include) const {
+std::vector<const Registry::Metric*> Registry::collect() const {
   std::vector<const Metric*> sorted;
   std::lock_guard<std::mutex> lock(reg_mutex_);
   sorted.reserve(names_.size());
   // names_ is an ordered map: iteration is already sorted by name.
-  for (const auto& [name, idx] : names_) {
-    if (!prefix.empty()) {
-      const bool match = std::string_view(name).substr(0, prefix.size()) ==
-                         prefix;
-      if (match != include) continue;
-    }
-    sorted.push_back(&metrics_[idx]);
-  }
+  for (const auto& [name, idx] : names_) sorted.push_back(&metrics_[idx]);
   return sorted;
 }
 
-void Registry::write_json(std::ostream& os) const { write_json(os, {}, false); }
-
-void Registry::write_json(std::ostream& os, std::string_view prefix,
-                          bool include) const {
-  const std::vector<const Metric*> sorted = collect(prefix, include);
+void Registry::write_json(std::ostream& os) const {
+  const std::vector<const Metric*> sorted = collect();
   os << "{\"metrics\":[";
   bool first = true;
   for (const Metric* m : sorted) {
@@ -404,19 +355,8 @@ std::string Registry::json() const {
   return os.str();
 }
 
-std::string Registry::json(std::string_view prefix, bool include) const {
-  std::ostringstream os;
-  write_json(os, prefix, include);
-  return os.str();
-}
-
 void Registry::write_prometheus(std::ostream& os) const {
-  write_prometheus(os, {}, false);
-}
-
-void Registry::write_prometheus(std::ostream& os, std::string_view prefix,
-                                bool include) const {
-  const std::vector<const Metric*> sorted = collect(prefix, include);
+  const std::vector<const Metric*> sorted = collect();
   std::string last_family;
   for (const Metric* m : sorted) {
     std::string base, labels;
@@ -460,87 +400,20 @@ std::string Registry::prometheus() const {
   return os.str();
 }
 
-std::string Registry::prometheus(std::string_view prefix, bool include) const {
-  std::ostringstream os;
-  write_prometheus(os, prefix, include);
-  return os.str();
-}
-
 }  // namespace dacc::obs
 
 // ---------------------------------------------------------------------------
 // Engine::set_metrics lives here (declared in sim/engine.hpp) so dacc_sim
-// never depends on dacc_obs: the engine holds the registry behind a pointer
-// and two std::function hooks, and only code that actually attaches a
-// registry links this translation unit.
+// never depends on dacc_obs: the engine holds the registry behind a pointer,
+// and only code that actually attaches a registry links this translation
+// unit.
 // ---------------------------------------------------------------------------
 
 namespace dacc::sim {
 
-namespace {
-
-/// Per-shard handle set for the era-barrier stats sink, bound lazily the
-/// first time a shard reports. Names carry the shard id as a label under
-/// obs::Registry::kShardSeriesPrefix so the cross-backend comparisons can
-/// split them out (shard placement is a scheduling detail, not simulated
-/// behavior — but for a fixed shard map the series are still deterministic
-/// and byte-identical across replays and worker counts).
-struct ShardEraSeries {
-  obs::Counter windows;  ///< eras in which the shard executed events
-  obs::Counter events;   ///< events executed across those eras
-  obs::Counter inbox;    ///< cross-shard events absorbed
-  obs::Counter stalls;   ///< eras spent only pushing null horizons
-  bool bound = false;
-};
-
-}  // namespace
-
 void Engine::set_metrics(obs::Registry* registry) {
   metrics_ = registry;
-  if (registry != nullptr) {
-    registry->attach(this);
-    metrics_begin_parallel_ = [registry](int buffers) {
-      registry->begin_parallel(buffers);
-    };
-    metrics_merge_parallel_ = [registry] { registry->merge_parallel(); };
-    auto series = std::make_shared<std::vector<ShardEraSeries>>();
-    auto batch = std::make_shared<obs::Histogram>();
-    metrics_shard_era_ = [registry, series, batch](
-                             int shard, std::uint64_t events,
-                             std::uint64_t inbox, bool stalled) {
-      if (!*batch) {
-        *batch = registry->histogram("dacc_sim_shard_inbox_batch",
-                                     {1, 4, 16, 64, 256, 1024, 4096});
-      }
-      const auto idx = static_cast<std::size_t>(shard);
-      if (idx >= series->size()) series->resize(idx + 1);
-      ShardEraSeries& s = (*series)[idx];
-      if (!s.bound) {
-        const std::string id = std::to_string(shard);
-        s.windows = registry->counter(
-            obs::labeled("dacc_sim_shard_windows_total", "shard", id));
-        s.events = registry->counter(
-            obs::labeled("dacc_sim_shard_events_total", "shard", id));
-        s.inbox = registry->counter(
-            obs::labeled("dacc_sim_shard_inbox_events_total", "shard", id));
-        s.stalls = registry->counter(
-            obs::labeled("dacc_sim_shard_horizon_stalls_total", "shard", id));
-        s.bound = true;
-      }
-      if (stalled) {
-        s.stalls.add(1);
-      } else {
-        s.windows.add(1);
-        s.events.add(events);
-      }
-      s.inbox.add(inbox);
-      batch->observe(inbox);
-    };
-  } else {
-    metrics_begin_parallel_ = nullptr;
-    metrics_merge_parallel_ = nullptr;
-    metrics_shard_era_ = nullptr;
-  }
+  if (registry != nullptr) registry->attach(this);
 }
 
 }  // namespace dacc::sim

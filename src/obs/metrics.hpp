@@ -6,12 +6,12 @@
 // update; a default-constructed handle is a no-op, which keeps every
 // instrumentation site free when no registry is attached.
 //
-// Determinism contract: all stored state is integral (no floats), and under
-// the parallel execution backend updates are not applied in worker order —
-// they are tagged with the canonical key of the emitting event (time, ord,
-// intra-event seq) and buffered per shard, exactly like sim::Tracer spans,
-// then merged and applied in canonical order when the run ends. A snapshot
-// is therefore byte-identical across the coroutine and parallel backends
+// Determinism contract: all stored state is integral (no floats), and every
+// update goes through sim::Engine::record, like a sim::Tracer span: on the
+// parallel backend's worker pool the engine keeps it under the emitting
+// event's canonical key and applies it in canonical order when the run
+// ends, not in worker order. The whole snapshot is therefore byte-identical
+// across the coroutine and parallel backends and every shard count
 // (tests/obs/obs_determinism_test.cpp enforces this).
 //
 // Exporters: write_json (machine-readable snapshot, folded into BENCH_*.json
@@ -199,23 +199,6 @@ class Registry {
   void write_prometheus(std::ostream& os) const;
   std::string prometheus() const;
 
-  /// Prefix-filtered snapshots: include=true keeps only metrics whose name
-  /// starts with `prefix`, include=false drops them (empty prefix = no
-  /// filter). The cross-backend byte-identity comparisons use these to
-  /// split backend-invariant series from the parallel backend's
-  /// shard-placement series (kShardSeriesPrefix), which are instead
-  /// compared parallel-run against parallel-replay.
-  void write_json(std::ostream& os, std::string_view prefix,
-                  bool include) const;
-  std::string json(std::string_view prefix, bool include) const;
-  void write_prometheus(std::ostream& os, std::string_view prefix,
-                        bool include) const;
-  std::string prometheus(std::string_view prefix, bool include) const;
-
-  /// Name prefix of the parallel backend's per-shard era series (windows
-  /// entered, horizon stalls, inbox drain batches).
-  static constexpr std::string_view kShardSeriesPrefix = "dacc_sim_shard_";
-
   /// Resets all values (registrations and handles stay valid).
   void reset();
 
@@ -238,39 +221,24 @@ class Registry {
     std::vector<std::uint64_t> buckets;    ///< non-cumulative, +1 overflow
   };
 
-  /// One buffered update, tagged with the canonical key of the event that
-  /// emitted it (same scheme as Tracer::Tagged).
-  struct PendingOp {
-    std::uint32_t idx = 0;
-    OpKind op = OpKind::kAdd;
-    std::int64_t value = 0;
-    SimTime time = 0;
-    std::uint64_t ord = 0;
-    std::uint32_t seq = 0;
-  };
-
-  // Engine hooks (see Engine::set_metrics).
+  /// Engine::set_metrics's hook.
   void attach(sim::Engine* engine) { engine_ = engine; }
-  void begin_parallel(int buffers);
-  void merge_parallel();
 
   std::uint32_t intern(const std::string& name, Kind kind,
                        const std::vector<std::uint64_t>* bounds);
   void record(std::uint32_t idx, OpKind op, std::int64_t value);
   void apply(std::uint32_t idx, OpKind op, std::int64_t value);
   const Metric* find(const std::string& name, Kind kind) const;
-  std::vector<const Metric*> collect(std::string_view prefix,
-                                     bool include) const;
+  std::vector<const Metric*> collect() const;  ///< sorted by name
 
   sim::Engine* engine_ = nullptr;
   /// Guards names_/metrics_ during registration only: components may bind
-  /// lazily from shard workers. Hot-path updates never take it — in a
-  /// parallel window each shard appends to its own pending buffer; outside
-  /// one, execution is single-threaded.
+  /// lazily from shard workers. Hot-path updates never take it — on the
+  /// worker pool the engine keeps each update in the emitting shard's own
+  /// buffer; elsewhere, execution is single-threaded.
   mutable std::mutex reg_mutex_;
   std::vector<Metric> metrics_;
   std::map<std::string, std::uint32_t> names_;
-  std::vector<std::vector<PendingOp>> pending_;  // one per shard + global band
   std::vector<Slo> slos_;
 };
 

@@ -143,9 +143,9 @@ Cluster::Cluster(ClusterConfig config)
   // completions, control notifications) are clamped up by a multiple of
   // the wire latency, so an era spans many lookaheads between global
   // synchronization points — the main source of the window-count drop.
-  engine_.set_band_gap(config_.sim_band_gap > 0
-                           ? config_.sim_band_gap
-                           : 64 * config_.fabric.wire_latency);
+  // Nothing is clamped before the first run, so a caller may still set
+  // another gap on engine() before it submits.
+  engine_.set_band_gap(64 * config_.fabric.wire_latency);
   if (config_.trace) engine_.set_tracer(&tracer_);
   if (config_.metrics) engine_.set_metrics(&metrics_);
   if (config_.profile) engine_.set_wall_profiler(&profiler_);

@@ -123,13 +123,6 @@ struct ClusterConfig {
   /// Honors DACC_SIM_BACKEND=parallel:N by default. Ignored by the
   /// sequential backend. Results are bit-identical for every shard count.
   int sim_shards = sim::default_parallel_shards();
-
-  /// Width of the engine's serial-control band (sim::Engine::set_band_gap):
-  /// node -> global effects are clamped up by this much, letting parallel
-  /// shards run many wire latencies between global synchronizations. Like
-  /// the lookahead it is part of the simulation semantics and applies
-  /// identically under every backend. 0 = auto (64x the wire latency).
-  SimDuration sim_band_gap = 0;
 };
 
 class Cluster;

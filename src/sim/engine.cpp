@@ -8,6 +8,7 @@
 #include <numeric>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "sim/trace.hpp"
 
@@ -445,46 +446,11 @@ void Engine::set_lookahead_overrides(
   }
 }
 
-void Engine::set_shard_map(std::vector<int> map) {
-  if (backend_ != ExecBackend::kParallel || num_shards_ == 0) {
-    throw SimError("set_shard_map: requires the parallel backend with a "
-                   "declared node topology");
-  }
-  if (static_cast<int>(map.size()) != node_count_) {
-    throw SimError("set_shard_map: map size must equal node_count()");
-  }
-  for (const int s : map) {
-    if (s < 0 || s >= num_shards_) {
-      throw SimError("set_shard_map: shard id out of range");
-    }
-  }
-  for (const auto& sh : shards_) {
-    if (!sh->q.empty()) {
-      throw SimError("set_shard_map: cannot move nodes with events pending");
-    }
-  }
-  shard_of_ = std::move(map);
-  explicit_shard_map_ = true;
-  plan_dirty_ = true;
-}
-
 void Engine::recompute_shard_map() {
   if (num_shards_ <= 0 || node_count_ <= 0) return;
+  // An empty map is round robin.
   std::vector<int> map;
-  if (explicit_shard_map_) {
-    // Keep the user's placement; new nodes (topology growth) fall back to
-    // round robin, shrunk shard counts wrap.
-    map = shard_of_;
-    while (static_cast<int>(map.size()) < node_count_) {
-      map.push_back(static_cast<int>(map.size()) % num_shards_);
-    }
-    for (int& s : map) {
-      if (s >= num_shards_) s %= num_shards_;
-    }
-  } else if (!la_override_.empty()) {
-    map = topology_partition();
-  }
-  // else: empty map == round robin.
+  if (!la_override_.empty()) map = topology_partition();
   if (map == shard_of_) return;
   for (const auto& sh : shards_) {
     if (!sh->q.empty()) {
@@ -606,25 +572,6 @@ void Engine::ensure_parallel_plan() {
 void Engine::set_tracer(Tracer* tracer) {
   tracer_ = tracer;
   if (tracer != nullptr) tracer->attach(this);
-}
-
-bool Engine::parallel_trace_key(SimTime* t, std::uint64_t* ord,
-                                std::uint32_t* seq, int* buffer) {
-  if (num_shards_ == 0) return false;
-  detail::ExecCursor* c = detail::exec_cursor();
-  if (c != nullptr && c->engine == this) {
-    *t = c->now;
-    *ord = c->ord;
-    *seq = c->trace_seq++;
-    *buffer = c->shard;
-    return true;
-  }
-  // Serial context: the global band between eras.
-  *t = now_;
-  *ord = serial_ord_;
-  *seq = serial_trace_seq_++;
-  *buffer = num_shards_;
-  return true;
 }
 
 Process& Engine::spawn(std::string name, ProcessFn fn) {
@@ -765,7 +712,6 @@ __attribute__((always_inline)) inline bool Engine::run_events(
     }
   }
   const std::uint64_t we0 = events_executed_;
-  running_ = true;
   while (!queue_.empty() && queue_.top_time() <= limit) {
     EventQueue::Node* ev = queue_.pop();
     if (probe && ev->node != kGlobalNode) [[unlikely]] {
@@ -782,7 +728,6 @@ __attribute__((always_inline)) inline bool Engine::run_events(
     }
   }
   cur_node_ = kGlobalNode;
-  running_ = false;
   std::uint64_t wt1 = 0;
   if (w != nullptr) {
     wt1 = wall_now_ns();
@@ -856,7 +801,7 @@ void Engine::drain_shard(int shard, SimTime bound,
     cursor.now = ev->time;
     cursor.node = ev->node;
     cursor.ord = ev->ord;
-    cursor.trace_seq = 0;
+    cursor.record_seq = 0;
     sh.last_time = ev->time;
     ++sh.events;
     q.run_and_recycle(ev);
@@ -1046,43 +991,38 @@ void Engine::run_era(SimTime floor, SimTime era_end) {
   // Era barrier: absorb every inbox (events staged near the era end land
   // in the next era; the coordinator's floor scan must see them) and fold
   // the per-shard counters into the engine totals and the era accounting.
+  // An era always runs the event at its floor, so it counts as a window.
+  // The inputs are schedule-independent, so ParallelStats is the same for
+  // every worker count.
   queue_.absorb_staged();
+  if (pstats_.shards.size() < shards_.size()) {
+    pstats_.shards.resize(shards_.size());
+  }
   std::uint64_t total = 0;
   std::uint64_t busiest = 0;
-  for (const auto& sh : shards_) {
-    sh->inbox_events += sh->q.absorb_staged();
-    events_executed_ += sh->events;
-    process_switches_ += sh->switches;
-    sh->switches = 0;
-    if (sh->last_time > now_) now_ = sh->last_time;
-    total += sh->events;
-    busiest = std::max(busiest, sh->events);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    Shard& sh = *shards_[s];
+    sh.inbox_events += sh.q.absorb_staged();
+    events_executed_ += sh.events;
+    process_switches_ += sh.switches;
+    if (sh.last_time > now_) now_ = sh.last_time;
+    total += sh.events;
+    busiest = std::max(busiest, sh.events);
+    ShardStats& st = pstats_.shards[s];
+    ++(sh.events > 0 ? st.windows : st.idle_windows);
+    st.events += sh.events;
+    st.inbox_events += sh.inbox_events;
+    sh.events = 0;
+    sh.switches = 0;
+    sh.inbox_events = 0;
   }
-  if (total > 0) {
-    ++pstats_.windows;
-    pstats_.parallel_events += total;
-    pstats_.critical_path_events += busiest;
-    if (metrics_shard_era_) {
-      // Serial context; inputs (events per shard per era, inbox batch
-      // sizes) are schedule-independent, so the metrics snapshot stays
-      // byte-identical across replays and worker counts.
-      for (int s = 0; s < num_shards_; ++s) {
-        const Shard& sh = *shards_[static_cast<std::size_t>(s)];
-        metrics_shard_era_(s, sh.events, sh.inbox_events, sh.events == 0);
-      }
-    }
-  }
-  for (const auto& sh : shards_) {
-    sh->events = 0;
-    sh->inbox_events = 0;
-  }
+  ++pstats_.windows;
+  pstats_.parallel_events += total;
+  pstats_.critical_path_events += busiest;
 }
 
 bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
                           std::uint64_t booked) {
-  running_ = true;
-  if (tracer_ != nullptr) tracer_->begin_parallel(num_shards_ + 1);
-  if (metrics_begin_parallel_) metrics_begin_parallel_(num_shards_ + 1);
   ensure_workers();
   WallSink* const w = wall_;
   std::uint64_t ctick = booked;  // coordinator's chained serial-phase timestamp
@@ -1094,6 +1034,7 @@ bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
   }
   const SimDuration gap = effective_band_gap();
   bool more = false;
+  pool_run_ = true;
   try {
     for (;;) {
       if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
@@ -1121,7 +1062,7 @@ bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
         now_ = ev->time;
         cur_node_ = ev->node;
         serial_ord_ = ev->ord;
-        serial_trace_seq_ = 0;
+        serial_record_seq_ = 0;
         ++events_executed_;
         queue_.run_and_recycle(ev);
         cur_node_ = kGlobalNode;
@@ -1156,16 +1097,12 @@ bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
       }
     }
   } catch (...) {
-    running_ = false;
     cur_node_ = kGlobalNode;
-    if (tracer_ != nullptr) tracer_->merge_parallel();
-    if (metrics_merge_parallel_) metrics_merge_parallel_();
+    replay_kept();
     throw;
   }
-  running_ = false;
   cur_node_ = kGlobalNode;
-  if (tracer_ != nullptr) tracer_->merge_parallel();
-  if (metrics_merge_parallel_) metrics_merge_parallel_();
+  replay_kept();
   if (w != nullptr) {
     const std::uint64_t t = wall_now_ns();
     w->serial(t - ctick, 0);
@@ -1185,6 +1122,27 @@ bool Engine::run_parallel(SimTime limit, std::uint64_t run_t0,
   return more;
 }
 
+void Engine::replay_kept() {
+  pool_run_ = false;
+  // Each buffer is already in key order (a shard runs its events in
+  // canonical order); the sort interleaves them.
+  std::vector<std::tuple<SimTime, std::uint64_t, std::uint32_t, Kept*>> order;
+  const auto gather = [&order](KeptSteps& steps) {
+    for (std::size_t i = 0; i < steps.size; ++i) {
+      Kept& k = steps[i];
+      order.emplace_back(k.time, k.ord, k.seq, &k);
+    }
+    steps.size = 0;
+  };
+  for (const auto& sh : shards_) gather(sh->kept);
+  gather(band_kept_);
+  std::sort(order.begin(), order.end());
+  for (const auto& key : order) {
+    Kept& k = *std::get<3>(key);
+    k.apply(k);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Teardown and failure paths
 // ---------------------------------------------------------------------------
@@ -1196,7 +1154,6 @@ void Engine::rethrow_failure() {
     std::ostringstream os;
     os << "process '" << proc->name_ << "' failed: " << proc->failure_;
     proc->failure_.clear();
-    running_ = false;
     throw SimError(os.str());
   }
   throw SimError("process failure flag set without a stored failure");
@@ -1220,7 +1177,6 @@ void Engine::check_quiescence() {
 }
 
 void Engine::shutdown_processes() {
-  shutting_down_ = true;
   for (const auto& proc : processes_) {
     if (proc->finished_) continue;
     proc->shutdown_requested_ = true;

@@ -35,13 +35,16 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -152,10 +155,10 @@ struct ExecCursor {
   std::int32_t node = kGlobalNode;
   int shard = -1;
   Process* current = nullptr;
-  std::uint64_t ord = 0;        ///< canonical key of the running event
-  std::uint32_t trace_seq = 0;  ///< intra-event tracer record index
-  std::uint64_t switches = 0;   ///< slice hand-offs during this drain
-  std::uint64_t wall_tick = 0;  ///< chained wallclock timestamp (profiler)
+  std::uint64_t ord = 0;         ///< canonical key of the running event
+  std::uint32_t record_seq = 0;  ///< observer records within that event
+  std::uint64_t switches = 0;    ///< slice hand-offs during this drain
+  std::uint64_t wall_tick = 0;   ///< chained wallclock timestamp (profiler)
 };
 
 ExecCursor* exec_cursor() noexcept;  ///< null outside parallel drains
@@ -338,13 +341,9 @@ class Engine {
     return band_gap_ > 0 ? band_gap_ : lookahead_;
   }
 
-  /// Explicit node -> shard placement (size must equal node_count(), every
-  /// entry in [0, shard_count())). Overrides the topology partitioner.
-  /// Placement never changes simulated results (shard-count invariance),
-  /// only parallelism.
-  void set_shard_map(std::vector<int> map);
-
-  /// Shard that node's events execute on (0 when not parallel).
+  /// Shard that node's events execute on (0 when not parallel). Placement
+  /// never changes simulated results (shard-count invariance), only
+  /// parallelism.
   int shard_of(std::int32_t node) const {
     if (num_shards_ == 0 || node < 0) return 0;
     return shard_target(node);
@@ -438,13 +437,23 @@ class Engine {
   /// threads, or inline for a pool of one), so all three stay 0 until the
   /// engine moves there. merged_fallbacks counts runs that kept the serial
   /// loop because no safe horizon width exists (zero lookahead, or a
-  /// zero-latency link crossing shards). All fields are deterministic for
-  /// a given scenario and shard map.
+  /// zero-latency link crossing shards). `shards` splits the eras by
+  /// shard, folded at each era barrier; it stays empty until the pool runs
+  /// an era. All fields are deterministic for a given scenario and shard
+  /// map, and none depends on the worker count.
+  struct ShardStats {
+    std::uint64_t windows = 0;       ///< eras in which the shard ran events
+    std::uint64_t events = 0;        ///< events it ran
+    std::uint64_t inbox_events = 0;  ///< cross-shard events it absorbed
+    std::uint64_t idle_windows = 0;  ///< eras in which it ran none
+    bool operator==(const ShardStats&) const = default;
+  };
   struct ParallelStats {
     std::uint64_t windows = 0;
     std::uint64_t parallel_events = 0;
     std::uint64_t critical_path_events = 0;
     std::uint64_t merged_fallbacks = 0;
+    std::vector<ShardStats> shards;
   };
   const ParallelStats& parallel_stats() const { return pstats_; }
 
@@ -462,13 +471,15 @@ class Engine {
   Process& current_process();
 
   /// Optional tracer: instrumented components record spans when non-null.
-  /// The engine does not own it.
+  /// The engine does not own it; an attached tracer records through
+  /// record(), so the engine must outlive its last record.
   class Tracer* tracer() const { return tracer_; }
   void set_tracer(class Tracer* tracer);
 
   /// Optional metrics registry: instrumented components update counters,
-  /// gauges and histograms when non-null. Not owned. Defined in
-  /// obs/metrics.cpp so dacc_sim does not depend on dacc_obs.
+  /// gauges and histograms when non-null. Not owned; like the tracer, it
+  /// records through record(). Defined in obs/metrics.cpp so dacc_sim does
+  /// not depend on dacc_obs.
   obs::Registry* metrics() const { return metrics_; }
   void set_metrics(obs::Registry* registry);
 
@@ -500,19 +511,55 @@ class Engine {
     if (p != nullptr) p->trace_ctx_ = ctx;
   }
 
-  /// Tracer hook: canonical ordering key for a record emitted by the
-  /// calling context when a parallel run is in flight (records are buffered
-  /// per shard and merged deterministically at the end of the run).
-  /// Returns false when the record can be appended directly.
-  bool parallel_trace_key(SimTime* t, std::uint64_t* ord, std::uint32_t* seq,
-                          int* buffer);
+  /// Observers' entry point (sim::Tracer spans, obs::Registry updates):
+  /// `apply` runs at once, except during a pool run. There it is kept in
+  /// the running shard's buffer, or the serial band's, under the emitting
+  /// event's canonical (time, ord, seq) key, and the run applies every
+  /// kept step in key order when it ends, also when it throws. So an
+  /// observer sees its records in the order the serial loop makes them.
+  /// `apply` is stored inline, like an event's callback, so keeping it
+  /// allocates nothing once the buffers are warm.
+  template <typename F>
+  void record(F&& apply) {
+    if (!pool_run_) [[likely]] {
+      apply();
+    } else {
+      keep(std::forward<F>(apply));
+    }
+  }
 
  private:
   friend class Context;
   friend class Process;
 
+  /// A step record() kept during a pool run, under its emitting event's
+  /// key. `apply` runs the stored callable and destroys it.
+  struct Kept {
+    SimTime time = 0;
+    std::uint64_t ord = 0;
+    std::uint32_t seq = 0;
+    void (*apply)(Kept&) = nullptr;
+    alignas(std::max_align_t) std::byte storage[EventQueue::kInlineBytes];
+  };
+  /// The steps one shard, or the serial band, kept during a pool run, in
+  /// the order it made them; the chunks stay allocated from run to run.
+  struct KeptSteps {
+    static constexpr std::size_t kChunk = 256;
+    std::vector<std::unique_ptr<Kept[]>> chunks;
+    std::size_t size = 0;
+
+    Kept& operator[](std::size_t i) { return chunks[i / kChunk][i % kChunk]; }
+    Kept& push() {
+      if (size == chunks.size() * kChunk) {
+        chunks.push_back(std::make_unique<Kept[]>(kChunk));
+      }
+      return (*this)[size++];
+    }
+  };
+
   struct Shard {
     EventQueue q;
+    KeptSteps kept;
     SimTime last_time = 0;
     std::uint64_t events = 0;        ///< events executed this era
     std::uint64_t switches = 0;
@@ -562,8 +609,8 @@ class Engine {
            static_cast<std::uint32_t>(b);
   }
 
-  /// Target shard of a node's events: the shard map when one was computed
-  /// (topology partitioner / set_shard_map), round robin otherwise.
+  /// Target shard of a node's events: the shard map when the topology
+  /// partitioner computed one, round robin otherwise.
   int shard_target(std::int32_t node) const {
     if (!shard_of_.empty()) [[unlikely]] {
       return shard_of_[static_cast<std::size_t>(node)];
@@ -646,8 +693,38 @@ class Engine {
                     std::uint64_t booked);
   /// Runs one era on the worker pool (inline when the pool has one
   /// worker), then the era barrier: absorbs the inboxes and folds the
-  /// per-shard counters into ParallelStats and the shard metrics.
+  /// per-shard counters into ParallelStats.
   void run_era(SimTime floor, SimTime era_end);
+  /// record() during a pool run: files `apply` under the calling
+  /// context's key, in its shard's buffer or the serial band's.
+  template <typename F>
+  void keep(F&& apply) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= EventQueue::kInlineBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "record() stores its callable inline");
+    detail::ExecCursor* c = detail::exec_cursor();
+    Kept* k = nullptr;
+    if (c != nullptr && c->engine == this) {
+      k = &shards_[static_cast<std::size_t>(c->shard)]->kept.push();
+      k->time = c->now;
+      k->ord = c->ord;
+      k->seq = c->record_seq++;
+    } else {
+      k = &band_kept_.push();
+      k->time = now_;
+      k->ord = serial_ord_;
+      k->seq = serial_record_seq_++;
+    }
+    ::new (static_cast<void*>(k->storage)) Fn(std::forward<F>(apply));
+    k->apply = [](Kept& m) {
+      Fn* fn = std::launder(reinterpret_cast<Fn*>(m.storage));
+      (*fn)();
+      fn->~Fn();
+    };
+  }
+  /// Ends a pool run's keeping: applies every kept step in key order.
+  void replay_kept();
   bool advance_shard(int shard, detail::ExecCursor& cursor);
   void drain_shard(int shard, SimTime bound, detail::ExecCursor& cursor);
   void worker_main(int index);
@@ -659,8 +736,8 @@ class Engine {
   /// Rebuilds the derived parallel plan (per-shard-pair lookahead matrix,
   /// minimum cross-shard lookahead) when topology inputs changed.
   void ensure_parallel_plan();
-  /// Recomputes the node->shard map from the current source (explicit map,
-  /// topology partitioner, round robin).
+  /// Recomputes the node->shard map: the topology partitioner when link
+  /// overrides exist, round robin otherwise.
   void recompute_shard_map();
   /// Groups nodes connected by short links (latency < the default) onto
   /// the same shard: union-find over short links, split oversized groups
@@ -694,20 +771,9 @@ class Engine {
   std::vector<Process*> daemons_;
   std::mutex spawn_mutex_;  // guards processes_/daemons_/next_process_id_
   Process* current_ = nullptr;
-  bool running_ = false;
-  bool shutting_down_ = false;
   std::atomic<bool> any_failure_{false};  // set by process trampolines
   class Tracer* tracer_ = nullptr;
   obs::Registry* metrics_ = nullptr;
-  // Type-erased parallel-merge hooks installed by set_metrics (obs is not
-  // visible from dacc_sim; these mirror the tracer's begin/merge calls).
-  std::function<void(int)> metrics_begin_parallel_;
-  std::function<void()> metrics_merge_parallel_;
-  // Per-shard era stats sink, also installed by set_metrics: called from
-  // the serial era barrier with (shard, events, inbox batch, stalled) —
-  // deterministic inputs, so the snapshot byte-identity contract holds.
-  std::function<void(int, std::uint64_t, std::uint64_t, bool)>
-      metrics_shard_era_;
 
   // Wallclock tier (non-deterministic; never feeds the snapshot).
   WallSink* wall_ = nullptr;
@@ -723,7 +789,6 @@ class Engine {
 
   // Node -> shard map; empty = round robin (node % num_shards_).
   std::vector<int> shard_of_;
-  bool explicit_shard_map_ = false;  // set_shard_map placed the nodes
 
   // Derived parallel plan (rebuilt lazily at run start when dirty).
   bool plan_dirty_ = true;
@@ -739,9 +804,11 @@ class Engine {
   SimTime era_end_ = 0;      // exclusive bound of the running era
   std::unique_ptr<ParallelRt> rt_;
   ParallelStats pstats_;
-  std::uint64_t serial_ord_ = 0;        // key of the running serial event
-  std::uint32_t serial_trace_seq_ = 0;  // tracer records within that event
+  std::uint64_t serial_ord_ = 0;         // key of the running serial event
+  std::uint32_t serial_record_seq_ = 0;  // observer records within that event
   bool on_pool_ = false;  // promoted: node events live on the shards
+  bool pool_run_ = false;  // inside run_parallel: record() keeps its steps
+  KeptSteps band_kept_;    // the serial band's kept steps
 };
 
 }  // namespace dacc::sim

@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 
@@ -17,50 +16,16 @@ void Tracer::record(std::string track, std::string name, SimTime begin,
                     SimTime end, std::uint64_t trace_id, std::uint64_t span_id,
                     std::uint64_t parent_id) {
   if (end < begin) throw std::invalid_argument("Tracer: span ends early");
-  if (engine_ != nullptr && !pending_.empty()) {
-    SimTime t = 0;
-    std::uint64_t ord = 0;
-    std::uint32_t seq = 0;
-    int buffer = 0;
-    if (engine_->parallel_trace_key(&t, &ord, &seq, &buffer)) {
-      pending_[static_cast<std::size_t>(buffer)].push_back(
-          Tagged{Span{std::move(track), std::move(name), begin, end, trace_id,
-                      span_id, parent_id},
-                 t, ord, seq});
-      return;
-    }
+  auto append = [this, span = Span{std::move(track), std::move(name), begin,
+                                   end, trace_id, span_id,
+                                   parent_id}]() mutable {
+    spans_.push_back(std::move(span));
+  };
+  if (engine_ != nullptr) {
+    engine_->record(std::move(append));
+  } else {
+    append();
   }
-  spans_.push_back(Span{std::move(track), std::move(name), begin, end,
-                        trace_id, span_id, parent_id});
-}
-
-void Tracer::begin_parallel(int buffers) {
-  pending_.resize(static_cast<std::size_t>(buffers));
-}
-
-void Tracer::merge_parallel() {
-  std::size_t n = 0;
-  for (const auto& buf : pending_) n += buf.size();
-  if (n == 0) {
-    pending_.clear();
-    return;
-  }
-  std::vector<Tagged> all;
-  all.reserve(n);
-  for (auto& buf : pending_) {
-    for (auto& t : buf) all.push_back(std::move(t));
-    buf.clear();
-  }
-  pending_.clear();
-  // Canonical order: the emitting event's (time, ord), then emission order
-  // within the event — exactly the order a sequential run appends in.
-  std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.ord != b.ord) return a.ord < b.ord;
-    return a.seq < b.seq;
-  });
-  spans_.reserve(spans_.size() + all.size());
-  for (auto& t : all) spans_.push_back(std::move(t.span));
 }
 
 std::vector<Tracer::Span> Tracer::track(const std::string& name) const {

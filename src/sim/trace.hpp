@@ -7,12 +7,10 @@
 // and device occupancy on a timeline — the kind of observability a
 // production middleware ships with.
 //
-// Under the parallel execution backend, spans are recorded concurrently by
-// the shard workers. Each record is tagged with the canonical key of the
-// event that emitted it (time, source-node ord, intra-event index) and
-// buffered per shard; the engine merges the buffers in canonical order at
-// the end of each run, so the final span list is byte-identical to what the
-// sequential backend appends directly.
+// Every record goes through Engine::record: on the parallel backend's worker
+// pool the engine keeps it under the emitting event's canonical key and
+// appends it in canonical order when the run ends, so the span list is
+// byte-identical to what the serial loop appends directly.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +54,7 @@ class Tracer {
   std::size_t size() const { return spans_.size(); }
   bool empty() const { return spans_.empty(); }
   const std::vector<Span>& spans() const { return spans_; }
-  void clear() {
-    spans_.clear();
-    pending_.clear();
-  }
+  void clear() { spans_.clear(); }
 
   /// Spans recorded on one track, in recording order.
   std::vector<Span> track(const std::string& name) const;
@@ -74,21 +69,11 @@ class Tracer {
  private:
   friend class Engine;
 
-  struct Tagged {
-    Span span;
-    SimTime time = 0;        ///< emitting event's time
-    std::uint64_t ord = 0;   ///< emitting event's canonical key
-    std::uint32_t seq = 0;   ///< record index within that event
-  };
-
-  /// Engine hooks (see Engine::set_tracer / parallel_trace_key).
+  /// Engine::set_tracer's hook.
   void attach(Engine* engine) { engine_ = engine; }
-  void begin_parallel(int buffers);
-  void merge_parallel();
 
   Engine* engine_ = nullptr;
   std::vector<Span> spans_;
-  std::vector<std::vector<Tagged>> pending_;  // one per shard + global band
 };
 
 }  // namespace dacc::sim

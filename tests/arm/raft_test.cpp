@@ -349,11 +349,9 @@ ChaosFingerprint run_chaos(sim::ExecBackend backend, int shards) {
     fp.term = node.term();
     fp.commit = node.commit_index();
   }
-  // Exclude the parallel backend's per-shard era series: shard placement is
-  // a scheduling detail, so those series vary with the shard count by
-  // design. Everything else must stay byte-identical.
-  fp.metrics =
-      cluster.metrics().prometheus(obs::Registry::kShardSeriesPrefix, false);
+  // The whole snapshot: no series depends on the shard map.
+  fp.metrics = cluster.metrics().prometheus();
+  EXPECT_EQ(fp.metrics.find("dacc_sim_"), std::string::npos);
   for (const auto& span : cluster.tracer().track("raft")) {
     fp.raft_spans.push_back(span.name + "@" + std::to_string(span.begin));
   }

@@ -35,8 +35,6 @@ struct RingOpts {
   /// (the partitioner's short/long reference). Semantic in every backend.
   SimDuration override_default = 0;
   std::vector<sim::Engine::LatencyOverride> links;
-  std::vector<int> shard_map;  ///< non-empty: explicit placement
-  obs::Registry* metrics = nullptr;  ///< attached to the engine when set
   /// Queue widen_past_pool_crossover's no-op events before the run, so a
   /// parallel engine moves to its worker pool however few chains there are.
   bool widen = false;
@@ -66,8 +64,6 @@ inline RingResult run_ring(const RingOpts& o) {
   if (o.override_default > 0) {
     engine.set_lookahead_overrides(o.override_default, o.links);
   }
-  if (!o.shard_map.empty()) engine.set_shard_map(o.shard_map);
-  if (o.metrics != nullptr) engine.set_metrics(o.metrics);
 
   struct Chain {
     std::uint64_t hops = 0;

@@ -260,8 +260,9 @@ ProfiledRun run_profiled(sim::ExecBackend backend, int shards = 0) {
     EXPECT_TRUE(dacc::testing::ran_all_eras_on_pool(cluster.engine()));
   }
   ProfiledRun out;
-  out.metrics_prom =
-      cluster.metrics().prometheus(obs::Registry::kShardSeriesPrefix, false);
+  out.metrics_prom = cluster.metrics().prometheus();
+  // The whole snapshot: the engine registers no series of its own.
+  EXPECT_EQ(out.metrics_prom.find("dacc_sim_"), std::string::npos);
   out.profile_prom = cluster.profiler().prometheus();
   out.end = cluster.engine().now();
   return out;

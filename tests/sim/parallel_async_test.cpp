@@ -1,7 +1,7 @@
 // Asynchronous parallel-backend scheduling (DESIGN.md §5.2): the serial
 // loop when no safe horizon width exists (zero lookahead, or a
 // zero-latency link crossing shards), topology-aware shard placement (the
-// partitioner, explicit maps), and the era-count / exposed-parallelism
+// partitioner), and the era-count / exposed-parallelism
 // guard for the 129-node cluster scenario, widened onto the worker pool —
 // the tier-1 check that the band-gap eras actually shrink the number of
 // serial synchronization points without costing determinism.
@@ -77,40 +77,49 @@ TEST(ParallelAsync, PositiveLookaheadRunsWindowed) {
 }
 
 TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {
-  // One zero-latency link in an otherwise uniform topology. The override is
-  // semantic (the 0->1 clamp floor drops to zero) and applies identically
-  // in every backend; whether the engine can still run windowed depends
-  // only on placement.
+  // Zero-latency links in an otherwise uniform topology on 4 nodes and 2
+  // shards. The overrides are semantic (their clamp floors drop to zero)
+  // and apply identically in every backend; whether the engine can still
+  // run windowed depends only on where the partitioner puts the links.
   RingOpts o;
   o.nodes = 4;
   o.chains = 2;
   o.hops = 40;
   o.lookahead = 1000;
   o.override_default = 1000;
-  o.links = {{0, 1, 0}};
+  o.shards = 2;
+  const auto layout = [&o] {
+    sim::Engine engine(sim::ExecBackend::kParallel, o.shards);
+    engine.set_node_count(o.nodes);
+    engine.set_lookahead_overrides(o.override_default, o.links);
+    std::vector<int> map;
+    for (int n = 0; n < o.nodes; ++n) map.push_back(engine.shard_of(n));
+    return map;
+  };
+
+  // Links 0-1 and 1-2 chain three nodes, more than one shard's share of
+  // two: the partitioner places {0, 1} and {2, 3}, so link 1-2 crosses
+  // the shards. Its lookahead cell is zero, no safe horizon width exists,
+  // and the run must keep the serial loop.
+  o.links = {{0, 1, 0}, {1, 2, 0}};
+  EXPECT_EQ(layout(), (std::vector<int>{0, 0, 1, 1}));
   o.backend = sim::ExecBackend::kCoroutine;
   const RingResult serial = run_ring(o);
-
-  // Force the zero-latency pair onto different shards (the partitioner
-  // would never do this): the pair's lookahead cell is zero, so no safe
-  // horizon width exists and the run must keep the serial loop.
   o.backend = sim::ExecBackend::kParallel;
-  o.shards = 2;
-  o.shard_map = {0, 1, 0, 1};
   const RingResult split = run_ring(o);
   EXPECT_TRUE(split.same_simulation(serial));
   EXPECT_EQ(split.pstats.windows, 0u);
   EXPECT_EQ(split.pstats.merged_fallbacks, 1u);
 
-  // Co-locate the pair: the zero-latency link becomes shard-internal, the
-  // cross-shard minimum is back to the full lookahead, and a run widened
-  // past the pool crossover runs eras again.
+  // A lone 0-1 link is co-located: the zero-latency link is
+  // shard-internal, the cross-shard minimum is back to the full
+  // lookahead, and a run widened past the pool crossover runs eras.
+  o.links = {{0, 1, 0}};
+  EXPECT_EQ(layout(), (std::vector<int>{0, 0, 1, 1}));
   o.widen = true;
   o.backend = sim::ExecBackend::kCoroutine;
-  o.shard_map.clear();
   const RingResult serial_wide = run_ring(o);
   o.backend = sim::ExecBackend::kParallel;
-  o.shard_map = {0, 0, 1, 1};
   const RingResult joined = run_ring(o);
   EXPECT_TRUE(joined.same_simulation(serial_wide));
   EXPECT_GT(joined.pstats.windows, 0u);
@@ -118,7 +127,7 @@ TEST(ParallelAsync, ZeroLatencyCrossShardLinkDegradesToMerged) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard placement: partitioner, explicit map
+// Shard placement: the topology partitioner
 // ---------------------------------------------------------------------------
 
 TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
@@ -158,16 +167,6 @@ TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
   EXPECT_TRUE(par.same_simulation(serial));
 }
 
-TEST(ParallelAsync, ExplicitShardMapValidates) {
-  sim::Engine engine(sim::ExecBackend::kParallel, 2);
-  engine.set_node_count(4);
-  EXPECT_THROW(engine.set_shard_map({0, 1}), sim::SimError);        // size
-  EXPECT_THROW(engine.set_shard_map({0, 1, 2, 0}), sim::SimError);  // range
-  engine.set_shard_map({1, 0, 1, 0});
-  EXPECT_EQ(engine.shard_of(0), 1);
-  EXPECT_EQ(engine.shard_of(3), 0);
-}
-
 TEST(ParallelAsync, LatencyOverridesValidate) {
   sim::Engine engine(sim::ExecBackend::kParallel, 2);
   engine.set_node_count(4);
@@ -202,8 +201,8 @@ ChurnOut run_cluster_churn(sim::ExecBackend backend, int shards,
   cc.functional_gpus = false;  // phantom devices: timing only
   cc.sim_backend = backend;
   cc.sim_shards = shards;
-  cc.sim_band_gap = band_gap;
   rt::Cluster cluster(cc);
+  if (band_gap > 0) cluster.engine().set_band_gap(band_gap);
 
   rt::JobSpec spec;
   spec.name = "churn";

@@ -4,22 +4,26 @@
 // queued; then it moves those events onto their shards and runs every era
 // from there on on the worker pool. The path must never show in the
 // results: the tests below hold the coroutine backend as the reference for
-// every cluster size, worker count and shard count, including the metrics
-// snapshot, the per-shard era series and the Chrome trace, and for runs
-// that are bounded with run_until. The wallclock profiler must book every
-// thread a run occupies exactly once on either path, and a model's
-// legality must not depend on the path.
+// every cluster size, worker count and shard count, including the whole
+// metrics snapshot and the Chrome trace, for runs that are bounded with
+// run_until, and for the records a failing pool run leaves. The per-shard
+// era accounting in Engine::ParallelStats depends on the shard map alone.
+// The wallclock profiler must book every thread a run occupies exactly
+// once on either path, and a model's legality must not depend on the path.
 //
 // scripts/check_tsan.sh runs the ParallelPool tests with a four-worker
 // pool: the 513-node cluster and the widened 129-node cluster keep real
 // middleware on concurrent workers, the 4096-chain ring keeps the bare
-// horizon protocol there.
+// horizon protocol there, and the failing run replays its kept spans
+// after an exception crossed the workers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "obs/profiler.hpp"
 #include "rt/cluster.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 #include "util/units.hpp"
 
 namespace dacc {
@@ -49,9 +54,8 @@ struct ChurnRun {
   sim::Engine::ParallelStats pstats;
   std::vector<std::uint64_t> wave_windows;  ///< eras each wave ran
   int workers = 0;
-  std::string metrics;       ///< snapshot without the shard series
-  std::string shard_series;  ///< dacc_sim_shard_* only
-  std::string trace;         ///< Chrome trace JSON
+  std::string metrics;  ///< the whole snapshot, JSON
+  std::string trace;    ///< Chrome trace JSON
 };
 
 /// `waves` waves of a `ranks`-rank MP2C job on `ranks` CNs + `ranks` ACs +
@@ -103,14 +107,7 @@ ChurnRun run_churn(sim::ExecBackend backend, int shards, int ranks,
   out.pstats = cluster.engine().parallel_stats();
   out.workers = cluster.engine().worker_count();
   if (observe) {
-    std::ostringstream m;
-    cluster.metrics().write_json(m, obs::Registry::kShardSeriesPrefix,
-                                 /*include=*/false);
-    out.metrics = m.str();
-    std::ostringstream s;
-    cluster.metrics().write_prometheus(s, obs::Registry::kShardSeriesPrefix,
-                                       /*include=*/true);
-    out.shard_series = s.str();
+    out.metrics = cluster.metrics().json();
     std::ostringstream t;
     cluster.tracer().write_chrome_json(t);
     out.trace = t.str();
@@ -198,20 +195,21 @@ TEST(ParallelPool, MiddlewareRunsOnWorkersAboveTheCrossover) {
 TEST(ParallelPool, MixedPathErasMatchTheCoroutineBackend) {
   // Two waves on a 129-node cluster: the first runs the serial loop and no
   // era, the second is widened past the crossover and runs every era on
-  // the pool. Tracer and metrics buffers and ordering keys carry over from
+  // the pool. Tracer and metrics records and ordering keys carry over from
   // one path to the other, and the queued events move onto the shards.
   //
-  // The per-shard era series (windows entered, horizon stalls, inbox
-  // batches) exist on the parallel run, are byte-identical on a replay,
-  // and the coroutine backend registers none.
+  // The whole snapshot matches; the engine registers no series of its
+  // own. Its per-shard era accounting (eras with and without events,
+  // events, inbox events) depends on the shard map, never on the worker
+  // count.
   const ChurnRun serial = run_churn(sim::ExecBackend::kCoroutine, 0, 64,
                                     /*observe=*/true, /*waves=*/2,
                                     /*widen_at=*/1);
   ASSERT_FALSE(serial.metrics.empty());
   ASSERT_FALSE(serial.trace.empty());
-  EXPECT_TRUE(serial.shard_series.empty());
+  EXPECT_EQ(serial.metrics.find("dacc_sim_"), std::string::npos);
+  EXPECT_TRUE(serial.pstats.shards.empty());
   for (const int shards : {2, 4, 8}) {
-    std::string shard_series;
     sim::Engine::ParallelStats pstats;
     for (const int workers : {1, 2, 4}) {
       SCOPED_TRACE("shards " + std::to_string(shards) + ", workers " +
@@ -224,28 +222,26 @@ TEST(ParallelPool, MixedPathErasMatchTheCoroutineBackend) {
       EXPECT_EQ(par.wave_windows[0], 0u) << "the first wave runs no era";
       EXPECT_GT(par.wave_windows[1], 0u) << "the second runs on the pool";
       expect_same_simulation(par, serial);
-      // The era accounting and the per-shard series depend on the shard
-      // map, never on the worker count.
-      for (const char* name : {"dacc_sim_shard_windows_total",
-                               "dacc_sim_shard_horizon_stalls_total",
-                               "dacc_sim_shard_inbox_batch"}) {
-        EXPECT_NE(par.shard_series.find(name), std::string::npos) << name;
+      ASSERT_EQ(par.pstats.shards.size(), static_cast<std::size_t>(shards));
+      std::uint64_t events = 0;
+      for (const sim::Engine::ShardStats& s : par.pstats.shards) {
+        EXPECT_EQ(s.windows + s.idle_windows, par.pstats.windows);
+        events += s.events;
       }
+      EXPECT_EQ(events, par.pstats.parallel_events);
       if (workers == 1) {
-        shard_series = par.shard_series;
         pstats = par.pstats;
-      } else {
-        EXPECT_EQ(par.shard_series, shard_series);
-        EXPECT_EQ(par.pstats.windows, pstats.windows);
-        EXPECT_EQ(par.pstats.parallel_events, pstats.parallel_events);
-        EXPECT_EQ(par.pstats.critical_path_events,
-                  pstats.critical_path_events);
+        continue;
       }
+      EXPECT_EQ(par.pstats.windows, pstats.windows);
+      EXPECT_EQ(par.pstats.parallel_events, pstats.parallel_events);
+      EXPECT_EQ(par.pstats.critical_path_events, pstats.critical_path_events);
+      EXPECT_EQ(par.pstats.shards, pstats.shards);
     }
   }
 }
 
-/// The per-shard era series a ring must report on any path: every hop
+/// The per-shard era accounting a ring must report on the pool: every hop
 /// runs on its node's shard, and every hop posted across a shard boundary
 /// reaches its target through the inbox. The first hops are posted from
 /// the global context and cross nothing.
@@ -279,9 +275,9 @@ ShardTotals expected_ring_totals(const RingOpts& o) {
 TEST(ParallelPool, RingsMatchSerialOnBothPaths) {
   // 64 chains on a 10k-node ring start 64 events wide, below the
   // crossover, so the engine keeps the serial loop, runs no era and
-  // registers no shard series. 4096 chains start far above it, so every
-  // era goes to the pool: its ordering rests on the horizon protocol
-  // alone, and the shard series report exactly the hops each shard ran and
+  // reports no shard. 4096 chains start far above it, so every era goes
+  // to the pool: its ordering rests on the horizon protocol alone, and
+  // the per-shard stats report exactly the hops each shard ran and
   // received. Both must match the serial run.
   for (const int chains : {64, 4096}) {
     SCOPED_TRACE("chains " + std::to_string(chains));
@@ -296,28 +292,22 @@ TEST(ParallelPool, RingsMatchSerialOnBothPaths) {
 
     o.backend = sim::ExecBackend::kParallel;
     o.shards = 16;
-    obs::Registry registry;
-    o.metrics = &registry;
     const RingResult par = run_ring(o);
     EXPECT_TRUE(par.same_simulation(serial));
     if (chains == 64) {
       EXPECT_EQ(par.pstats.windows, 0u);
-      std::ostringstream series;
-      registry.write_prometheus(series, obs::Registry::kShardSeriesPrefix,
-                                /*include=*/true);
-      EXPECT_EQ(series.str(), "");
+      EXPECT_TRUE(par.pstats.shards.empty());
       continue;
     }
     EXPECT_GT(par.pstats.windows, 0u);
+    ASSERT_EQ(par.pstats.shards.size(), static_cast<std::size_t>(o.shards));
     const ShardTotals want = expected_ring_totals(o);
     for (int s = 0; s < o.shards; ++s) {
-      const std::string id = "{shard=\"" + std::to_string(s) + "\"}";
-      EXPECT_EQ(registry.counter_value("dacc_sim_shard_events_total" + id),
-                want.events[static_cast<std::size_t>(s)])
+      const sim::Engine::ShardStats& got =
+          par.pstats.shards[static_cast<std::size_t>(s)];
+      EXPECT_EQ(got.events, want.events[static_cast<std::size_t>(s)])
           << "shard " << s;
-      EXPECT_EQ(
-          registry.counter_value("dacc_sim_shard_inbox_events_total" + id),
-          want.inbox[static_cast<std::size_t>(s)])
+      EXPECT_EQ(got.inbox_events, want.inbox[static_cast<std::size_t>(s)])
           << "shard " << s;
     }
   }
@@ -456,6 +446,75 @@ TEST(ParallelPool, BoundedRunsMoveToThePoolMidway) {
     EXPECT_EQ(par.visits, serial.visits);
     EXPECT_EQ(par.final_now, serial.final_now);
   }
+}
+
+/// Eight nodes on four shards tick every microsecond and record two spans
+/// per tick (two records in one event), so spans made on different shards
+/// at one time interleave by the canonical key. A process on node 5
+/// throws at kFailAt. Eras run a band gap of 4 us past their floor, so the
+/// era that fails runs on to 8 us and the pool keeps spans from after the
+/// failure before the run ends. Returns every span the tracer holds.
+constexpr SimTime kFailAt = 5500;
+
+std::vector<sim::Tracer::Span> failing_run_spans(sim::ExecBackend backend) {
+  constexpr int kNodes = 8;
+  sim::Tracer tracer;
+  sim::Engine engine(backend, 4);
+  engine.set_node_count(kNodes);
+  engine.set_lookahead(1000);
+  engine.set_band_gap(4000);
+  engine.set_tracer(&tracer);
+  for (int n = 0; n < kNodes; ++n) {
+    engine.spawn_on(n, "tick", [&tracer, n](sim::Context& ctx) {
+      const std::string track = "node-" + std::to_string(n);
+      for (int i = 0; i < 30; ++i) {
+        const SimTime begin = ctx.now();
+        ctx.wait_for(1000);
+        tracer.record(track, "tick-" + std::to_string(i), begin, ctx.now());
+        tracer.record(track, "tock-" + std::to_string(i), begin, ctx.now());
+      }
+    });
+  }
+  engine.spawn_on(5, "fail", [](sim::Context& ctx) {
+    ctx.wait_until(kFailAt);
+    throw std::runtime_error("process body fails");
+  });
+  testing::widen_past_pool_crossover(engine);
+  EXPECT_THROW(engine.run(), sim::SimError);
+  if (backend == sim::ExecBackend::kParallel) {
+    EXPECT_TRUE(testing::ran_all_eras_on_pool(engine));
+  }
+  return tracer.spans();
+}
+
+std::vector<std::string> spans_ending_before(
+    const std::vector<sim::Tracer::Span>& spans, SimTime t) {
+  std::vector<std::string> out;
+  for (const sim::Tracer::Span& s : spans) {
+    if (s.end >= t) continue;
+    out.push_back(s.track + " " + s.name + " " + std::to_string(s.begin) +
+                  "-" + std::to_string(s.end));
+  }
+  return out;
+}
+
+TEST(ParallelPool, FailedRunReplaysItsKeptRecordsInOrder) {
+  // The pool keeps every span until its run ends, and a run that throws
+  // ends too: the kept spans are applied in canonical order on the way
+  // out, each once.
+  ScopedWorkers scoped(std::max(2, sim::default_parallel_workers()));
+  const std::vector<sim::Tracer::Span> serial =
+      failing_run_spans(sim::ExecBackend::kCoroutine);
+  const std::vector<sim::Tracer::Span> pool =
+      failing_run_spans(sim::ExecBackend::kParallel);
+  const std::vector<std::string> want = spans_ending_before(serial, kFailAt);
+  ASSERT_EQ(want.size(), 80u) << "5 ticks on 8 nodes, two spans each";
+  EXPECT_EQ(spans_ending_before(serial, kSimTimeNever), want);
+  EXPECT_EQ(spans_ending_before(pool, kFailAt), want);
+  EXPECT_GT(pool.size(), serial.size()) << "the failing era ran past it";
+  const std::vector<std::string> all = spans_ending_before(pool, kSimTimeNever);
+  EXPECT_EQ(std::set<std::string>(all.begin(), all.end()).size(), all.size())
+      << "a span was applied twice";
 }
 
 TEST(ParallelPool, NodeContextWakingANodelessProcessIsRefusedOnBothPaths) {
