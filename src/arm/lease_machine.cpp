@@ -131,11 +131,16 @@ Heartbeat Heartbeat::decode(proto::WireReader& r) {
 }
 
 util::Buffer SweepRequest::encode() const {
-  return rpc::request_header(static_cast<std::uint32_t>(ArmOp::kSweep), 0)
-      .u64(period)
+  WireWriter w =
+      rpc::request_header(static_cast<std::uint32_t>(ArmOp::kSweep), 0);
+  encode_body(w);
+  return w.finish();
+}
+
+void SweepRequest::encode_body(proto::WireWriter& w) const {
+  w.u64(static_cast<std::uint64_t>(period))
       .u32(miss_threshold)
-      .u32(fresh ? 1 : 0)
-      .finish();
+      .u32(fresh ? 1 : 0);
 }
 
 SweepRequest SweepRequest::decode(proto::WireReader& r) {

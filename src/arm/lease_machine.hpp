@@ -157,7 +157,10 @@ struct SweepRequest {
   std::uint32_t miss_threshold = 0;
   bool fresh = false;
 
+  /// The whole one-way frame (header + body), as the monitor sends it.
   util::Buffer encode() const;
+  /// The body alone, as a replicated leader proposes it.
+  void encode_body(proto::WireWriter& w) const;
   static SweepRequest decode(proto::WireReader& r);
 };
 

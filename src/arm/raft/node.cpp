@@ -269,11 +269,12 @@ void RaftNode::propose_sweep(sim::Context& ctx, bool fresh) {
   cmd.client = self_;
   cmd.reply_tag = 0;
   cmd.op = static_cast<std::uint32_t>(ArmOp::kSweep);
-  cmd.body = WireWriter{}
-                 .u64(static_cast<std::uint64_t>(heartbeat_.period))
-                 .u32(heartbeat_.miss_threshold)
-                 .u32(fresh ? 1 : 0)
-                 .finish();
+  WireWriter body;
+  SweepRequest{.period = heartbeat_.period,
+               .miss_threshold = heartbeat_.miss_threshold,
+               .fresh = fresh}
+      .encode_body(body);
+  cmd.body = body.finish();
   LogEntry e;
   e.term = term_;
   e.at = ctx.now();

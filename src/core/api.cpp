@@ -90,20 +90,18 @@ Future Kernel::run_async(const gpu::LaunchConfig& config) {
 // Accelerator
 // ---------------------------------------------------------------------------
 
-struct Accelerator::ProxyOp {
-  enum class Kind {
-    kAlloc,
-    kFree,
-    kH2D,
-    kD2H,
-    kLaunch,
-    kKernelCheck,
-    kInfo,
-    kPeer,
-    kStop,
-  };
+namespace {
+/// Metric labels of the served ops, indexed by proto::Op value - 1
+/// (kMemAlloc .. kPeerSend; stable, label-safe).
+constexpr const char* kOpLabel[] = {"alloc", "free",   "h2d",  "d2h",
+                                    "check", "launch", "info", "peer"};
+constexpr std::size_t op_index(Op op) {
+  return static_cast<std::size_t>(op) - 1;
+}
+}  // namespace
 
-  Kind kind = Kind::kStop;
+struct Accelerator::ProxyOp {
+  Op op = Op::kShutdown;  ///< kShutdown stops the proxy
   std::uint64_t bytes = 0;
   gpu::DevPtr dst = gpu::kNullDevPtr;
   gpu::DevPtr src = gpu::kNullDevPtr;
@@ -115,6 +113,10 @@ struct Accelerator::ProxyOp {
   gpu::DevPtr peer_dst = gpu::kNullDevPtr;
   proto::TransferConfig transfer;
   std::shared_ptr<Future::State> result;
+  /// The latest answered exchange's status, and an alloc's device pointer.
+  /// A D2H's data and a device query's info go straight to `result` when
+  /// they succeed; the Future completes once the op is final.
+  rpc::BatchResult reply;
 };
 
 Accelerator::Accelerator(Session& session, arm::Lease lease)
@@ -137,7 +139,6 @@ void Accelerator::stop_proxy(sim::Context* ctx) {
   if (stopped_) return;
   stopped_ = true;
   auto op = std::make_unique<ProxyOp>();
-  op->kind = ProxyOp::Kind::kStop;
   auto state = std::make_shared<Future::State>(session_->world_.engine());
   op->result = state;
   ops_->put(std::move(op));
@@ -154,42 +155,14 @@ Future Accelerator::enqueue(ProxyOp op) {
   return Future(state);
 }
 
-/// What one wire exchange produced (exec_op copies it into the Future once
-/// the op is final — only then do virtual-pointer rewrites apply).
-struct Accelerator::AttemptOut {
-  Result status = Result::kSuccess;
-  gpu::DevPtr ptr = gpu::kNullDevPtr;
-  util::Buffer data;
-  DeviceInfo info;
-};
-
-namespace {
-/// Short op-kind labels for metric names (stable, label-safe).
-constexpr const char* kOpKindLabel[] = {
-    "alloc", "free", "h2d",  "d2h", "launch",
-    "check", "info", "peer", "stop"};
-}  // namespace
-
 void Accelerator::bind_metrics(obs::Registry* reg) {
   const auto bounds = obs::latency_bounds_ns();
-  for (std::size_t k = 0; k + 1 < op_latency_.size(); ++k) {  // skip kStop
+  for (std::size_t k = 0; k < op_latency_.size(); ++k) {
     op_latency_[k] = reg->histogram(
-        std::string("dacc_fe_op_latency_ns{op=\"") + kOpKindLabel[k] + "\"}",
+        std::string("dacc_fe_op_latency_ns{op=\"") + kOpLabel[k] + "\"}",
         bounds);
   }
   metrics_bound_ = reg;
-}
-
-bool Accelerator::batchable_op(const ProxyOp& op) {
-  switch (op.kind) {
-    case ProxyOp::Kind::kAlloc:
-    case ProxyOp::Kind::kFree:
-    case ProxyOp::Kind::kLaunch:
-    case ProxyOp::Kind::kKernelCheck:
-      return true;
-    default:
-      return false;
-  }
 }
 
 void Accelerator::proxy_main(sim::Context& ctx) {
@@ -197,137 +170,46 @@ void Accelerator::proxy_main(sim::Context& ctx) {
   rpc::Channel ch(mpi, session_->comm_, lease_.daemon_rank,
                   rpc::Channel::frontend(session_->self_));
   const rpc::StreamConfig& stream = session_->config().batch;
+  const std::size_t watermark = stream.enabled ? stream.watermark : 1;
 
+  // Greedy flush rule: a batchable op takes everything batchable already
+  // enqueued at this instant with it (up to the watermark). A synchronous
+  // caller blocks on its future, so its op is always alone here and goes
+  // out as a flush of one; async bursts build real batches.
+  std::vector<std::unique_ptr<ProxyOp>> flush;
   // An op pulled off the mailbox while coalescing that cannot join the
-  // batch; it is served right after the flush, before blocking again.
+  // flush; it starts the next one, before the proxy blocks again.
   std::unique_ptr<ProxyOp> held;
   for (;;) {
-    std::unique_ptr<ProxyOp> op =
-        held != nullptr ? std::move(held) : ops_->get(ctx);
-    if (op->kind == ProxyOp::Kind::kStop) {
-      op->result->complete(Result::kSuccess);
+    flush.push_back(held != nullptr ? std::move(held) : ops_->get(ctx));
+    if (flush.front()->op == Op::kShutdown) {
+      flush.front()->result->complete(Result::kSuccess);
       return;
     }
-    if (stream.enabled && batchable_op(*op)) {
-      // Greedy flush-rule implementation: everything already enqueued at
-      // this instant coalesces (up to the watermark). A synchronous caller
-      // blocks on its future, so its op is always alone here and goes out
-      // on its own single-op frame; async bursts build real batches.
-      std::vector<std::unique_ptr<ProxyOp>> group;
-      group.push_back(std::move(op));
-      while (group.size() < stream.watermark) {
-        std::optional<std::unique_ptr<ProxyOp>> next = ops_->try_get();
-        if (!next.has_value()) break;
-        if (!batchable_op(**next)) {  // includes kStop
-          held = std::move(*next);
-          break;
-        }
-        group.push_back(std::move(*next));
+    while (rpc::batchable(flush.front()->op) && flush.size() < watermark) {
+      std::optional<std::unique_ptr<ProxyOp>> next = ops_->try_get();
+      if (!next.has_value()) break;
+      if (!rpc::batchable((*next)->op)) {  // includes kShutdown
+        held = std::move(*next);
+        break;
       }
-      if (group.size() == 1) {
-        execute_one(ch, ctx, *group.front());
-      } else {
-        execute_batch(ch, ctx, group);
-      }
-      continue;
+      flush.push_back(std::move(*next));
     }
-    execute_one(ch, ctx, *op);
+    serve(ch, ctx, flush);
+    flush.clear();  // free the served ops and payloads before blocking
   }
 }
 
-void Accelerator::execute_one(rpc::Channel& ch, sim::Context& ctx,
-                              ProxyOp& op) {
+void Accelerator::serve(rpc::Channel& ch, sim::Context& ctx, Flush flush) {
   const proto::ProtoParams& pp = session_->config().proto;
   sim::Engine& engine = session_->world_.engine();
-  const SimTime op_begin = ctx.now();
-  ctx.wait_for(pp.fe_marshal);  // request marshalling on the CN CPU
-  sim::Tracer* const tracer = engine.tracer();
-  const std::string label = tracer != nullptr ? op_label(op) : std::string{};
-  // Causal trace context: one trace per front-end API call. The root span
-  // id doubles as the trace id; it rides the request headers into the
-  // daemon (and its NIC hops) so the whole chain stitches together.
-  std::uint64_t trace_id = 0;
-  if (tracer != nullptr) {
-    trace_id = (std::uint64_t{1} << 56) |
-               (static_cast<std::uint64_t>(session_->self_) << 40) |
-               (static_cast<std::uint64_t>(lease_.daemon_rank) << 24) |
-               ++trace_seq_;
-    engine.set_current_trace({trace_id, trace_id});
-  }
-  exec_op(ch, ctx, op);
-  if (tracer != nullptr) {
-    engine.set_current_trace({});
-    const std::string track = "fe-r" + std::to_string(session_->self_) +
-                              "-ac" + std::to_string(lease_.daemon_rank);
-    tracer->record(track, label, op_begin, ctx.now(), trace_id, trace_id,
-                   /*parent_id=*/0);
-  }
-  if (obs::Registry* reg = engine.metrics()) {
-    if (metrics_bound_ != reg) bind_metrics(reg);
-    op_latency_[static_cast<std::size_t>(op.kind)].observe(
-        static_cast<std::uint64_t>(ctx.now() - op_begin));
-  }
-}
-
-rpc::BatchItem Accelerator::to_batch_item(const ProxyOp& op) const {
-  rpc::BatchItem item;
-  switch (op.kind) {
-    case ProxyOp::Kind::kAlloc:
-      item.op = Op::kMemAlloc;
-      item.arg = op.bytes;
-      break;
-    case ProxyOp::Kind::kFree:
-      item.op = Op::kMemFree;
-      item.arg = to_device(op.dst);
-      break;
-    case ProxyOp::Kind::kKernelCheck:
-      item.op = Op::kKernelCreate;
-      item.kernel = op.kernel;
-      break;
-    case ProxyOp::Kind::kLaunch:
-      item.op = Op::kKernelRun;
-      item.kernel = op.kernel;
-      item.launch = op.launch;
-      item.args = op.args;
-      for (gpu::KernelArg& a : item.args) {
-        if (auto* p = std::get_if<gpu::DevPtr>(&a)) *p = to_device(*p);
-      }
-      break;
-    default:
-      throw std::logic_error("to_batch_item: op is not batchable");
-  }
-  return item;
-}
-
-bool Accelerator::attempt_batch(
-    rpc::Channel& ch, const std::vector<std::unique_ptr<ProxyOp>>& group,
-    std::vector<rpc::BatchResult>* out, SimTime deadline) {
-  // Items are rebuilt per attempt: pointer translation must see the table
-  // the *current* lease's replay produced.
-  std::vector<rpc::BatchItem> items;
-  items.reserve(group.size());
-  for (const std::unique_ptr<ProxyOp>& op : group) {
-    items.push_back(to_batch_item(*op));
-  }
-  const int reply_tag = ch.next_reply_tag();
-  WireWriter w = ch.request(Op::kBatch, reply_tag);
-  rpc::encode_batch(w, items);
-  std::optional<util::Buffer> resp =
-      ch.exchange(w.finish(), reply_tag, deadline);
-  if (!resp.has_value()) return false;
-  *out = rpc::decode_batch_reply(std::move(*resp), group.size());
-  return true;
-}
-
-void Accelerator::execute_batch(rpc::Channel& ch, sim::Context& ctx,
-                                std::vector<std::unique_ptr<ProxyOp>>& group) {
-  const proto::ProtoParams& pp = session_->config().proto;
-  sim::Engine& engine = session_->world_.engine();
-  const rpc::RetryPolicy& rp = session_->config().retry;
   const SimTime begin = ctx.now();
-  // Marshalling still costs the CN CPU once per sub-request; batching
-  // amortises the messaging, not the encoding.
-  ctx.wait_for(pp.fe_marshal * static_cast<SimDuration>(group.size()));
+  // Request marshalling costs the CN CPU once per op; batching amortises
+  // the messaging, not the encoding.
+  ctx.wait_for(pp.fe_marshal * static_cast<SimDuration>(flush.size()));
+  // Causal trace context: one trace per flush. The root span id doubles as
+  // the trace id; it rides the request headers into the daemon (and its NIC
+  // hops) so the whole chain stitches together.
   sim::Tracer* const tracer = engine.tracer();
   std::uint64_t trace_id = 0;
   if (tracer != nullptr) {
@@ -337,109 +219,130 @@ void Accelerator::execute_batch(rpc::Channel& ch, sim::Context& ctx,
                ++trace_seq_;
     engine.set_current_trace({trace_id, trace_id});
   }
-
-  bool revoked_dead_end = false;
-  std::uint32_t revoke_reason = arm::kRevokeFailure;
-  if (rp.replace_on_failure && consume_revocation(ch, &revoke_reason) &&
-      !try_replace(ch, ctx, revoke_reason != arm::kRevokePreempted)) {
-    revoked_dead_end = true;
-  }
-  if (revoked_dead_end) {
-    for (std::unique_ptr<ProxyOp>& op : group) {
-      op->result->complete(Result::kUnavailable);
-    }
-  } else {
-    std::vector<rpc::BatchResult> results;
-    const bool answered = rpc::with_retry(ctx, rp, [&](SimTime deadline) {
-      return attempt_batch(ch, group, &results, deadline);
-    });
-    if (!answered) {
-      // The daemon went silent mid-stream. Replace it if policy allows and
-      // push every sub-request through the single-op path (which replays
-      // and retries on the fresh lease); otherwise the whole group fails.
-      if (obs::FlightRecorder* fr = engine.flight()) {
-        fr->note(ctx.now(), "fe",
-                 "batch[" + std::to_string(group.size()) + "]: retry ladder " +
-                     "exhausted on ac" + std::to_string(lease_.daemon_rank),
-                 trace_id);
-      }
-      if (try_replace(ch, ctx, /*broken=*/true)) {
-        for (std::unique_ptr<ProxyOp>& op : group) exec_op(ch, ctx, *op);
-      } else {
-        for (std::unique_ptr<ProxyOp>& op : group) {
-          op->result->complete(Result::kUnavailable);
-        }
-      }
-    } else {
-      ch.note_flush(static_cast<std::uint32_t>(group.size()));
-      bool device_dead = false;
-      for (const rpc::BatchResult& r : results) {
-        if (r.status == Result::kEccError) device_dead = true;
-      }
-      // Commit the successes first: they belong to the replay log, so a
-      // replacement triggered by a failed sibling reconstructs them too.
-      std::vector<std::size_t> failed;
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        ProxyOp& op = *group[i];
-        if (results[i].status == Result::kSuccess) {
-          AttemptOut out;
-          out.status = Result::kSuccess;
-          out.ptr = results[i].ptr;
-          commit(op, out);
-          op.result->ptr = out.ptr;
-          op.result->complete(Result::kSuccess);
-        } else {
-          failed.push_back(i);
-        }
-      }
-      if (!failed.empty()) {
-        if (device_dead) {
-          if (obs::FlightRecorder* fr = engine.flight()) {
-            fr->note(ctx.now(), "fe",
-                     "batch: ecc failure on ac" +
-                         std::to_string(lease_.daemon_rank) + ", " +
-                         std::to_string(failed.size()) +
-                         " sub-op(s) need a replacement",
-                     trace_id);
-          }
-        }
-        const bool replaced =
-            device_dead && try_replace(ch, ctx, /*broken=*/true);
-        for (const std::size_t i : failed) {
-          if (replaced) {
-            exec_op(ch, ctx, *group[i]);  // re-execute on the replacement
-          } else {
-            group[i]->result->complete(results[i].status);
-          }
-        }
-      }
-    }
-  }
-
+  run_ladder(ch, ctx, flush, trace_id);
   if (tracer != nullptr) {
     engine.set_current_trace({});
     const std::string track = "fe-r" + std::to_string(session_->self_) +
                               "-ac" + std::to_string(lease_.daemon_rank);
-    tracer->record(track, "batch[" + std::to_string(group.size()) + "]",
-                   begin, ctx.now(), trace_id, trace_id, /*parent_id=*/0);
-    // One child span per sub-op under the batch span. The id is derived the
-    // same way on the daemon side (rpc::batch_sub_span), so its per-sub-op
-    // spans parent on these and flow arrows stitch each small op through
-    // the batch frame it rode in.
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      tracer->record(track, op_label(*group[i]), begin, ctx.now(), trace_id,
-                     rpc::batch_sub_span(trace_id,
-                                         static_cast<std::uint32_t>(i)),
-                     /*parent_id=*/trace_id);
+    if (flush.size() == 1) {
+      tracer->record(track, op_label(*flush.front()), begin, ctx.now(),
+                     trace_id, trace_id, /*parent_id=*/0);
+    } else {
+      tracer->record(track, "batch[" + std::to_string(flush.size()) + "]",
+                     begin, ctx.now(), trace_id, trace_id, /*parent_id=*/0);
+      // One child span per sub-op under the batch span. The id is derived
+      // the same way on the daemon side (rpc::batch_sub_span), so its
+      // per-sub-op spans parent on these and flow arrows stitch each small
+      // op through the batch frame it rode in.
+      for (std::size_t i = 0; i < flush.size(); ++i) {
+        tracer->record(track, op_label(*flush[i]), begin, ctx.now(),
+                       trace_id,
+                       rpc::batch_sub_span(trace_id,
+                                           static_cast<std::uint32_t>(i)),
+                       /*parent_id=*/trace_id);
+      }
     }
   }
   if (obs::Registry* reg = engine.metrics()) {
     if (metrics_bound_ != reg) bind_metrics(reg);
     const auto elapsed = static_cast<std::uint64_t>(ctx.now() - begin);
-    for (const std::unique_ptr<ProxyOp>& op : group) {
-      op_latency_[static_cast<std::size_t>(op->kind)].observe(elapsed);
+    for (const std::unique_ptr<ProxyOp>& op : flush) {
+      op_latency_[op_index(op->op)].observe(elapsed);
     }
   }
+}
+
+void Accelerator::run_ladder(rpc::Channel& ch, sim::Context& ctx, Flush flush,
+                             std::uint64_t trace_id) {
+  const rpc::RetryPolicy& rp = session_->config().retry;
+  std::uint32_t reason = arm::kRevokeFailure;
+  if (rp.replace_on_failure && consume_revocation(ch, &reason) &&
+      !try_replace(ch, ctx, reason != arm::kRevokePreempted)) {
+    // Our lease was revoked — by the liveness sweep (slot dead) or by a
+    // higher-priority preemption (slot healthy, not ours to break) — and
+    // no replacement could be had before touching the wire.
+    for (const std::unique_ptr<ProxyOp>& op : flush) {
+      op->result->complete(Result::kUnavailable);
+    }
+    return;
+  }
+  const bool answered = exchange_with_retry(ch, ctx, flush);
+  // Commit the successes first: they belong to the replay log, so a
+  // replacement triggered by a failed sibling reconstructs them too. A
+  // silent server or a dead device asks for a replacement.
+  bool broken = !answered;
+  std::size_t failed = 0;
+  for (const std::unique_ptr<ProxyOp>& op : flush) {
+    rpc::BatchResult& reply = op->reply;
+    if (!answered) reply.status = Result::kUnavailable;
+    if (reply.status != Result::kSuccess) {
+      ++failed;
+      broken = broken || reply.status == Result::kEccError;
+      continue;
+    }
+    commit(*op);
+    op->result->ptr = reply.ptr;
+    op->result->complete(Result::kSuccess);
+  }
+  if (failed == 0) return;
+  obs::FlightRecorder* const fr = session_->world_.engine().flight();
+  if (broken && flush.size() > 1 && fr != nullptr) {
+    const std::string ac = "ac" + std::to_string(lease_.daemon_rank);
+    fr->note(ctx.now(), "fe",
+             answered ? "batch: ecc failure on " + ac + ", " +
+                            std::to_string(failed) +
+                            " sub-op(s) need a replacement"
+                      : "batch[" + std::to_string(flush.size()) +
+                            "]: retry ladder exhausted on " + ac,
+             trace_id);
+  }
+  const bool replaced = broken && try_replace(ch, ctx, /*broken=*/true);
+  for (std::size_t i = 0; i < flush.size(); ++i) {
+    const Result status = flush[i]->reply.status;
+    if (status == Result::kSuccess) continue;
+    if (replaced) {
+      // State replayed: run the op again, alone, on the replacement.
+      run_ladder(ch, ctx, flush.subspan(i, 1), trace_id);
+    } else {
+      flush[i]->result->complete(status);
+    }
+  }
+}
+
+bool Accelerator::exchange_with_retry(rpc::Channel& ch, sim::Context& ctx,
+                                      Flush flush) {
+  const bool answered =
+      rpc::with_retry(ctx, session_->config().retry, [&](SimTime deadline) {
+        return attempt(ch, flush, deadline);
+      });
+  if (answered) ch.note_flush(static_cast<std::uint32_t>(flush.size()));
+  return answered;
+}
+
+rpc::BatchItem Accelerator::wire_item(const ProxyOp& op) const {
+  rpc::BatchItem item;
+  item.op = op.op;
+  switch (op.op) {
+    case Op::kMemAlloc:
+      item.arg = op.bytes;
+      break;
+    case Op::kMemFree:
+      item.arg = to_device(op.dst);
+      break;
+    case Op::kKernelRun:
+      item.launch = op.launch;
+      item.args = op.args;
+      for (gpu::KernelArg& a : item.args) {
+        if (auto* p = std::get_if<gpu::DevPtr>(&a)) *p = to_device(*p);
+      }
+      [[fallthrough]];
+    case Op::kKernelCreate:
+      item.kernel = op.kernel;
+      break;
+    default:
+      throw std::logic_error("wire_item: op is not batchable");
+  }
+  return item;
 }
 
 gpu::DevPtr Accelerator::to_device(gpu::DevPtr app) const {
@@ -453,14 +356,13 @@ gpu::DevPtr Accelerator::to_device(gpu::DevPtr app) const {
   return span.device_ptr + (app - base);  // interior pointers translate too
 }
 
-bool Accelerator::attempt_op(rpc::Channel& ch, sim::Context& ctx,
-                             const ProxyOp& op, AttemptOut* out,
-                             SimTime deadline) {
-  (void)ctx;
+bool Accelerator::attempt(rpc::Channel& ch, Flush flush, SimTime deadline) {
   // One request/response exchange on this attempt's private tag pair (bulk
   // data on reply_tag + 1). The reply receive is posted before the request
   // goes out; on deadline expiry it is cancelled, so a late response parks
-  // harmlessly on an abandoned tag.
+  // harmlessly on an abandoned tag. Requests are rebuilt per attempt:
+  // pointer translation must see the table the current lease's replay
+  // produced.
   const int reply_tag = ch.next_reply_tag();
   const int data_tag = reply_tag + 1;
   auto exchange = [&](util::Buffer request) {
@@ -468,23 +370,38 @@ bool Accelerator::attempt_op(rpc::Channel& ch, sim::Context& ctx,
   };
   auto header = [&](Op o) { return ch.request(o, reply_tag); };
 
-  switch (op.kind) {
-    case ProxyOp::Kind::kAlloc: {
-      auto resp = exchange(header(Op::kMemAlloc).u64(op.bytes).finish());
-      if (!resp) return false;
-      WireReader r(std::move(*resp));
-      out->status = r.result();
-      out->ptr = r.u64();
-      return true;
+  if (flush.size() > 1) {
+    std::vector<rpc::BatchItem> items;
+    items.reserve(flush.size());
+    for (const std::unique_ptr<ProxyOp>& op : flush) {
+      items.push_back(wire_item(*op));
     }
-    case ProxyOp::Kind::kFree: {
-      auto resp =
-          exchange(header(Op::kMemFree).u64(to_device(op.dst)).finish());
-      if (!resp) return false;
-      out->status = WireReader(std::move(*resp)).result();
-      return true;
+    WireWriter w = header(Op::kBatch);
+    rpc::encode_batch(w, items);
+    auto resp = exchange(w.finish());
+    if (!resp) return false;
+    const std::vector<rpc::BatchResult> results =
+        rpc::decode_batch_reply(std::move(*resp), flush.size());
+    for (std::size_t i = 0; i < flush.size(); ++i) {
+      flush[i]->reply = results[i];
     }
-    case ProxyOp::Kind::kH2D: {
+    return true;
+  }
+
+  ProxyOp& op = *flush.front();
+  rpc::BatchResult& out = op.reply;
+  if (rpc::batchable(op.op)) {
+    WireWriter w = header(op.op);
+    rpc::encode_item(w, wire_item(op));
+    auto resp = exchange(w.finish());
+    if (!resp) return false;
+    WireReader r(std::move(*resp));
+    out.status = r.result();
+    if (op.op == Op::kMemAlloc) out.ptr = r.u64();
+    return true;
+  }
+  switch (op.op) {
+    case Op::kMemcpyHtoD: {
       dmpi::Request reply = ch.post_reply(reply_tag);
       ch.send_request(header(Op::kMemcpyHtoD)
                           .u64(to_device(op.dst))
@@ -501,10 +418,10 @@ bool Accelerator::attempt_op(rpc::Channel& ch, sim::Context& ctx,
         return false;
       }
       if (!ch.finish(reply, deadline)) return false;
-      out->status = WireReader(reply.take_payload()).result();
+      out.status = WireReader(reply.take_payload()).result();
       return true;
     }
-    case ProxyOp::Kind::kD2H: {
+    case Op::kMemcpyDtoH: {
       auto resp = exchange(header(Op::kMemcpyDtoH)
                                .u64(to_device(op.src))
                                .u64(op.bytes)
@@ -513,54 +430,37 @@ bool Accelerator::attempt_op(rpc::Channel& ch, sim::Context& ctx,
       if (!resp) return false;
       const Result pre = WireReader(std::move(*resp)).result();
       if (pre != Result::kSuccess) {
-        out->status = pre;
+        out.status = pre;
         return true;
       }
+      util::Buffer data;
       try {
-        out->data = proto::recv_assemble(ch.mpi(), ch.comm(), ch.server(),
-                                         op.bytes, op.transfer, data_tag,
-                                         deadline);
+        data = proto::recv_assemble(ch.mpi(), ch.comm(), ch.server(),
+                                    op.bytes, op.transfer, data_tag,
+                                    deadline);
       } catch (const proto::TransferTimeout&) {
         return false;
       }
       dmpi::Request fin = ch.post_reply(reply_tag);
       if (!ch.finish(fin, deadline)) return false;
-      out->status = WireReader(fin.take_payload()).result();
+      out.status = WireReader(fin.take_payload()).result();
+      if (out.status == Result::kSuccess) op.result->data = std::move(data);
       return true;
     }
-    case ProxyOp::Kind::kLaunch: {
-      gpu::KernelArgs args = op.args;
-      for (gpu::KernelArg& a : args) {
-        if (auto* p = std::get_if<gpu::DevPtr>(&a)) *p = to_device(*p);
-      }
-      auto resp = exchange(header(Op::kKernelRun)
-                               .str(op.kernel)
-                               .launch_config(op.launch)
-                               .kernel_args(args)
-                               .finish());
-      if (!resp) return false;
-      out->status = WireReader(std::move(*resp)).result();
-      return true;
-    }
-    case ProxyOp::Kind::kKernelCheck: {
-      auto resp = exchange(header(Op::kKernelCreate).str(op.kernel).finish());
-      if (!resp) return false;
-      out->status = WireReader(std::move(*resp)).result();
-      return true;
-    }
-    case ProxyOp::Kind::kInfo: {
+    case Op::kDeviceInfo: {
       auto resp = exchange(header(Op::kDeviceInfo).finish());
       if (!resp) return false;
       WireReader r(std::move(*resp));
-      out->status = r.result();
-      if (out->status == Result::kSuccess) {
-        out->info.name = r.str();
-        out->info.memory_bytes = r.u64();
-        out->info.memory_free = r.u64();
+      out.status = r.result();
+      if (out.status == Result::kSuccess) {
+        DeviceInfo& info = op.result->info;
+        info.name = r.str();
+        info.memory_bytes = r.u64();
+        info.memory_free = r.u64();
       }
       return true;
     }
-    case ProxyOp::Kind::kPeer: {
+    case Op::kPeerSend: {
       auto resp = exchange(
           header(Op::kPeerSend)
               .u64(to_device(op.src))
@@ -570,23 +470,12 @@ bool Accelerator::attempt_op(rpc::Channel& ch, sim::Context& ctx,
               .transfer_config(op.transfer)
               .finish());
       if (!resp) return false;
-      out->status = WireReader(std::move(*resp)).result();
+      out.status = WireReader(std::move(*resp)).result();
       return true;
     }
-    case ProxyOp::Kind::kStop:
-      break;  // never reaches the wire
+    default:
+      throw std::logic_error("attempt: op never reaches the wire");
   }
-  return true;
-}
-
-bool Accelerator::attempt_with_retry(rpc::Channel& ch, sim::Context& ctx,
-                                     const ProxyOp& op, AttemptOut* out) {
-  const bool answered =
-      rpc::with_retry(ctx, session_->config().retry, [&](SimTime deadline) {
-        return attempt_op(ch, ctx, op, out, deadline);
-      });
-  if (answered) ch.note_flush(1);  // a lone op is a command group of one
-  return answered;
 }
 
 bool Accelerator::consume_revocation(rpc::Channel& ch, std::uint32_t* reason) {
@@ -612,21 +501,20 @@ bool Accelerator::replay(rpc::Channel& ch, sim::Context& ctx,
   // original order, so interleaved alloc/free histories replay cleanly.
   allocs_.clear();
   for (const std::unique_ptr<ProxyOp>& e : replay_log_) {
-    AttemptOut out;
-    if (!attempt_with_retry(ch, ctx, *e, &out)) return false;
-    if (out.status != Result::kSuccess) return false;
-    switch (e->kind) {
-      case ProxyOp::Kind::kAlloc:
-        allocs_[e->dst] = AllocSpan{e->bytes, out.ptr};
+    if (!exchange_with_retry(ch, ctx, Flush(&e, 1))) return false;
+    if (e->reply.status != Result::kSuccess) return false;
+    switch (e->op) {
+      case Op::kMemAlloc:
+        allocs_[e->dst] = AllocSpan{e->bytes, e->reply.ptr};
         break;
-      case ProxyOp::Kind::kFree:
+      case Op::kMemFree:
         allocs_.erase(e->dst);
         break;
       default:
         break;
     }
     ++*ops;
-    if (e->kind == ProxyOp::Kind::kH2D) *bytes += e->data.size();
+    if (e->op == Op::kMemcpyHtoD) *bytes += e->data.size();
   }
   return true;
 }
@@ -690,125 +578,86 @@ bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
   return true;
 }
 
-void Accelerator::commit(const ProxyOp& op, AttemptOut& out) {
+void Accelerator::commit(ProxyOp& op) {
   if (!session_->config().retry.replace_on_failure) return;
-  using Kind = ProxyOp::Kind;
-  auto clone = std::make_unique<ProxyOp>();
-  clone->kind = op.kind;
-  switch (op.kind) {
-    case Kind::kAlloc: {
+  ProxyOp clone;
+  clone.op = op.op;
+  switch (op.op) {
+    case Op::kMemAlloc: {
       // Hand the app a virtual pointer; the physical one goes in the table
       // so a replacement can rebind every later use. Alignment mirrors the
       // device allocator so interior arithmetic stays in range.
       const gpu::DevPtr app = next_virtual_;
       next_virtual_ += ((op.bytes + 255) / 256) * 256 + 256;
-      allocs_[app] = AllocSpan{op.bytes, out.ptr};
-      clone->bytes = op.bytes;
-      clone->dst = app;
-      replay_log_.push_back(std::move(clone));
-      out.ptr = app;
-      return;
+      allocs_[app] = AllocSpan{op.bytes, op.reply.ptr};
+      clone.bytes = op.bytes;
+      clone.dst = app;
+      op.reply.ptr = app;
+      break;
     }
-    case Kind::kFree:
+    case Op::kMemFree:
       allocs_.erase(op.dst);
-      clone->dst = op.dst;
-      replay_log_.push_back(std::move(clone));
-      return;
-    case Kind::kH2D:
-      clone->dst = op.dst;
-      clone->data = op.data.view();  // shares the payload store, no copy
-      clone->transfer = op.transfer;
-      replay_log_.push_back(std::move(clone));
-      return;
-    case Kind::kLaunch:
-      clone->kernel = op.kernel;
-      clone->launch = op.launch;
-      clone->args = op.args;  // app-level pointers; translated per attempt
-      replay_log_.push_back(std::move(clone));
-      return;
+      clone.dst = op.dst;
+      break;
+    case Op::kMemcpyHtoD:
+      clone.dst = op.dst;
+      clone.data = op.data.view();  // shares the payload store, no copy
+      clone.transfer = op.transfer;
+      break;
+    case Op::kKernelRun:
+      clone.kernel = op.kernel;
+      clone.launch = op.launch;
+      clone.args = op.args;  // app-level pointers; translated per attempt
+      break;
     default:
-      // D2H / info / kernel-check are reads, peer copies are not replayable
+      // D2H / info / kernel-create are reads, peer copies are not replayable
       // (the peer's memory is not ours to restore — documented limitation).
       return;
   }
-}
-
-void Accelerator::exec_op(rpc::Channel& ch, sim::Context& ctx, ProxyOp& op) {
-  Future::State& res = *op.result;
-  const rpc::RetryPolicy& rp = session_->config().retry;
-  for (;;) {
-    std::uint32_t reason = arm::kRevokeFailure;
-    if (rp.replace_on_failure && consume_revocation(ch, &reason)) {
-      // Our lease was revoked — by the liveness sweep (slot dead) or by a
-      // higher-priority preemption (slot healthy, not ours to break).
-      // Replace before touching the wire either way.
-      if (!try_replace(ch, ctx, reason != arm::kRevokePreempted)) {
-        res.complete(Result::kUnavailable);
-        return;
-      }
-    }
-    AttemptOut out;
-    const bool answered = attempt_with_retry(ch, ctx, op, &out);
-    if (answered && out.status == Result::kSuccess) {
-      commit(op, out);
-      res.ptr = out.ptr;
-      res.data = std::move(out.data);
-      res.info = std::move(out.info);
-      res.complete(Result::kSuccess);
-      return;
-    }
-    const bool device_dead = answered && out.status == Result::kEccError;
-    if ((device_dead || !answered) && try_replace(ch, ctx, /*broken=*/true)) {
-      continue;  // state replayed; re-execute this op on the replacement
-    }
-    res.complete(answered ? out.status : Result::kUnavailable);
-    return;
-  }
+  replay_log_.push_back(std::make_unique<ProxyOp>(std::move(clone)));
 }
 
 std::string Accelerator::op_label(const ProxyOp& op) {
-  using Kind = ProxyOp::Kind;
   auto size_suffix = [&] {
     const std::uint64_t bytes =
-        op.kind == Kind::kH2D ? op.data.size() : op.bytes;
+        op.op == Op::kMemcpyHtoD ? op.data.size() : op.bytes;
     if (bytes >= 1024 * 1024) {
       return " " + std::to_string(bytes / (1024 * 1024)) + "MiB";
     }
     return " " + std::to_string(bytes) + "B";
   };
-  switch (op.kind) {
-    case Kind::kAlloc:
+  switch (op.op) {
+    case Op::kMemAlloc:
       return "alloc" + size_suffix();
-    case Kind::kFree:
+    case Op::kMemFree:
       return "free";
-    case Kind::kH2D:
+    case Op::kMemcpyHtoD:
       return "h2d" + size_suffix();
-    case Kind::kD2H:
+    case Op::kMemcpyDtoH:
       return "d2h" + size_suffix();
-    case Kind::kLaunch:
+    case Op::kKernelRun:
       return "launch " + op.kernel;
-    case Kind::kKernelCheck:
+    case Op::kKernelCreate:
       return "kernel_create " + op.kernel;
-    case Kind::kInfo:
+    case Op::kDeviceInfo:
       return "device_info";
-    case Kind::kPeer:
+    case Op::kPeerSend:
       return "peer_copy" + size_suffix();
-    case Kind::kStop:
-      return "stop";
+    default:
+      return "?";
   }
-  return "?";
 }
 
 Future Accelerator::mem_alloc_async(std::uint64_t bytes) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kAlloc;
+  op.op = Op::kMemAlloc;
   op.bytes = bytes;
   return enqueue(std::move(op));
 }
 
 Future Accelerator::memcpy_h2d_async(gpu::DevPtr dst, util::Buffer src) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kH2D;
+  op.op = Op::kMemcpyHtoD;
   op.dst = dst;
   op.data = std::move(src);
   op.transfer = transfer_;
@@ -817,7 +666,7 @@ Future Accelerator::memcpy_h2d_async(gpu::DevPtr dst, util::Buffer src) {
 
 Future Accelerator::memcpy_d2h_async(gpu::DevPtr src, std::uint64_t bytes) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kD2H;
+  op.op = Op::kMemcpyDtoH;
   op.src = src;
   op.bytes = bytes;
   op.transfer = transfer_;
@@ -828,7 +677,7 @@ Future Accelerator::launch_async(const std::string& kernel,
                                  const gpu::LaunchConfig& config,
                                  gpu::KernelArgs args) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kLaunch;
+  op.op = Op::kKernelRun;
   op.kernel = kernel;
   op.launch = config;
   op.args = std::move(args);
@@ -839,7 +688,7 @@ Future Accelerator::copy_to_peer_async(gpu::DevPtr src, Accelerator& peer,
                                        gpu::DevPtr peer_dst,
                                        std::uint64_t bytes) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kPeer;
+  op.op = Op::kPeerSend;
   op.src = src;
   op.bytes = bytes;
   op.peer = peer.daemon_rank();
@@ -856,7 +705,7 @@ gpu::DevPtr Accelerator::mem_alloc(std::uint64_t bytes) {
 
 void Accelerator::mem_free(gpu::DevPtr ptr) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kFree;
+  op.op = Op::kMemFree;
   op.dst = ptr;
   enqueue(std::move(op)).get(session_->ctx_);
 }
@@ -879,7 +728,7 @@ void Accelerator::launch(const std::string& kernel,
 
 Kernel Accelerator::kernel_create(const std::string& name) {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kKernelCheck;
+  op.op = Op::kKernelCreate;
   op.kernel = name;
   enqueue(std::move(op)).get(session_->ctx_);
   return Kernel(*this, name);
@@ -887,7 +736,7 @@ Kernel Accelerator::kernel_create(const std::string& name) {
 
 DeviceInfo Accelerator::info() {
   ProxyOp op;
-  op.kind = ProxyOp::Kind::kInfo;
+  op.op = Op::kDeviceInfo;
   Future f = enqueue(std::move(op));
   f.get(session_->ctx_);
   return f.state_->info;

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -146,7 +147,9 @@ class Accelerator {
  private:
   friend class Session;
   struct ProxyOp;
-  struct AttemptOut;
+  /// One flush of the proxy: a lone op, or a coalesced run of batchable
+  /// ops (DESIGN.md §10). Its size decides only which frame goes out.
+  using Flush = std::span<const std::unique_ptr<ProxyOp>>;
   /// Replay-table entry: one live allocation, keyed by its app-visible
   /// (virtual) pointer; device_ptr is the current physical pointer on the
   /// leased accelerator and is rewritten wholesale by replay().
@@ -159,42 +162,36 @@ class Accelerator {
   Future enqueue(ProxyOp op);
   void proxy_main(sim::Context& ctx);
   static std::string op_label(const ProxyOp& op);
-  /// Registers the per-op-kind latency histograms against `reg` (idempotent;
+  /// Registers the per-op latency histograms against `reg` (idempotent;
   /// re-binds if a different registry is attached between runs).
   void bind_metrics(obs::Registry* reg);
   /// Queues the stop op behind all in-flight work; waits for it when a
   /// context is given (release paths) and not from the destructor.
   void stop_proxy(sim::Context* ctx = nullptr);
 
-  /// Full service of one queued op on its own single-op frame: marshalling
-  /// cost, trace span, exec_op, latency metrics.
-  void execute_one(rpc::Channel& ch, sim::Context& ctx, ProxyOp& op);
-  /// Full service of a coalesced group (>= 2 batchable ops) as one kBatch
-  /// exchange; per-op commit/completion, shared trace span "batch[N]".
-  void execute_batch(rpc::Channel& ch, sim::Context& ctx,
-                     std::vector<std::unique_ptr<ProxyOp>>& group);
-  /// True for the small control ops the command stream may coalesce
-  /// (alloc/free/kernel-create/launch); bulk transfers never batch.
-  static bool batchable_op(const ProxyOp& op);
-  /// ProxyOp -> wire batch item, translating device pointers per attempt
-  /// (the virtual->physical table may change across replacements).
-  rpc::BatchItem to_batch_item(const ProxyOp& op) const;
+  /// The serve step of every flush: marshalling cost per op, the trace id,
+  /// the failure ladder, then the op's span (or the batch[N] span with one
+  /// child per op) and the latency metrics.
+  void serve(rpc::Channel& ch, sim::Context& ctx, Flush flush);
 
   // --- failure handling (rpc::RetryPolicy) ---------------------------------
-  /// One wire exchange against the current lease. Returns false on deadline
-  /// expiry (outstanding requests cancelled); otherwise fills `out`.
-  bool attempt_op(rpc::Channel& ch, sim::Context& ctx, const ProxyOp& op,
-                  AttemptOut* out, SimTime deadline);
-  /// attempt_op + the policy's timeout/backoff retry loop.
-  bool attempt_with_retry(rpc::Channel& ch, sim::Context& ctx,
-                          const ProxyOp& op, AttemptOut* out);
-  /// One kBatch exchange for the whole group; fills per-op results.
-  bool attempt_batch(rpc::Channel& ch,
-                     const std::vector<std::unique_ptr<ProxyOp>>& group,
-                     std::vector<rpc::BatchResult>* out, SimTime deadline);
-  /// Full execution of one queued op: retries, revocation handling,
-  /// transparent replacement, result completion.
-  void exec_op(rpc::Channel& ch, sim::Context& ctx, ProxyOp& op);
+  /// The one failure ladder: revocation check, exchange_with_retry(),
+  /// commit of the successes, and after a replacement each failed op again
+  /// as a flush of one. Completes every op's Future.
+  void run_ladder(rpc::Channel& ch, sim::Context& ctx, Flush flush,
+                  std::uint64_t trace_id);
+  /// attempt() under the policy's timeout/backoff retry loop; counts the
+  /// flush on the channel when the server answers.
+  bool exchange_with_retry(rpc::Channel& ch, sim::Context& ctx, Flush flush);
+  /// One wire exchange against the current lease: a single-op frame for a
+  /// flush of one, a kBatch frame otherwise. Returns false on deadline
+  /// expiry (outstanding requests cancelled); otherwise fills each op's
+  /// reply.
+  bool attempt(rpc::Channel& ch, Flush flush, SimTime deadline);
+  /// A batchable op's wire body, with device pointers translated for the
+  /// current lease (the virtual->physical table may change across
+  /// replacements).
+  rpc::BatchItem wire_item(const ProxyOp& op) const;
   /// Drains a pending revocation notice for the current lease, if any;
   /// fills `reason` (arm::kRevokeFailure / kRevokePreempted) when found.
   bool consume_revocation(rpc::Channel& ch, std::uint32_t* reason);
@@ -209,7 +206,7 @@ class Accelerator {
               std::uint64_t* bytes);
   /// Successful-op bookkeeping: appends to the replay log, maintains the
   /// allocation table, and rewrites alloc results to virtual pointers.
-  void commit(const ProxyOp& op, AttemptOut& out);
+  void commit(ProxyOp& op);
   /// Virtual -> physical pointer translation (identity off-policy or for
   /// pointers outside the table).
   gpu::DevPtr to_device(gpu::DevPtr app) const;
@@ -229,7 +226,7 @@ class Accelerator {
 
   // Metrics (lazy-bound, no-op handles when no registry is attached).
   obs::Registry* metrics_bound_ = nullptr;
-  std::array<obs::Histogram, 9> op_latency_;  ///< indexed by ProxyOp::Kind
+  std::array<obs::Histogram, 8> op_latency_;  ///< indexed by proto::Op - 1
 };
 
 /// Per-compute-node-process middleware session.

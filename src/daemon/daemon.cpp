@@ -92,23 +92,23 @@ void Daemon::run(sim::Context& ctx) {
       try {
         switch (op) {
           case Op::kMemAlloc:
-            handle_mem_alloc(channel, in.source, in.reply_tag, in.body);
-            break;
           case Op::kMemFree:
-            handle_mem_free(channel, in.source, in.reply_tag, in.body);
+          case Op::kKernelCreate:
+          case Op::kKernelRun: {
+            const rpc::BatchResult res =
+                execute(rpc::decode_item(op, in.body), ctx.now());
+            WireWriter reply;
+            reply.result(res.status);
+            if (op == Op::kMemAlloc) reply.u64(res.ptr);
+            channel.reply(in, reply.finish());
             break;
+          }
           case Op::kMemcpyHtoD:
           case Op::kPeerPut:  // peer puts are H2D copies fed by a peer daemon
             handle_htod(channel, ctx, in.source, in.reply_tag, in.body);
             break;
           case Op::kMemcpyDtoH:
             handle_dtoh(channel, ctx, in.source, in.reply_tag, in.body);
-            break;
-          case Op::kKernelCreate:
-            handle_kernel_create(channel, in.source, in.reply_tag, in.body);
-            break;
-          case Op::kKernelRun:
-            handle_kernel_run(channel, in.source, in.reply_tag, in.body);
             break;
           case Op::kDeviceInfo:
             handle_device_info(channel, in.source, in.reply_tag);
@@ -179,18 +179,35 @@ void Daemon::run(sim::Context& ctx) {
   }
 }
 
-void Daemon::handle_mem_alloc(rpc::ServerChannel& ch, dmpi::Rank client,
-                              int reply_tag, WireReader& req) {
-  const std::uint64_t bytes = req.u64();
-  gpu::DevPtr ptr = gpu::kNullDevPtr;
-  const Result r = device_.mem_alloc(bytes, &ptr);
-  ch.reply(client, reply_tag, WireWriter{}.result(r).u64(ptr).finish());
-}
-
-void Daemon::handle_mem_free(rpc::ServerChannel& ch, dmpi::Rank client,
-                             int reply_tag, WireReader& req) {
-  const gpu::DevPtr ptr = req.u64();
-  respond_status(ch, client, reply_tag, device_.mem_free(ptr));
+rpc::BatchResult Daemon::execute(const rpc::BatchItem& item, SimTime now) {
+  rpc::BatchResult out;
+  switch (item.op) {
+    case Op::kMemAlloc:
+      out.status = device_.mem_alloc(item.arg, &out.ptr);
+      break;
+    case Op::kMemFree:
+      out.status = device_.mem_free(item.arg);
+      break;
+    case Op::kKernelCreate:
+      out.status = device_.broken() ? Result::kEccError
+                   : device_.registry().contains(item.kernel)
+                       ? Result::kSuccess
+                       : Result::kNotFound;
+      break;
+    case Op::kKernelRun:
+      // Kernel launches are asynchronous (CUDA semantics): the reply carries
+      // the issue status; the stream carries the execution cost, and later
+      // operations on this daemon's stream order behind it.
+      out.status = device_
+                       .launch_async(stream_, item.kernel, item.launch,
+                                     item.args, now)
+                       .status;
+      break;
+    default:
+      out.status = Result::kInvalidValue;  // unreachable: decode validated
+      break;
+  }
+  return out;
 }
 
 void Daemon::handle_htod(rpc::ServerChannel& ch, sim::Context& ctx,
@@ -260,28 +277,6 @@ void Daemon::handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
   }
   mpi.wait_all(sends);
   respond_status(ch, client, reply_tag, fail);
-}
-
-void Daemon::handle_kernel_create(rpc::ServerChannel& ch, dmpi::Rank client,
-                                  int reply_tag, WireReader& req) {
-  const std::string name = req.str();
-  const Result r = device_.broken() ? Result::kEccError
-                  : device_.registry().contains(name) ? Result::kSuccess
-                                                      : Result::kNotFound;
-  respond_status(ch, client, reply_tag, r);
-}
-
-void Daemon::handle_kernel_run(rpc::ServerChannel& ch, dmpi::Rank client,
-                               int reply_tag, WireReader& req) {
-  const std::string name = req.str();
-  const gpu::LaunchConfig config = req.launch_config();
-  const gpu::KernelArgs args = req.kernel_args();
-  // Kernel launches are asynchronous (CUDA semantics): the response carries
-  // the issue status; the stream carries the execution cost, and later
-  // operations on this daemon's stream order behind it.
-  const gpu::OpHandle op = device_.launch_async(stream_, name, config, args,
-                                                ch.mpi().context().now());
-  respond_status(ch, client, reply_tag, op.status);
 }
 
 void Daemon::handle_device_info(rpc::ServerChannel& ch, dmpi::Rank client,
@@ -365,33 +360,7 @@ void Daemon::handle_batch(rpc::ServerChannel& ch, sim::Context& ctx,
     if (!first) ctx.wait_for(params_.be_dispatch);
     first = false;
     const SimTime item_begin = ctx.now();
-    rpc::BatchResult out;
-    switch (item.op) {
-      case Op::kMemAlloc: {
-        gpu::DevPtr ptr = gpu::kNullDevPtr;
-        out.status = device_.mem_alloc(item.arg, &ptr);
-        out.ptr = ptr;
-        break;
-      }
-      case Op::kMemFree:
-        out.status = device_.mem_free(item.arg);
-        break;
-      case Op::kKernelCreate:
-        out.status = device_.broken() ? Result::kEccError
-                     : device_.registry().contains(item.kernel)
-                         ? Result::kSuccess
-                         : Result::kNotFound;
-        break;
-      case Op::kKernelRun:
-        out.status = device_
-                         .launch_async(stream_, item.kernel, item.launch,
-                                       item.args, ctx.now())
-                         .status;
-        break;
-      default:
-        out.status = Result::kInvalidValue;  // unreachable: decode validated
-        break;
-    }
+    results.push_back(execute(item, item_begin));
     // One daemon span per sub-op, parented on the front-end's derived child
     // span so viewers stitch each small op through the batch frame.
     if (tracer != nullptr && parent_span != 0) {
@@ -404,7 +373,6 @@ void Daemon::handle_batch(rpc::ServerChannel& ch, sim::Context& ctx,
                      trace_id, span,
                      rpc::batch_sub_span(parent_span, index));
     }
-    results.push_back(out);
   }
   // Sub-requests count like the standalone frames they replace (run()
   // already counted the batch frame as one).

@@ -12,6 +12,7 @@
 #include "gpu/device.hpp"
 #include "obs/metrics.hpp"
 #include "proto/wire.hpp"
+#include "rpc/batch.hpp"
 #include "rpc/channel.hpp"
 
 namespace dacc::daemon {
@@ -32,18 +33,14 @@ class Daemon {
   dmpi::Rank rank() const { return self_; }
 
  private:
-  void handle_mem_alloc(rpc::ServerChannel& ch, dmpi::Rank client,
-                        int reply_tag, proto::WireReader& req);
-  void handle_mem_free(rpc::ServerChannel& ch, dmpi::Rank client,
-                       int reply_tag, proto::WireReader& req);
+  /// Runs one small control op (alloc, free, kernel-create, kernel-run) on
+  /// the device: the one executor behind single-op frames and kBatch
+  /// sub-requests alike. `ptr` is set for kMemAlloc only.
+  rpc::BatchResult execute(const rpc::BatchItem& item, SimTime now);
   void handle_htod(rpc::ServerChannel& ch, sim::Context& ctx,
                    dmpi::Rank client, int reply_tag, proto::WireReader& req);
   void handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
                    dmpi::Rank client, int reply_tag, proto::WireReader& req);
-  void handle_kernel_create(rpc::ServerChannel& ch, dmpi::Rank client,
-                            int reply_tag, proto::WireReader& req);
-  void handle_kernel_run(rpc::ServerChannel& ch, dmpi::Rank client,
-                         int reply_tag, proto::WireReader& req);
   void handle_device_info(rpc::ServerChannel& ch, dmpi::Rank client,
                           int reply_tag);
   void handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,

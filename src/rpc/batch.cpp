@@ -5,18 +5,6 @@ namespace dacc::rpc {
 using proto::Op;
 using proto::WireError;
 
-bool batchable(Op op) {
-  switch (op) {
-    case Op::kMemAlloc:
-    case Op::kMemFree:
-    case Op::kKernelCreate:
-    case Op::kKernelRun:
-      return true;
-    default:
-      return false;
-  }
-}
-
 namespace {
 /// Smallest possible sub-request: op word + a u32 body (empty kernel name).
 constexpr std::size_t kMinItemBytes = 8;
@@ -27,26 +15,52 @@ std::string item_context(std::size_t index, std::uint32_t op_word) {
 }
 }  // namespace
 
+void encode_item(proto::WireWriter& w, const BatchItem& item) {
+  switch (item.op) {
+    case Op::kMemAlloc:
+    case Op::kMemFree:
+      w.u64(item.arg);
+      break;
+    case Op::kKernelCreate:
+      w.str(item.kernel);
+      break;
+    case Op::kKernelRun:
+      w.str(item.kernel).launch_config(item.launch).kernel_args(item.args);
+      break;
+    default:
+      throw WireError("op " +
+                      proto::op_name(static_cast<std::uint32_t>(item.op)) +
+                      " is not batchable");
+  }
+}
+
+BatchItem decode_item(Op op, proto::WireReader& r) {
+  BatchItem item;
+  item.op = op;
+  switch (op) {
+    case Op::kMemAlloc:
+    case Op::kMemFree:
+      item.arg = r.u64();
+      break;
+    case Op::kKernelCreate:
+      item.kernel = r.str();
+      break;
+    case Op::kKernelRun:
+      item.kernel = r.str();
+      item.launch = r.launch_config();
+      item.args = r.kernel_args();
+      break;
+    default:
+      throw WireError("op is not batchable");
+  }
+  return item;
+}
+
 void encode_batch(proto::WireWriter& w, std::span<const BatchItem> items) {
   w.u32(static_cast<std::uint32_t>(items.size()));
   for (const BatchItem& item : items) {
     w.u32(static_cast<std::uint32_t>(item.op));
-    switch (item.op) {
-      case Op::kMemAlloc:
-      case Op::kMemFree:
-        w.u64(item.arg);
-        break;
-      case Op::kKernelCreate:
-        w.str(item.kernel);
-        break;
-      case Op::kKernelRun:
-        w.str(item.kernel).launch_config(item.launch).kernel_args(item.args);
-        break;
-      default:
-        throw WireError("batch: op " +
-                        proto::op_name(static_cast<std::uint32_t>(item.op)) +
-                        " is not batchable");
-    }
+    encode_item(w, item);
   }
 }
 
@@ -68,33 +82,11 @@ std::vector<BatchItem> decode_batch(proto::WireReader& r) {
       throw WireError(item_context(i, op_word & ~proto::kTraceContextFlag) +
                       ": trace flag set on inner op");
     }
-    const Op op = static_cast<Op>(op_word);
-    if (!batchable(op)) {
-      throw WireError(item_context(i, op_word) + ": op is not batchable");
-    }
-    BatchItem item;
-    item.op = op;
     try {
-      switch (op) {
-        case Op::kMemAlloc:
-        case Op::kMemFree:
-          item.arg = r.u64();
-          break;
-        case Op::kKernelCreate:
-          item.kernel = r.str();
-          break;
-        case Op::kKernelRun:
-          item.kernel = r.str();
-          item.launch = r.launch_config();
-          item.args = r.kernel_args();
-          break;
-        default:
-          break;  // unreachable: batchable() filtered above
-      }
+      items.push_back(decode_item(static_cast<Op>(op_word), r));
     } catch (const WireError& e) {
       throw WireError(item_context(i, op_word) + ": " + e.what());
     }
-    items.push_back(std::move(item));
   }
   return items;
 }

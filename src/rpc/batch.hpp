@@ -30,7 +30,17 @@ namespace dacc::rpc {
 
 /// Ops eligible for command-stream batching: small fixed-size control ops
 /// whose request and reply both fit in one eager message.
-bool batchable(proto::Op op);
+constexpr bool batchable(proto::Op op) {
+  switch (op) {
+    case proto::Op::kMemAlloc:
+    case proto::Op::kMemFree:
+    case proto::Op::kKernelCreate:
+    case proto::Op::kKernelRun:
+      return true;
+    default:
+      return false;
+  }
+}
 
 struct BatchItem {
   proto::Op op = proto::Op::kMemAlloc;
@@ -44,6 +54,16 @@ struct BatchResult {
   gpu::Result status = gpu::Result::kSuccess;
   gpu::DevPtr ptr = gpu::kNullDevPtr;  ///< kMemAlloc only
 };
+
+/// Appends one small op's request body, everything after its op word. The
+/// one writer of these bodies: a single-op frame and a kBatch sub-request
+/// carry the same bytes. Throws proto::WireError for an op outside
+/// batchable().
+void encode_item(proto::WireWriter& w, const BatchItem& item);
+
+/// Reads one `op` request body written by encode_item. Throws
+/// proto::WireError on a truncated body or an op outside batchable().
+BatchItem decode_item(proto::Op op, proto::WireReader& r);
 
 /// Appends `count` and the sub-requests to a frame under construction.
 void encode_batch(proto::WireWriter& w, std::span<const BatchItem> items);

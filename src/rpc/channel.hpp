@@ -78,12 +78,12 @@ bool with_retry(sim::Context& ctx, const RetryPolicy& rp, Fn&& attempt) {
 }
 
 /// Command-stream batching knobs (DESIGN.md §10). Off by default: every op
-/// then travels as its own request/response pair — the exact legacy wire
-/// format. When enabled, a front-end proxy coalesces consecutive pending
-/// small control ops into one kBatch frame, at most `watermark` sub-requests
-/// per flush. Synchronous calls and lone ops still go out as single legacy
-/// frames, so enabling batching only changes the wire when an async command
-/// stream has actually built up.
+/// is then a flush of one and travels as its own request/response pair.
+/// When enabled, a front-end proxy coalesces consecutive pending small
+/// control ops into one kBatch frame, at most `watermark` sub-requests per
+/// flush. Synchronous calls and lone ops are still flushes of one on
+/// single-op frames, so enabling batching only changes the wire when an
+/// async command stream has actually built up.
 struct StreamConfig {
   bool enabled = false;
   std::uint32_t watermark = 16;

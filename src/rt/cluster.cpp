@@ -187,12 +187,15 @@ Cluster::Cluster(ClusterConfig config)
   }
 
   // The accelerator resource manager: one rank, or a Raft replica group.
+  // Queued acquisitions are served FCFS; grants prefer accelerators near
+  // the requester when `fabric` declares per-link latency overrides
+  // (DESIGN.md §13.2).
   const arm::PlacementMap placement = build_placement(
       config_, fabric_,
       config_.compute_nodes + config_.accelerators + arm_node_count(config_));
   if (!arm_replicated()) {
     arm_ = std::make_unique<arm::Arm>(*world_, arm_rank(), std::move(pool),
-                                      config_.arm_policy, placement);
+                                      arm::QueuePolicy::kFcfs, placement);
     sim::Process& armp = engine_.spawn_on(
         static_cast<std::int32_t>(arm_rank()), "arm",
         [this](sim::Context& ctx) { arm_->run(ctx); });
@@ -203,7 +206,8 @@ Cluster::Cluster(ClusterConfig config)
       raft_gates_.push_back(std::make_unique<sim::WaitQueue>(engine_));
       raft_nodes_.push_back(std::make_unique<arm::raft::RaftNode>(
           *world_, replicas[static_cast<std::size_t>(i)], i, replicas, pool,
-          config_.arm_policy, config_.raft, config_.heartbeat, placement));
+          arm::QueuePolicy::kFcfs, config_.raft, config_.heartbeat,
+          placement));
       arm::raft::RaftNode* node = raft_nodes_.back().get();
       // `active_jobs_` is global-band serial state; replicas read it from
       // their own shard, exactly like the liveness pacers below.

@@ -55,11 +55,6 @@ struct ClusterConfig {
   /// MIC. Jobs pick by kind through Session::acquire.
   std::vector<gpu::DeviceParams> accelerator_devices;
 
-  /// How the ARM serves queued allocations. Grants prefer accelerators near
-  /// the requester when `fabric` declares per-link latency overrides
-  /// (DESIGN.md §13.2).
-  arm::QueuePolicy arm_policy = arm::QueuePolicy::kFcfs;
-
   /// Replicated ARM (DESIGN.md §11): with a value > 1, the lease table is
   /// hosted by this many Raft replicas — each on its own fabric node —
   /// instead of a single ARM rank. Jobs and the launcher are unchanged;

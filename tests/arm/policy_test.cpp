@@ -2,8 +2,14 @@
 // (FCFS vs backfill) of the resource manager.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "arm/arm.hpp"
+#include "dmpi/mpi.hpp"
+#include "net/fabric.hpp"
 #include "rt/cluster.hpp"
+#include "sim/engine.hpp"
 #include "util/units.hpp"
 
 namespace dacc::arm {
@@ -88,56 +94,65 @@ struct PolicyTimes {
   SimTime small_granted = 0;
 };
 
+/// A bare single ARM over a two-slot pool, built as bench/abl_scheduler's
+/// run_dynamic builds one, with three clients on ranks of their own: a
+/// holder takes both slots and hands one back at 6 ms, a big request for
+/// both queues at 1 ms, and a small request for one queues at 2 ms.
 PolicyTimes run_policy(QueuePolicy policy) {
-  rt::ClusterConfig c;
-  c.compute_nodes = 3;
-  c.accelerators = 2;
-  c.arm_policy = policy;
-  rt::Cluster cluster(c);
+  constexpr dmpi::Rank kArmRank = 3;
+  sim::Engine engine;
+  net::Fabric fabric(engine, 6);
+  dmpi::World world(engine, fabric, {0, 1, 2, kArmRank, 4, 5});
+  // The slots name ranks 4 and 5; no daemon runs there, the ARM only
+  // schedules them.
+  Arm arm(world, kArmRank,
+          {AcceleratorInfo{4, "ac0"}, AcceleratorInfo{5, "ac1"}}, policy);
+  sim::Process& armp =
+      engine.spawn("arm", [&](sim::Context& ctx) { arm.run(ctx); });
+  engine.set_daemon(armp);
+
   PolicyTimes times;
-
-  // Holder: takes both accelerators for 10 ms.
-  rt::JobSpec holder;
-  holder.name = "holder";
-  holder.body = [](rt::JobContext& job) {
-    auto acs = job.session().acquire(2, true);
-    ASSERT_EQ(acs.size(), 2u);
-    job.ctx().wait_for(10_ms);
+  auto client = [&](dmpi::Rank rank,
+                    std::function<void(sim::Context&, ArmClient&)> body) {
+    engine.spawn("client-r" + std::to_string(rank),
+                 [&world, rank, body](sim::Context& ctx) {
+                   dmpi::Mpi mpi(world, ctx, rank);
+                   ArmClient arm_client(mpi, world.world_comm(), {kArmRank});
+                   body(ctx, arm_client);
+                 });
   };
+  // Holder: takes both accelerators, releases one early at 6 ms and the
+  // other at 10 ms.
+  client(0, [](sim::Context& ctx, ArmClient& arm_client) {
+    const auto leases = arm_client.acquire(
+        ResourceRequest{}.with_job(1).with_count(2).with_wait());
+    ASSERT_EQ(leases.size(), 2u);
+    ctx.wait_for(6_ms);
+    (void)arm_client.release(1, leases[1]);
+    ctx.wait_for(4_ms);
+    (void)arm_client.release_job(1);
+  });
   // Big: queued first, needs the whole pool again.
-  rt::JobSpec big;
-  big.name = "big";
-  big.body = [&](rt::JobContext& job) {
-    job.ctx().wait_for(1_ms);
-    auto acs = job.session().acquire(2, true);
-    ASSERT_EQ(acs.size(), 2u);
-    times.big_granted = job.ctx().now();
-    job.ctx().wait_for(5_ms);
-  };
-  // Small: queued second, needs one; releases one slot early.
-  rt::JobSpec small;
-  small.name = "small";
-  small.body = [&](rt::JobContext& job) {
-    job.ctx().wait_for(2_ms);
-    // The holder frees one accelerator at t=6ms by releasing it early...
-    auto acs = job.session().acquire(1, true);
-    ASSERT_EQ(acs.size(), 1u);
-    times.small_granted = job.ctx().now();
-    job.ctx().wait_for(1_ms);
-  };
-  // Early releaser: modify holder to drop one accelerator at 6 ms.
-  holder.body = [](rt::JobContext& job) {
-    auto acs = job.session().acquire(2, true);
-    ASSERT_EQ(acs.size(), 2u);
-    job.ctx().wait_for(6_ms);
-    job.session().release(acs[1]);  // one comes back early
-    job.ctx().wait_for(4_ms);
-  };
-
-  cluster.submit(holder, 0);
-  cluster.submit(big, 1);
-  cluster.submit(small, 2);
-  cluster.run();
+  client(1, [&times](sim::Context& ctx, ArmClient& arm_client) {
+    ctx.wait_for(1_ms);
+    const auto leases = arm_client.acquire(
+        ResourceRequest{}.with_job(2).with_count(2).with_wait());
+    ASSERT_EQ(leases.size(), 2u);
+    times.big_granted = ctx.now();
+    ctx.wait_for(5_ms);
+    (void)arm_client.release_job(2);
+  });
+  // Small: queued second, needs one.
+  client(2, [&times](sim::Context& ctx, ArmClient& arm_client) {
+    ctx.wait_for(2_ms);
+    const auto leases = arm_client.acquire(
+        ResourceRequest{}.with_job(3).with_count(1).with_wait());
+    ASSERT_EQ(leases.size(), 1u);
+    times.small_granted = ctx.now();
+    ctx.wait_for(1_ms);
+    (void)arm_client.release_job(3);
+  });
+  engine.run();
   return times;
 }
 

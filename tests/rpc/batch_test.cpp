@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -432,6 +434,179 @@ TEST(CommandStream, BatchChildSpansStitchSubOpsThroughTheFrame) {
   for (std::uint32_t i = 0; i + 1 < count; ++i) {
     EXPECT_NE(batch_sub_span(batch->span_id, i),
               batch_sub_span(batch->span_id, i + 1));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Failure ladder of a batched flush
+// ---------------------------------------------------------------------------
+
+enum class Fault {
+  kNone,
+  kDeviceBreaksMidBatch,  ///< ECC failure inside the daemon's first Batch
+  kSilentLink,            ///< the accelerator's link dies before the burst
+  kRevokedLease,          ///< heartbeats revoke the lease before the burst
+};
+
+struct LadderOutcome {
+  std::vector<gpu::Result> statuses;  ///< one per burst launch, in order
+  double checksum = 0.0;  ///< read-back sum; 0 unless every launch succeeded
+  std::uint32_t replacements = 0;
+  std::vector<std::string> fe_notes;  ///< flight notes of category "fe"
+  dmpi::Rank first_daemon = -1;       ///< the lease's daemon before faults
+  SimTime first_batch_mid = 0;  ///< midpoint of the daemon's first Batch span
+};
+
+constexpr int kBurst = 20;
+
+/// 1 CN, 2 functional accelerators, watermark 16: an alloc and a fill, then
+/// a 20-launch dscal burst that flushes as batch[16] + batch[4].
+LadderOutcome run_ladder(Fault fault, bool replace, SimTime break_at = 0) {
+  rt::ClusterConfig config;
+  config.compute_nodes = 1;
+  config.accelerators = 2;
+  config.trace = true;
+  config.batch = {/*enabled=*/true, /*watermark=*/16};
+  config.retry.replace_on_failure = replace;
+  if (fault == Fault::kSilentLink) config.retry.request_timeout = 1_ms;
+  if (fault == Fault::kRevokedLease) {
+    config.heartbeat.enabled = true;
+    config.heartbeat.period = 1_ms;
+    config.heartbeat.miss_threshold = 3;
+    // Generous: the revocation notice, not a timeout, must trigger the
+    // replacement.
+    config.retry.request_timeout = 50_ms;
+  }
+  rt::Cluster cluster(config);
+  if (fault == Fault::kDeviceBreaksMidBatch) {
+    cluster.break_accelerator(0, break_at);
+  }
+
+  auto out = std::make_shared<LadderOutcome>();
+  rt::JobSpec job;
+  job.accelerators_per_rank = 1;
+  job.body = [fault, out](rt::JobContext& ctx) {
+    core::Accelerator& ac = ctx.session()[0];
+    // The faults below target ac0.
+    ASSERT_EQ(ac.daemon_rank(), ctx.cluster().daemon_rank(0));
+    out->first_daemon = ac.daemon_rank();
+    const std::int64_t n = 256;
+    const auto bytes = static_cast<std::uint64_t>(n) * 8;
+    std::vector<double> host(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < host.size(); ++i) {
+      host[i] = static_cast<double>(i % 13) + 0.5;
+    }
+    const gpu::DevPtr p = ac.mem_alloc(bytes);
+    ac.memcpy_h2d(p, util::Buffer::of<double>(std::span<const double>(host)));
+    if (fault == Fault::kSilentLink || fault == Fault::kRevokedLease) {
+      ctx.cluster().fail_accelerator_link(0, ctx.ctx().now());
+    }
+    if (fault == Fault::kRevokedLease) {
+      ctx.ctx().wait_for(10_ms);  // the sweep revokes and notifies meanwhile
+    }
+    std::vector<core::Future> burst;
+    for (int i = 0; i < kBurst; ++i) {
+      burst.push_back(ac.launch_async("dscal", {}, {n, 1.0 + 0.01 * i, p}));
+    }
+    ctx.session().wait_all(burst);
+    bool all_ok = true;
+    for (core::Future& f : burst) {
+      out->statuses.push_back(f.status());
+      all_ok = all_ok && f.status() == gpu::Result::kSuccess;
+    }
+    if (all_ok) {
+      util::Buffer back = ac.memcpy_d2h(p, bytes);
+      const auto view = back.as<double>();
+      out->checksum = std::accumulate(view.begin(), view.end(), 0.0);
+    }
+  };
+  cluster.submit(job);
+  cluster.run();
+
+  out->replacements = cluster.arm_stats().replacements;
+  for (const obs::FlightRecorder::Event& e : cluster.flight().events()) {
+    if (e.category == "fe") out->fe_notes.push_back(e.what);
+  }
+  const std::string daemon_track =
+      "daemon-r" + std::to_string(cluster.daemon_rank(0));
+  for (const sim::Tracer::Span& s : cluster.tracer().spans()) {
+    if (s.track == daemon_track && s.name == "Batch") {
+      out->first_batch_mid = s.begin + (s.end - s.begin) / 2;
+      break;
+    }
+  }
+  return *out;
+}
+
+std::vector<gpu::Result> expected_statuses(int ok, gpu::Result rest) {
+  std::vector<gpu::Result> v(kBurst, rest);
+  std::fill(v.begin(), v.begin() + ok, gpu::Result::kSuccess);
+  return v;
+}
+
+TEST(BatchFailureLadder, EveryFaultEndsInItsPinnedOutcome) {
+  const LadderOutcome clean = run_ladder(Fault::kNone, /*replace=*/false);
+  ASSERT_EQ(clean.statuses, expected_statuses(kBurst, gpu::Result::kSuccess));
+  ASSERT_NE(clean.checksum, 0.0);
+  ASSERT_GT(clean.first_batch_mid, 0);
+  EXPECT_EQ(clean.replacements, 0u);
+  EXPECT_TRUE(clean.fe_notes.empty());
+  const std::string ac = "ac" + std::to_string(clean.first_daemon);
+
+  {
+    SCOPED_TRACE("device breaks mid-batch, no replacement");
+    const LadderOutcome o = run_ladder(Fault::kDeviceBreaksMidBatch,
+                                       /*replace=*/false,
+                                       clean.first_batch_mid);
+    EXPECT_EQ(o.statuses, expected_statuses(8, gpu::Result::kEccError));
+    EXPECT_EQ(o.replacements, 0u);
+    EXPECT_EQ(o.fe_notes,
+              (std::vector<std::string>{
+                  "batch: ecc failure on " + ac + ", 8 sub-op(s) need a "
+                  "replacement",
+                  "batch: ecc failure on " + ac + ", 4 sub-op(s) need a "
+                  "replacement"}));
+  }
+  {
+    SCOPED_TRACE("device breaks mid-batch, replacement");
+    const LadderOutcome o = run_ladder(Fault::kDeviceBreaksMidBatch,
+                                       /*replace=*/true,
+                                       clean.first_batch_mid);
+    EXPECT_EQ(o.statuses, expected_statuses(kBurst, gpu::Result::kSuccess));
+    EXPECT_EQ(o.checksum, clean.checksum);
+    EXPECT_EQ(o.replacements, 1u);
+    EXPECT_EQ(o.fe_notes,
+              (std::vector<std::string>{
+                  "batch: ecc failure on " + ac + ", 8 sub-op(s) need a "
+                  "replacement"}));
+  }
+  {
+    SCOPED_TRACE("silent link, no replacement");
+    const LadderOutcome o = run_ladder(Fault::kSilentLink, /*replace=*/false);
+    EXPECT_EQ(o.statuses, expected_statuses(0, gpu::Result::kUnavailable));
+    EXPECT_EQ(o.replacements, 0u);
+    EXPECT_EQ(o.fe_notes,
+              (std::vector<std::string>{
+                  "batch[16]: retry ladder exhausted on " + ac,
+                  "batch[4]: retry ladder exhausted on " + ac}));
+  }
+  {
+    SCOPED_TRACE("silent link, replacement");
+    const LadderOutcome o = run_ladder(Fault::kSilentLink, /*replace=*/true);
+    EXPECT_EQ(o.statuses, expected_statuses(kBurst, gpu::Result::kSuccess));
+    EXPECT_EQ(o.checksum, clean.checksum);
+    EXPECT_EQ(o.replacements, 1u);
+    EXPECT_EQ(o.fe_notes,
+              (std::vector<std::string>{
+                  "batch[16]: retry ladder exhausted on " + ac}));
+  }
+  {
+    SCOPED_TRACE("heartbeats revoke the lease, replacement");
+    const LadderOutcome o = run_ladder(Fault::kRevokedLease, /*replace=*/true);
+    EXPECT_EQ(o.statuses, expected_statuses(kBurst, gpu::Result::kSuccess));
+    EXPECT_EQ(o.checksum, clean.checksum);
+    EXPECT_EQ(o.replacements, 1u);
+    EXPECT_TRUE(o.fe_notes.empty());
   }
 }
 
