@@ -14,10 +14,16 @@
 #      snapshots, written whole, across the runs.
 #
 #   $ scripts/check_determinism.sh [build-dir]
+#
+# The build dir (default build-det/, relative paths allowed) is reconfigured
+# in Release with the benchmarks off, so do not pass the tier-1 tree.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${1:-$repo/build-det}"
+# Absolute, because later steps run the built examples from a snapshot dir.
+mkdir -p "$build"
+build="$(cd "$build" && pwd)"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Release \

@@ -11,10 +11,16 @@
 #      else, and no series name may appear twice in either exposition.
 #
 #   $ scripts/check_obs.sh [build-dir]
+#
+# The build dir (default build-obs/, relative paths allowed) is reconfigured
+# in Release with the benchmarks off, so do not pass the tier-1 tree.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build="${1:-$repo/build-obs}"
+# Absolute, because later steps run the built examples from a snapshot dir.
+mkdir -p "$build"
+build="$(cd "$build" && pwd)"
 
 cmake -B "$build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=Release \

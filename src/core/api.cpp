@@ -106,9 +106,8 @@ struct Accelerator::ProxyOp {
   gpu::DevPtr dst = gpu::kNullDevPtr;
   gpu::DevPtr src = gpu::kNullDevPtr;
   util::Buffer data;
-  std::string kernel;
-  gpu::LaunchConfig launch;
-  gpu::KernelArgs args;
+  /// kKernelCreate / kKernelRun: the request body, with app-level pointers.
+  rpc::BatchItem call;
   dmpi::Rank peer = -1;
   gpu::DevPtr peer_dst = gpu::kNullDevPtr;
   proto::TransferConfig transfer;
@@ -319,30 +318,27 @@ bool Accelerator::exchange_with_retry(rpc::Channel& ch, sim::Context& ctx,
   return answered;
 }
 
-rpc::BatchItem Accelerator::wire_item(const ProxyOp& op) const {
-  rpc::BatchItem item;
-  item.op = op.op;
+const rpc::BatchItem& Accelerator::wire_item(const ProxyOp& op,
+                                             rpc::BatchItem& scratch) const {
   switch (op.op) {
     case Op::kMemAlloc:
-      item.arg = op.bytes;
-      break;
     case Op::kMemFree:
-      item.arg = to_device(op.dst);
-      break;
+      scratch = rpc::BatchItem{};
+      scratch.op = op.op;
+      scratch.arg = op.op == Op::kMemAlloc ? op.bytes : to_device(op.dst);
+      return scratch;
+    case Op::kKernelCreate:
+      return op.call;
     case Op::kKernelRun:
-      item.launch = op.launch;
-      item.args = op.args;
-      for (gpu::KernelArg& a : item.args) {
+      if (allocs_.empty()) return op.call;  // to_device is the identity
+      scratch = op.call;
+      for (gpu::KernelArg& a : scratch.args) {
         if (auto* p = std::get_if<gpu::DevPtr>(&a)) *p = to_device(*p);
       }
-      [[fallthrough]];
-    case Op::kKernelCreate:
-      item.kernel = op.kernel;
-      break;
+      return scratch;
     default:
       throw std::logic_error("wire_item: op is not batchable");
   }
-  return item;
 }
 
 gpu::DevPtr Accelerator::to_device(gpu::DevPtr app) const {
@@ -371,10 +367,11 @@ bool Accelerator::attempt(rpc::Channel& ch, Flush flush, SimTime deadline) {
   auto header = [&](Op o) { return ch.request(o, reply_tag); };
 
   if (flush.size() > 1) {
-    std::vector<rpc::BatchItem> items;
+    std::vector<rpc::BatchItem> scratch(flush.size());
+    std::vector<const rpc::BatchItem*> items;
     items.reserve(flush.size());
-    for (const std::unique_ptr<ProxyOp>& op : flush) {
-      items.push_back(wire_item(*op));
+    for (std::size_t i = 0; i < flush.size(); ++i) {
+      items.push_back(&wire_item(*flush[i], scratch[i]));
     }
     WireWriter w = header(Op::kBatch);
     rpc::encode_batch(w, items);
@@ -392,7 +389,8 @@ bool Accelerator::attempt(rpc::Channel& ch, Flush flush, SimTime deadline) {
   rpc::BatchResult& out = op.reply;
   if (rpc::batchable(op.op)) {
     WireWriter w = header(op.op);
-    rpc::encode_item(w, wire_item(op));
+    rpc::BatchItem scratch;
+    rpc::encode_item(w, wire_item(op, scratch));
     auto resp = exchange(w.finish());
     if (!resp) return false;
     WireReader r(std::move(*resp));
@@ -605,9 +603,7 @@ void Accelerator::commit(ProxyOp& op) {
       clone.transfer = op.transfer;
       break;
     case Op::kKernelRun:
-      clone.kernel = op.kernel;
-      clone.launch = op.launch;
-      clone.args = op.args;  // app-level pointers; translated per attempt
+      clone.call = op.call;  // app-level pointers; translated per attempt
       break;
     default:
       // D2H / info / kernel-create are reads, peer copies are not replayable
@@ -636,9 +632,9 @@ std::string Accelerator::op_label(const ProxyOp& op) {
     case Op::kMemcpyDtoH:
       return "d2h" + size_suffix();
     case Op::kKernelRun:
-      return "launch " + op.kernel;
+      return "launch " + op.call.kernel;
     case Op::kKernelCreate:
-      return "kernel_create " + op.kernel;
+      return "kernel_create " + op.call.kernel;
     case Op::kDeviceInfo:
       return "device_info";
     case Op::kPeerSend:
@@ -678,9 +674,10 @@ Future Accelerator::launch_async(const std::string& kernel,
                                  gpu::KernelArgs args) {
   ProxyOp op;
   op.op = Op::kKernelRun;
-  op.kernel = kernel;
-  op.launch = config;
-  op.args = std::move(args);
+  op.call.op = Op::kKernelRun;
+  op.call.kernel = kernel;
+  op.call.launch = config;
+  op.call.args = std::move(args);
   return enqueue(std::move(op));
 }
 
@@ -729,7 +726,8 @@ void Accelerator::launch(const std::string& kernel,
 Kernel Accelerator::kernel_create(const std::string& name) {
   ProxyOp op;
   op.op = Op::kKernelCreate;
-  op.kernel = name;
+  op.call.op = Op::kKernelCreate;
+  op.call.kernel = name;
   enqueue(std::move(op)).get(session_->ctx_);
   return Kernel(*this, name);
 }

@@ -190,8 +190,10 @@ class Accelerator {
   bool attempt(rpc::Channel& ch, Flush flush, SimTime deadline);
   /// A batchable op's wire body, with device pointers translated for the
   /// current lease (the virtual->physical table may change across
-  /// replacements).
-  rpc::BatchItem wire_item(const ProxyOp& op) const;
+  /// replacements). A kernel op's body is its own `call` unless the table
+  /// maps pointers; otherwise the body is built in `scratch`.
+  const rpc::BatchItem& wire_item(const ProxyOp& op,
+                                  rpc::BatchItem& scratch) const;
   /// Drains a pending revocation notice for the current lease, if any;
   /// fills `reason` (arm::kRevokeFailure / kRevokePreempted) when found.
   bool consume_revocation(rpc::Channel& ch, std::uint32_t* reason);

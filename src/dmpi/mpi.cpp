@@ -1,10 +1,16 @@
 #include "dmpi/mpi.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <memory>
+#include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/trace.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dacc::dmpi {
 
@@ -12,48 +18,254 @@ namespace dacc::dmpi {
 // Request
 // ---------------------------------------------------------------------------
 
+// A receive, or a rendezvous send until its data is delivered. An eager send
+// has none: it is complete when posted.
 struct Request::State {
   explicit State(sim::Engine& eng) : engine(&eng) {}
 
   sim::Engine* engine;
   bool done = false;
   bool reserved = false;  // recv matched to a rendezvous sender, data inbound
-  Status status{};        // source stored as WORLD rank until completion
+  // Source stored as WORLD rank until completion; a rendezvous send holds
+  // the status it completes with from the moment it is posted.
+  Status status{};
   int context_id = 0;
   Rank match_src = kAnySource;  // world rank or wildcard (recv side)
   int match_tag = kAnyTag;
+  // The received data, or a rendezvous send's data until it leaves.
   util::Buffer payload;
-  std::vector<sim::Process*> waiters;
+  // Rendezvous send: its id on the sender's endpoint, its destination, and
+  // the causal trace carried across the handshake so the data delivery can
+  // record its receive-side NIC span.
+  std::uint64_t send_id = 0;
+  Rank dst_w = kAnySource;
+  std::uint64_t trace_id = 0;
+  std::uint64_t nic_span = 0;
+  // Processes to wake on completion, in the order they began waiting: the
+  // first in `waiter`, the rest (several processes waiting on copies of one
+  // request) in `more_waiters`. `waiter` is refilled only when no one else
+  // waits, so it always precedes `more_waiters`.
+  sim::Process* waiter = nullptr;
+  std::vector<sim::Process*> more_waiters;
+
+  void add_waiter(sim::Process* p) {
+    if (waiter == p || std::find(more_waiters.begin(), more_waiters.end(),
+                                 p) != more_waiters.end()) {
+      return;
+    }
+    if (waiter == nullptr && more_waiters.empty()) {
+      waiter = p;
+    } else {
+      more_waiters.push_back(p);
+    }
+  }
+
+  void remove_waiter(sim::Process* p) {
+    if (waiter == p) {
+      waiter = nullptr;
+      return;
+    }
+    more_waiters.erase(
+        std::remove(more_waiters.begin(), more_waiters.end(), p),
+        more_waiters.end());
+  }
 
   void complete(Status st, util::Buffer data) {
     done = true;
     status = st;
     payload = std::move(data);
-    for (sim::Process* w : waiters) engine->wake(*w);
-    waiters.clear();
+    if (waiter != nullptr) engine->wake(*std::exchange(waiter, nullptr));
+    for (sim::Process* w : more_waiters) engine->wake(*w);
+    more_waiters.clear();
   }
 };
 
 bool Request::done() const {
-  return state_ != nullptr && state_->done;
+  return sent_ || (state_ != nullptr && state_->done);
 }
 
 const Status& Request::status() const {
   if (!done()) throw std::logic_error("Request::status before completion");
-  return state_->status;
+  return sent_ ? sent_status_ : state_->status;
 }
 
 util::Buffer Request::take_payload() {
   if (!done()) throw std::logic_error("Request::take_payload before done");
+  if (sent_) return {};
   return std::move(state_->payload);
 }
+
+namespace {
+
+// Request states are recycled: each thread keeps a free list of
+// fixed-size blocks, and std::allocate_shared builds the state and its
+// control block in one. A block returns to the list of the thread that
+// drops the last reference, which under the parallel backend is nearly
+// always the shard worker that made it (a state lives on its owner's node);
+// a thread keeps at most kMaxFreeStates blocks and hands the rest back to
+// the heap, so the lists stay bounded by the states in flight. Under ASan a
+// free block is poisoned until it is handed out again.
+constexpr std::size_t kStateBlockBytes = 256;
+constexpr std::size_t kMaxFreeStates = 4096;
+
+void poison_block(void* block) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(block, kStateBlockBytes);
+#else
+  (void)block;
+#endif
+}
+
+void unpoison_block(void* block) {
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(block, kStateBlockBytes);
+#else
+  (void)block;
+#endif
+}
+
+struct FreeStates {
+  void* head = nullptr;  // each free block starts with the next one's address
+  std::size_t count = 0;
+
+  ~FreeStates() {
+    while (head != nullptr) {
+      void* block = head;
+      unpoison_block(block);
+      head = *static_cast<void**>(block);
+      ::operator delete(block);
+    }
+    count = kMaxFreeStates;  // a state dropped later goes to the heap
+  }
+};
+
+// Not inlined: a process body can resume on another worker thread, so the
+// thread's list is looked up on every call, never through an address kept
+// across a process switch.
+[[gnu::noinline]] FreeStates& free_states() {
+  thread_local FreeStates list;
+  return list;
+}
+
+void* take_state_block() {
+  FreeStates& list = free_states();
+  void* block = list.head;
+  if (block == nullptr) return ::operator new(kStateBlockBytes);
+  unpoison_block(block);
+  list.head = *static_cast<void**>(block);
+  --list.count;
+  return block;
+}
+
+void give_state_block(void* block) {
+  FreeStates& list = free_states();
+  if (list.count == kMaxFreeStates) {
+    ::operator delete(block);
+    return;
+  }
+  *static_cast<void**>(block) = list.head;
+  poison_block(block);
+  list.head = block;
+  ++list.count;
+}
+
+template <typename T>
+struct StateAllocator {
+  using value_type = T;
+  StateAllocator() = default;
+  template <typename U>
+  StateAllocator(const StateAllocator<U>&) {}  // NOLINT: rebinding
+
+  T* allocate(std::size_t n) {
+    static_assert(sizeof(T) <= kStateBlockBytes &&
+                      alignof(T) <= alignof(std::max_align_t),
+                  "a request state and its control block fit one block");
+    if (n != 1) throw std::bad_alloc();
+    return static_cast<T*>(take_state_block());
+  }
+  void deallocate(T* p, std::size_t) { give_state_block(p); }
+
+  template <typename U>
+  bool operator==(const StateAllocator<U>&) const {
+    return true;
+  }
+};
+
+// Templated so World's members, Request's friends, name the state type.
+template <typename State>
+std::shared_ptr<State> new_state(sim::Engine& engine) {
+  return std::allocate_shared<State>(StateAllocator<State>{}, engine);
+}
+
+// A FIFO on a power-of-two ring that doubles when full and never shrinks,
+// so once it has held its high-water count, pushing and erasing allocate
+// nothing (a std::deque used as a FIFO frees and allocates a block every
+// few dozen elements). Erasing the front is O(1); erasing further in moves
+// the later elements up one place.
+template <typename T>
+class Fifo {
+ public:
+  std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask()]; }
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & mask()];
+  }
+
+  void push_back(T value) {
+    if (size_ == slots_.size()) grow();
+    ++size_;
+    (*this)[size_ - 1] = std::move(value);
+  }
+
+  /// Removes element `i` and returns it.
+  T take(std::size_t i) {
+    T out = std::move((*this)[i]);
+    if (i == 0) {
+      (*this)[0] = T{};
+      head_ = (head_ + 1) & mask();
+    } else {
+      for (std::size_t j = i; j + 1 < size_; ++j) {
+        (*this)[j] = std::move((*this)[j + 1]);
+      }
+      (*this)[size_ - 1] = T{};
+    }
+    --size_;
+    return out;
+  }
+
+ private:
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  void grow() {
+    std::vector<T> bigger(slots_.empty() ? 8 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Comm
 // ---------------------------------------------------------------------------
 
 Comm::Comm(int context_id, std::vector<Rank> members)
-    : context_id_(context_id), members_(std::move(members)) {}
+    : context_id_(context_id), members_(std::move(members)) {
+  if (members_.empty()) return;
+  const auto [lo, hi] = std::minmax_element(members_.begin(), members_.end());
+  lowest_ = *lo;
+  ranks_.assign(static_cast<std::size_t>(*hi - *lo) + 1, kAnySource);
+  // Backwards, so a repeated world rank maps to its first comm rank.
+  for (Rank r = size() - 1; r >= 0; --r) {
+    ranks_[static_cast<std::size_t>(members_[static_cast<std::size_t>(r)] -
+                                    lowest_)] = r;
+  }
+}
 
 Rank Comm::world_rank(Rank r) const {
   if (r < 0 || r >= size()) throw std::out_of_range("Comm: bad comm rank");
@@ -61,9 +273,8 @@ Rank Comm::world_rank(Rank r) const {
 }
 
 Rank Comm::comm_rank(Rank w) const {
-  const auto it = std::find(members_.begin(), members_.end(), w);
-  if (it == members_.end()) return kAnySource;
-  return static_cast<Rank>(it - members_.begin());
+  const auto i = static_cast<std::uint64_t>(std::int64_t{w} - lowest_);
+  return i < ranks_.size() ? ranks_[static_cast<std::size_t>(i)] : kAnySource;
 }
 
 bool Comm::contains_world_rank(Rank w) const {
@@ -84,44 +295,31 @@ bool matches(Rank want_src, int want_tag, Rank src, int tag) {
 }  // namespace
 
 struct World::Endpoint {
-  struct Posted {
-    std::shared_ptr<Request::State> state;
-  };
   struct Unexpected {
-    int context_id;
-    Rank src_w;
-    int tag;
-    std::uint64_t bytes;
-    bool rendezvous;
-    std::uint64_t send_id;  // rendezvous only
-    util::Buffer payload;   // eager only
+    int context_id = 0;
+    Rank src_w = kAnySource;
+    int tag = kAnyTag;
+    std::uint64_t bytes = 0;
+    bool rendezvous = false;
+    std::uint64_t send_id = 0;  // rendezvous only
+    util::Buffer payload;       // eager only
   };
-  std::deque<Posted> posted;
-  std::deque<Unexpected> unexpected;
-  // Rendezvous bookkeeping lives on the *sender's* endpoint: post_send,
-  // arrive_cts (the CTS is delivered to the sender's node) and
-  // cancel_request all run in that rank's node context, so under the
-  // parallel backend no two shards ever touch the same send list.
+  Fifo<std::shared_ptr<Request::State>> posted;  // receives, oldest first
+  Fifo<Unexpected> unexpected;
+  // Rendezvous sends awaiting their CTS, in posting order. They live on the
+  // *sender's* endpoint: post_send, arrive_cts (the CTS is delivered to the
+  // sender's node) and cancel_request all run in that rank's node context,
+  // so under the parallel backend no two shards ever touch the same list.
+  // A receiver matches a stream of sends in order, so a CTS almost always
+  // answers the front one.
   std::uint64_t next_send_id = 1;
-  std::vector<std::unique_ptr<PendingSend>> pending_sends;
+  Fifo<std::shared_ptr<Request::State>> pending_sends;
   // User-level tag seed (Mpi::fresh_tag_seed); same shard-ownership
   // argument as above.
   std::uint64_t next_tag_seed = 0;
   // NIC trace-span ids minted by this rank (tx at post time, rx at arrival;
   // both run in the rank's node context, so the sequence is deterministic).
   std::uint64_t next_span_seed = 0;
-};
-
-struct World::PendingSend {
-  std::uint64_t id;
-  Rank src_w;
-  Rank dst_w;
-  util::Buffer data;
-  std::shared_ptr<Request::State> send_state;
-  // Causal trace of the send, carried across the rendezvous handshake so
-  // the data delivery can record its receive-side NIC span.
-  std::uint64_t trace_id = 0;
-  std::uint64_t nic_span = 0;
 };
 
 World::World(sim::Engine& engine, net::Fabric& fabric,
@@ -211,15 +409,12 @@ void World::record_nic_rx(Rank dst_w, std::uint64_t trace_id,
                  parent_span);
 }
 
-std::shared_ptr<Request::State> World::post_send(sim::Context& ctx,
-                                                 Rank src_w, Rank dst_w,
-                                                 int context_id, int tag,
-                                                 util::Buffer data) {
+Request World::post_send(sim::Context& ctx, Rank src_w, Rank dst_w,
+                         int context_id, int tag, util::Buffer data) {
   // Posting a send costs CPU time on the sender.
   const SimTime post_begin = ctx.now();
   ctx.wait_for(params_.send_overhead);
 
-  auto state = std::make_shared<Request::State>(engine_);
   const std::uint64_t bytes = data.size();
   const net::NodeId src_node = node_of(src_w);
   const net::NodeId dst_node = node_of(dst_w);
@@ -240,8 +435,9 @@ std::shared_ptr<Request::State> World::post_send(sim::Context& ctx,
   }
 
   if (eager) {
-    // Eager: inject immediately; the send is buffered and completes locally.
-    // The payload moves through the event — no shared_ptr wrapper, no copy.
+    // Eager: inject immediately; the send is buffered and completes locally,
+    // so its request needs no state. The payload moves through the event —
+    // no shared_ptr wrapper, no copy.
     fabric_.deliver(src_node, dst_node, bytes + params_.ctrl_bytes,
                     engine_.now(),
                     [this, dst_w, context_id, src_w, tag,
@@ -253,65 +449,64 @@ std::shared_ptr<Request::State> World::post_send(sim::Context& ctx,
                       arrive_eager(dst_w, context_id, src_w, tag,
                                    std::move(payload));
                     });
-    state->complete(Status{src_w, tag, bytes}, util::Buffer{});
-    return state;
+    return Request(Status{src_w, tag, bytes});
   }
 
-  // Rendezvous: RTS -> (match) -> CTS -> data.
+  // Rendezvous: RTS -> (match) -> CTS -> data. The state holds the data
+  // until the CTS sends it.
   Endpoint& sender_ep = *endpoints_[static_cast<std::size_t>(src_w)];
-  auto pending = std::make_unique<PendingSend>();
-  pending->id = sender_ep.next_send_id++;
-  pending->src_w = src_w;
-  pending->dst_w = dst_w;
-  pending->data = std::move(data);
-  pending->send_state = state;
-  pending->trace_id = tc.trace_id;
-  pending->nic_span = nic_span;
-  const std::uint64_t send_id = pending->id;
-  sender_ep.pending_sends.push_back(std::move(pending));
+  auto state = new_state<Request::State>(engine_);
+  state->status = Status{src_w, tag, bytes};
+  state->payload = std::move(data);
+  state->send_id = sender_ep.next_send_id++;
+  state->dst_w = dst_w;
+  state->trace_id = tc.trace_id;
+  state->nic_span = nic_span;
+  sender_ep.pending_sends.push_back(state);
 
   fabric_.deliver(src_node, dst_node, params_.ctrl_bytes, engine_.now(),
-                  [this, dst_w, context_id, src_w, tag, send_id, bytes] {
+                  [this, dst_w, context_id, src_w, tag,
+                   send_id = state->send_id, bytes] {
                     arrive_rts(dst_w, context_id, src_w, tag, send_id, bytes);
                   });
-  return state;
+  return Request(std::move(state));
 }
 
 std::shared_ptr<Request::State> World::post_recv(Rank me_w, int context_id,
                                                  Rank src_w, int tag) {
-  auto state = std::make_shared<Request::State>(engine_);
+  auto state = new_state<Request::State>(engine_);
   state->context_id = context_id;
   state->match_src = src_w;
   state->match_tag = tag;
 
   Endpoint& ep = *endpoints_[static_cast<std::size_t>(me_w)];
   // Oldest matching unexpected message wins (MPI ordering).
-  for (auto it = ep.unexpected.begin(); it != ep.unexpected.end(); ++it) {
-    if (it->context_id != context_id ||
-        !matches(src_w, tag, it->src_w, it->tag)) {
+  for (std::size_t i = 0; i < ep.unexpected.size(); ++i) {
+    const Endpoint::Unexpected& u = ep.unexpected[i];
+    if (u.context_id != context_id || !matches(src_w, tag, u.src_w, u.tag)) {
       continue;
     }
-    if (it->rendezvous) {
+    Endpoint::Unexpected msg = ep.unexpected.take(i);
+    if (msg.rendezvous) {
       state->reserved = true;
-      send_cts(/*dst_w=*/it->src_w, /*src_w=*/me_w, it->send_id, it->tag,
-               state);
+      send_cts(/*dst_w=*/msg.src_w, /*src_w=*/me_w, msg.send_id, state);
     } else {
       const SimDuration copy =
-          transfer_time(it->bytes, params_.eager_copy_mib_s);
-      complete_recv(state, it->src_w, context_id, it->tag,
-                    std::move(it->payload), copy + params_.recv_overhead);
+          transfer_time(msg.bytes, params_.eager_copy_mib_s);
+      complete_recv(state, msg.src_w, msg.tag, std::move(msg.payload),
+                    copy + params_.recv_overhead);
     }
-    ep.unexpected.erase(it);
     return state;
   }
-  ep.posted.push_back(Endpoint::Posted{state});
+  ep.posted.push_back(state);
   return state;
 }
 
 bool World::probe_unexpected(Rank me_w, int context_id, Rank src_w, int tag,
                              Status* status) const {
   const Endpoint& ep = *endpoints_[static_cast<std::size_t>(me_w)];
-  for (const auto& u : ep.unexpected) {
+  for (std::size_t i = 0; i < ep.unexpected.size(); ++i) {
+    const Endpoint::Unexpected& u = ep.unexpected[i];
     if (u.context_id != context_id || !matches(src_w, tag, u.src_w, u.tag)) {
       continue;
     }
@@ -325,41 +520,50 @@ bool World::probe_unexpected(Rank me_w, int context_id, Rank src_w, int tag,
   return false;
 }
 
+namespace {
+
+/// Index of the oldest posted receive that matches, or `posted.size()`.
+template <typename Posted>
+std::size_t find_posted(const Posted& posted, int context_id, Rank src_w,
+                        int tag) {
+  std::size_t i = 0;
+  for (; i < posted.size(); ++i) {
+    const auto& st = *posted[i];
+    if (!st.reserved && st.context_id == context_id &&
+        matches(st.match_src, st.match_tag, src_w, tag)) {
+      break;
+    }
+  }
+  return i;
+}
+
+}  // namespace
+
 void World::arrive_eager(Rank dst_w, int context_id, Rank src_w, int tag,
                          util::Buffer payload) {
   Endpoint& ep = *endpoints_[static_cast<std::size_t>(dst_w)];
-  for (auto it = ep.posted.begin(); it != ep.posted.end(); ++it) {
-    Request::State& st = *it->state;
-    if (st.reserved || st.context_id != context_id ||
-        !matches(st.match_src, st.match_tag, src_w, tag)) {
-      continue;
-    }
-    auto state = it->state;
-    ep.posted.erase(it);
+  const std::size_t i = find_posted(ep.posted, context_id, src_w, tag);
+  if (i < ep.posted.size()) {
     const SimDuration copy =
         transfer_time(payload.size(), params_.eager_copy_mib_s);
-    complete_recv(state, src_w, context_id, tag, std::move(payload),
+    complete_recv(ep.posted.take(i), src_w, tag, std::move(payload),
                   copy + params_.recv_overhead);
     return;
   }
+  const std::uint64_t bytes = payload.size();
   ep.unexpected.push_back(Endpoint::Unexpected{
-      context_id, src_w, tag, payload.size(), /*rendezvous=*/false,
+      context_id, src_w, tag, bytes, /*rendezvous=*/false,
       /*send_id=*/0, std::move(payload)});
 }
 
 void World::arrive_rts(Rank dst_w, int context_id, Rank src_w, int tag,
                        std::uint64_t send_id, std::uint64_t bytes) {
   Endpoint& ep = *endpoints_[static_cast<std::size_t>(dst_w)];
-  for (auto it = ep.posted.begin(); it != ep.posted.end(); ++it) {
-    Request::State& st = *it->state;
-    if (st.reserved || st.context_id != context_id ||
-        !matches(st.match_src, st.match_tag, src_w, tag)) {
-      continue;
-    }
-    auto state = it->state;
+  const std::size_t i = find_posted(ep.posted, context_id, src_w, tag);
+  if (i < ep.posted.size()) {
+    auto state = ep.posted.take(i);
     state->reserved = true;
-    ep.posted.erase(it);
-    send_cts(/*dst_w=*/src_w, /*src_w=*/dst_w, send_id, tag, state);
+    send_cts(/*dst_w=*/src_w, /*src_w=*/dst_w, send_id, std::move(state));
     return;
   }
   ep.unexpected.push_back(Endpoint::Unexpected{context_id, src_w, tag, bytes,
@@ -367,86 +571,80 @@ void World::arrive_rts(Rank dst_w, int context_id, Rank src_w, int tag,
                                                util::Buffer{}});
 }
 
-void World::send_cts(Rank dst_w, Rank src_w, std::uint64_t send_id, int tag,
+void World::send_cts(Rank dst_w, Rank src_w, std::uint64_t send_id,
                      std::shared_ptr<Request::State> recv_state) {
   fabric_.deliver(node_of(src_w), node_of(dst_w), params_.ctrl_bytes,
                   engine_.now(),
-                  [this, dst_w, send_id, tag, recv_state]() mutable {
-                    arrive_cts(dst_w, send_id, tag, std::move(recv_state));
+                  [this, dst_w, send_id,
+                   recv_state = std::move(recv_state)]() mutable {
+                    arrive_cts(dst_w, send_id, std::move(recv_state));
                   });
 }
 
-void World::arrive_cts(Rank src_w, std::uint64_t send_id, int tag,
+void World::arrive_cts(Rank src_w, std::uint64_t send_id,
                        std::shared_ptr<Request::State> recv_state) {
-  Endpoint& sender_ep = *endpoints_[static_cast<std::size_t>(src_w)];
-  auto& sends = sender_ep.pending_sends;
-  const auto it = std::find_if(
-      sends.begin(), sends.end(),
-      [&](const auto& p) { return p->id == send_id && p->src_w == src_w; });
-  if (it == sends.end()) {
+  auto& sends = endpoints_[static_cast<std::size_t>(src_w)]->pending_sends;
+  std::size_t i = 0;
+  while (i < sends.size() && sends[i]->send_id != send_id) ++i;
+  if (i == sends.size()) {
     // The sender cancelled (timeout/retry path) between RTS and CTS; the
     // receiver's reserved recv stays pending — its owner times out too.
     return;
   }
-  auto pending = std::move(*it);
-  sends.erase(it);
+  std::shared_ptr<Request::State> send = sends.take(i);
 
-  // The callable carries the whole PendingSend behind one pointer, so it
-  // fits the event node's inline storage (no heap fallback per message).
-  const std::uint64_t bytes = pending->data.size();
-  const Rank dst_w = pending->dst_w;
+  // The callable carries both states behind their pointers, so it fits the
+  // event node's inline storage (no heap fallback per message).
+  const Rank dst_w = send->dst_w;
+  const std::uint64_t bytes = send->status.bytes;
   fabric_.deliver(
       node_of(src_w), node_of(dst_w), bytes + params_.ctrl_bytes,
       engine_.now(),
-      [this, recv_state = std::move(recv_state), pending = std::move(pending),
-       tag]() mutable {
-        const Rank sender = pending->src_w;
-        const std::uint64_t size = pending->data.size();
-        if (pending->nic_span != 0) {
-          record_nic_rx(pending->dst_w, pending->trace_id, pending->nic_span);
+      [this, recv_state = std::move(recv_state),
+       send = std::move(send)]() mutable {
+        const Status st = send->status;
+        if (send->nic_span != 0) {
+          record_nic_rx(send->dst_w, send->trace_id, send->nic_span);
         }
+        util::Buffer data = std::move(send->payload);
         // This runs at the receiver. The send request belongs to the sender,
         // so its completion (and the wake of anyone waiting on it) is posted
-        // back to the sender's node — under the parallel backend the state is
-        // only ever touched from its owner's shard.
-        engine_.post(node_of(sender), engine_.now(),
-                     [send_state = std::move(pending->send_state), sender, tag,
-                      size] {
-                       send_state->complete(Status{sender, tag, size},
-                                            util::Buffer{});
+        // back to the sender's node — under the parallel backend the state's
+        // completion is only ever touched from its owner's shard.
+        engine_.post(node_of(st.source), engine_.now(),
+                     [send = std::move(send), st] {
+                       send->complete(st, util::Buffer{});
                      });
-        complete_recv(recv_state, sender, recv_state->context_id, tag,
-                      std::move(pending->data), params_.recv_overhead);
+        complete_recv(std::move(recv_state), st.source, st.tag,
+                      std::move(data), params_.recv_overhead);
       });
 }
 
 void World::cancel_request(Rank me_w,
                            const std::shared_ptr<Request::State>& state) {
   if (state->done) return;
-  // Posted-but-unmatched receive?
   Endpoint& ep = *endpoints_[static_cast<std::size_t>(me_w)];
-  for (auto it = ep.posted.begin(); it != ep.posted.end(); ++it) {
-    if (it->state == state) {
-      ep.posted.erase(it);
+  // Posted-but-unmatched receive?
+  for (std::size_t i = 0; i < ep.posted.size(); ++i) {
+    if (ep.posted[i] == state) {
+      ep.posted.take(i);
       return;
     }
   }
   // Unanswered rendezvous send? Withdraw it; a CTS arriving later finds no
   // pending send and is ignored.
-  auto& sends = ep.pending_sends;
-  for (auto it = sends.begin(); it != sends.end(); ++it) {
-    if ((*it)->send_state == state) {
-      sends.erase(it);
+  for (std::size_t i = 0; i < ep.pending_sends.size(); ++i) {
+    if (ep.pending_sends[i] == state) {
+      ep.pending_sends.take(i);
       return;
     }
   }
-  // Reserved recv (data already inbound) or eager send: nothing to undo.
+  // Reserved recv (data already inbound): nothing to undo.
 }
 
 void World::complete_recv(std::shared_ptr<Request::State> state, Rank src_w,
-                          int context_id, int tag, util::Buffer payload,
+                          int tag, util::Buffer payload,
                           SimDuration extra_delay) {
-  (void)context_id;
   const std::uint64_t bytes = payload.size();
   engine_.schedule_in(extra_delay,
                       [state = std::move(state), src_w, tag, bytes,
@@ -484,8 +682,8 @@ Request Mpi::isend(const Comm& comm, Rank dst, int tag, util::Buffer data) {
     throw std::invalid_argument("isend: invalid tag");
   }
   const Rank dst_w = comm.world_rank(dst);
-  return Request(world_.post_send(ctx_, rank_, dst_w, comm.context_id(), tag,
-                                  std::move(data)));
+  return world_.post_send(ctx_, rank_, dst_w, comm.context_id(), tag,
+                          std::move(data));
 }
 
 Request Mpi::irecv(const Comm& comm, Rank src, int tag) {
@@ -511,15 +709,15 @@ bool Mpi::iprobe(const Comm& comm, Rank src, int tag, Status* status) {
 
 void Mpi::wait(Request& request) {
   if (!request.valid()) throw std::logic_error("wait on invalid request");
+  Request::State* const st = request.state_.get();
+  if (st == nullptr) return;  // an eager send: complete when posted
   sim::Process* self = &ctx_.self();
-  while (!request.state_->done) {
-    auto& w = request.state_->waiters;
-    if (std::find(w.begin(), w.end(), self) == w.end()) w.push_back(self);
+  while (!st->done) {
+    st->add_waiter(self);
     ctx_.suspend();
   }
   // Drop any leftover registration (spurious wake before completion).
-  auto& w = request.state_->waiters;
-  w.erase(std::remove(w.begin(), w.end(), self), w.end());
+  st->remove_waiter(self);
 }
 
 void Mpi::wait_all(std::span<Request> requests) {
@@ -528,23 +726,22 @@ void Mpi::wait_all(std::span<Request> requests) {
 
 std::size_t Mpi::wait_any(std::span<Request> requests) {
   if (requests.empty()) throw std::logic_error("wait_any on empty set");
+  for (const Request& r : requests) {
+    if (!r.valid()) throw std::logic_error("wait_any on invalid request");
+  }
   sim::Process* self = &ctx_.self();
   while (true) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (requests[i].done()) {
         // Deregister from the others before returning.
         for (Request& r : requests) {
-          if (!r.valid() || r.state_->done) continue;
-          auto& w = r.state_->waiters;
-          w.erase(std::remove(w.begin(), w.end(), self), w.end());
+          if (!r.done()) r.state_->remove_waiter(self);
         }
         return i;
       }
     }
-    for (Request& r : requests) {
-      auto& w = r.state_->waiters;
-      if (std::find(w.begin(), w.end(), self) == w.end()) w.push_back(self);
-    }
+    // None is done, so every one has a state.
+    for (Request& r : requests) r.state_->add_waiter(self);
     ctx_.suspend();
   }
 }
@@ -553,13 +750,15 @@ bool Mpi::wait_until(Request& request, SimTime deadline) {
   if (!request.valid()) {
     throw std::logic_error("wait_until on invalid request");
   }
+  Request::State* const st = request.state_.get();
+  if (st == nullptr) return true;  // an eager send: complete when posted
   if (deadline == kSimTimeNever) {
     wait(request);
     return true;
   }
   sim::Process* self = &ctx_.self();
   bool timer_armed = false;
-  while (!request.state_->done && ctx_.now() < deadline) {
+  while (!st->done && ctx_.now() < deadline) {
     if (!timer_armed) {
       // One wake event at the deadline; if the request completes first the
       // event fires as a harmless spurious wake (banked permit).
@@ -567,17 +766,16 @@ bool Mpi::wait_until(Request& request, SimTime deadline) {
       sim::Engine& eng = world_.engine();
       eng.schedule_at(deadline, [&eng, self] { eng.wake(*self); });
     }
-    auto& w = request.state_->waiters;
-    if (std::find(w.begin(), w.end(), self) == w.end()) w.push_back(self);
+    st->add_waiter(self);
     ctx_.suspend();
   }
-  auto& w = request.state_->waiters;
-  w.erase(std::remove(w.begin(), w.end(), self), w.end());
-  return request.state_->done;
+  st->remove_waiter(self);
+  return st->done;
 }
 
 void Mpi::cancel(Request& request) {
   if (!request.valid()) throw std::logic_error("cancel on invalid request");
+  if (request.state_ == nullptr) return;  // an eager send: nothing to undo
   world_.cancel_request(rank_, request.state_);
 }
 

@@ -76,7 +76,7 @@ class Request {
  public:
   Request() = default;
 
-  bool valid() const { return state_ != nullptr; }
+  bool valid() const { return state_ != nullptr || sent_; }
   bool done() const;
   const Status& status() const;  ///< Valid once done().
 
@@ -88,7 +88,12 @@ class Request {
   friend class Mpi;
   struct State;
   explicit Request(std::shared_ptr<State> state) : state_(std::move(state)) {}
+  explicit Request(const Status& sent) : sent_status_(sent), sent_(true) {}
   std::shared_ptr<State> state_;
+  // An eager send is complete once posted: it keeps its Status here and
+  // has no State.
+  Status sent_status_{};
+  bool sent_ = false;
 };
 
 /// A communicator: an ordered group of world ranks plus a context id that
@@ -109,6 +114,10 @@ class Comm {
   Comm(int context_id, std::vector<Rank> members);
   int context_id_ = 0;
   std::vector<Rank> members_;  // comm rank -> world rank
+  // World rank lowest_ + i -> comm rank (kAnySource for a non-member), over
+  // the members' span of world ranks.
+  Rank lowest_ = 0;
+  std::vector<Rank> ranks_;
 };
 
 /// The set of all communicating processes. Created once per simulated
@@ -135,12 +144,10 @@ class World {
  private:
   friend class Mpi;
   struct Endpoint;
-  struct PendingSend;
 
   // Internal message plumbing (world-rank addressed). Defined in mpi.cpp.
-  std::shared_ptr<Request::State> post_send(sim::Context& ctx, Rank src_w,
-                                            Rank dst_w, int context_id,
-                                            int tag, util::Buffer data);
+  Request post_send(sim::Context& ctx, Rank src_w, Rank dst_w, int context_id,
+                    int tag, util::Buffer data);
   std::shared_ptr<Request::State> post_recv(Rank me_w, int context_id,
                                             Rank src_w, int tag);
   bool probe_unexpected(Rank me_w, int context_id, Rank src_w, int tag,
@@ -149,13 +156,12 @@ class World {
                     util::Buffer payload);
   void arrive_rts(Rank dst_w, int context_id, Rank src_w, int tag,
                   std::uint64_t send_id, std::uint64_t bytes);
-  void arrive_cts(Rank src_w, std::uint64_t send_id, int tag,
+  void arrive_cts(Rank src_w, std::uint64_t send_id,
                   std::shared_ptr<Request::State> recv_state);
-  void send_cts(Rank dst_w, Rank src_w, std::uint64_t send_id, int tag,
+  void send_cts(Rank dst_w, Rank src_w, std::uint64_t send_id,
                 std::shared_ptr<Request::State> recv_state);
   void complete_recv(std::shared_ptr<Request::State> state, Rank src_w,
-                     int context_id, int tag, util::Buffer payload,
-                     SimDuration extra_delay);
+                     int tag, util::Buffer payload, SimDuration extra_delay);
   void cancel_request(Rank me_w, const std::shared_ptr<Request::State>& state);
 
   /// Per-rank send accounting (msgs/bytes, eager vs rendezvous), on the

@@ -68,11 +68,14 @@ bool KernelRegistry::contains(const std::string& name) const {
 }
 
 const KernelDef& KernelRegistry::lookup(const std::string& name) const {
+  const KernelDef* def = find(name);
+  if (def == nullptr) throw std::out_of_range("unknown kernel: " + name);
+  return *def;
+}
+
+const KernelDef* KernelRegistry::find(const std::string& name) const {
   const auto it = kernels_.find(name);
-  if (it == kernels_.end()) {
-    throw std::out_of_range("unknown kernel: " + name);
-  }
-  return it->second;
+  return it == kernels_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> KernelRegistry::names() const {
@@ -228,14 +231,12 @@ OpHandle Device::launch_async(Stream& stream, const std::string& kernel,
                               const LaunchConfig& config,
                               const KernelArgs& args, SimTime earliest) {
   if (broken_) return {engine_.now(), Result::kEccError};
-  if (!registry_->contains(kernel)) {
-    return {engine_.now(), Result::kNotFound};
+  const KernelDef* def = registry_->find(kernel);
+  if (def == nullptr) return {engine_.now(), Result::kNotFound};
+  if (functional_ && def->executor) {
+    def->executor(*this, config, args);
   }
-  const KernelDef& def = registry_->lookup(kernel);
-  if (functional_ && def.executor) {
-    def.executor(*this, config, args);
-  }
-  const auto raw_cost = def.cost(config, args);
+  const auto raw_cost = def->cost(config, args);
   const auto cost = static_cast<SimDuration>(
       static_cast<double>(raw_cost) / params_.compute_scale);
   const SimDuration busy = params_.kernel_launch_overhead + cost;

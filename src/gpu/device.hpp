@@ -141,6 +141,8 @@ class KernelRegistry {
   void register_kernel(std::string name, KernelDef def);
   bool contains(const std::string& name) const;
   const KernelDef& lookup(const std::string& name) const;
+  /// The kernel's definition, or nullptr if none is registered as `name`.
+  const KernelDef* find(const std::string& name) const;
   std::vector<std::string> names() const;
 
   /// Registry pre-loaded with the built-in utility kernels (vector_add,

@@ -56,11 +56,12 @@ BatchItem decode_item(Op op, proto::WireReader& r) {
   return item;
 }
 
-void encode_batch(proto::WireWriter& w, std::span<const BatchItem> items) {
+void encode_batch(proto::WireWriter& w,
+                  std::span<const BatchItem* const> items) {
   w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const BatchItem& item : items) {
-    w.u32(static_cast<std::uint32_t>(item.op));
-    encode_item(w, item);
+  for (const BatchItem* item : items) {
+    w.u32(static_cast<std::uint32_t>(item->op));
+    encode_item(w, *item);
   }
 }
 

@@ -66,7 +66,9 @@ void encode_item(proto::WireWriter& w, const BatchItem& item);
 BatchItem decode_item(proto::Op op, proto::WireReader& r);
 
 /// Appends `count` and the sub-requests to a frame under construction.
-void encode_batch(proto::WireWriter& w, std::span<const BatchItem> items);
+/// Takes the items by address, so a caller sends them without copying.
+void encode_batch(proto::WireWriter& w,
+                  std::span<const BatchItem* const> items);
 
 /// Decodes the batched sub-requests (reader positioned after the header).
 /// Throws proto::WireError naming the sub-request index and op on any

@@ -55,8 +55,10 @@ std::vector<BatchItem> sample_items() {
 
 TEST(BatchCodec, RoundTripsEveryBatchableOp) {
   const std::vector<BatchItem> in = sample_items();
+  std::vector<const BatchItem*> refs;
+  for (const BatchItem& item : in) refs.push_back(&item);
   WireWriter w;
-  encode_batch(w, in);
+  encode_batch(w, refs);
   WireReader r(w.finish());
   const std::vector<BatchItem> out = decode_batch(r);
   ASSERT_EQ(out.size(), in.size());
