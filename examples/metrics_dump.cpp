@@ -6,14 +6,17 @@
 // (scripts/check_determinism.sh runs this binary under
 // DACC_SIM_BACKEND=coroutine|parallel:4 and compares the outputs).
 //
-// A second argument turns on command-stream batching (DESIGN.md §10) at
-// that watermark; the determinism gate's batched leg passes 8.
+// Further arguments: a number turns on command-stream batching (DESIGN.md
+// §10) at that watermark, as the determinism gate's batched leg does with
+// 8; `prof` attaches the wallclock profiler (DESIGN.md §9.2), whose
+// dacc_prof_* series go to PREFIX.prof.prom.
 //
-//   $ ./examples/metrics_dump [out_prefix [watermark]]
+//   $ ./examples/metrics_dump [out_prefix [watermark] [prof]]
 //   wrote dacc_metrics.json and dacc_metrics.prom
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/api.hpp"
 #include "rt/cluster.hpp"
@@ -28,9 +31,14 @@ int main(int argc, char** argv) {
   config.compute_nodes = 2;
   config.accelerators = 2;
   config.metrics = true;
-  if (argc > 2) {
-    config.batch.enabled = true;
-    config.batch.watermark = static_cast<std::uint32_t>(std::stoul(argv[2]));
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "prof") {
+      config.profile = true;
+    } else {
+      config.batch.enabled = true;
+      config.batch.watermark = static_cast<std::uint32_t>(std::stoul(arg));
+    }
   }
   rt::Cluster cluster(config);
 
@@ -42,7 +50,14 @@ int main(int argc, char** argv) {
     core::Accelerator& ac = ctx.session()[0];
     const gpu::DevPtr p = ac.mem_alloc(8_MiB);
     ac.memcpy_h2d(p, util::Buffer::backed_zero(8_MiB));
-    ac.launch("dscal", {}, {std::int64_t{1 << 20}, 1.5, p});
+    // A burst of asynchronous launches: the batched run coalesces it into
+    // kBatch frames of up to its watermark.
+    std::vector<core::Future> burst;
+    for (int i = 0; i < 8; ++i) {
+      burst.push_back(
+          ac.launch_async("dscal", {}, {std::int64_t{1 << 20}, 1.5, p}));
+    }
+    ctx.session().wait_all(burst);
     (void)ac.memcpy_d2h(p, 8_MiB);
     // A little app-level MPI so the per-rank dmpi counters have something
     // to say beyond middleware traffic.
@@ -68,10 +83,10 @@ int main(int argc, char** argv) {
     metrics.write_prometheus(out);
   }
   if (config.profile) {
-    // The wallclock tier (DACC_PROF=1): dacc_prof_* series go to their own
-    // file, never into the deterministic snapshot above — the determinism
-    // gate byte-compares the .json/.prom files while this one varies run
-    // to run by nature.
+    // The wallclock tier: dacc_prof_* series go to their own file, never
+    // into the deterministic snapshot above — the determinism gate
+    // byte-compares the .json/.prom files while this one varies run to run
+    // by nature.
     std::ofstream out(prefix + ".prof.prom");
     cluster.profiler().write_prometheus(out);
     std::printf("wrote %s (wallclock tier, non-deterministic)\n",

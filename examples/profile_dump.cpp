@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   config.compute_nodes = 2;
   config.accelerators = 3;
   config.metrics = true;
-  config.profile = true;  // wallclock tier on regardless of DACC_PROF
+  config.profile = true;  // the wallclock tier
   rt::Cluster cluster(config);
 
   rt::JobSpec job;

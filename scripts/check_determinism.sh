@@ -1,17 +1,22 @@
 #!/usr/bin/env bash
-# Cross-backend determinism gate: the simulation's observable outputs —
-# simulated results, trace spans, and the dacc::obs metrics snapshot — must
-# be bit-identical under the coroutine and parallel execution backends.
+# Cross-backend determinism and observability gate: the simulation's
+# observable outputs — simulated results, trace spans, and the dacc::obs
+# metrics snapshot — must be bit-identical under the coroutine and parallel
+# execution backends, and the two observability tiers (DESIGN.md §9) must
+# stay apart.
 #
 # Two layers of checking:
 #   1. ctest: the in-process determinism suites (tests/sim, tests/obs),
-#      every obs-labelled smoke test, the mixed-path test, which compares
-#      the whole snapshot with the worker pool's and checks the per-shard
-#      era stats across worker counts, and the arm-storm regression on
-#      both backends.
+#      every obs-labelled suite and smoke test, the mixed-path test, which
+#      compares the whole snapshot with the worker pool's and checks the
+#      per-shard era stats across worker counts, and the arm-storm
+#      regression on both backends.
 #   2. process-level: run examples/metrics_dump once per backend via
 #      DACC_SIM_BACKEND and byte-compare the exported JSON + Prometheus
-#      snapshots, written whole, across the runs.
+#      snapshots, written whole, across the runs; with the wallclock
+#      profiler attached, check that the snapshot does not move, that the
+#      profiler's export holds only dacc_prof_ series and the snapshot none,
+#      and that neither lists a series twice.
 #
 #   $ scripts/check_determinism.sh [build-dir]
 #
@@ -67,14 +72,22 @@ for ext in json prom; do
   cmp "$out/metrics_coroutine.$ext" "$out/metrics_parallel_4.$ext"
 done
 
-# Wallclock profiler tier (DESIGN.md §9.2): with DACC_PROF=1 the profiler
-# attaches and exports dacc_prof_* series to a separate .prof.prom file —
-# the deterministic snapshot must stay byte-identical to the unprofiled
-# runs above, and no dacc_prof_ series may leak into it.
+# The profiler is off unless asked for: no wallclock export.
+if [ -e "$out/metrics_coroutine.prof.prom" ]; then
+  echo "profiler detached but a wallclock export appeared" >&2
+  exit 1
+fi
+
+# Wallclock profiler tier (DESIGN.md §9.2): metrics_dump's `prof` argument
+# attaches the profiler, which exports dacc_prof_* series to a separate
+# .prof.prom file. The deterministic snapshot must stay byte-identical to
+# the unprofiled runs above and must not know the dacc_prof_ prefix; the
+# wallclock export must use nothing else; neither exposition may list a
+# series name twice.
 for backend in coroutine parallel:4; do
   tag="${backend/:/_}"
-  (cd "$out" && DACC_SIM_BACKEND="$backend" DACC_PROF=1 \
-    "$build/examples/metrics_dump" "metrics_prof_$tag" \
+  (cd "$out" && DACC_SIM_BACKEND="$backend" \
+    "$build/examples/metrics_dump" "metrics_prof_$tag" prof \
     > "run_prof_$tag.log")
 done
 
@@ -85,7 +98,8 @@ for ext in json prom; do
 done
 
 for tag in coroutine parallel_4; do
-  if [ ! -s "$out/metrics_prof_$tag.prof.prom" ]; then
+  prof="$out/metrics_prof_$tag.prof.prom"
+  if [ ! -s "$prof" ]; then
     echo "profiler enabled but no wallclock series exported ($tag)" >&2
     exit 1
   fi
@@ -93,6 +107,18 @@ for tag in coroutine parallel_4; do
     echo "wallclock series leaked into the deterministic snapshot ($tag)" >&2
     exit 1
   fi
+  if grep -v '^#' "$prof" | grep -vq '^dacc_prof_'; then
+    echo "wallclock export contains a series outside dacc_prof_ ($tag)" >&2
+    exit 1
+  fi
+  for f in "$out/metrics_prof_$tag.prom" "$prof"; do
+    dups="$(grep -v '^#' "$f" | awk '{print $1}' | sort | uniq -d)"
+    if [ -n "$dups" ]; then
+      echo "duplicate series in $f:" >&2
+      echo "$dups" >&2
+      exit 1
+    fi
+  done
 done
 
 # Batched command streams: repeat the process-level check with metrics_dump's
@@ -109,6 +135,26 @@ done
 for ext in json prom; do
   cmp "$out/metrics_batch_coroutine.$ext" "$out/metrics_batch_parallel_4.$ext"
 done
+
+# The job's launch_async burst must coalesce: on every front-end channel,
+# the batch sizes must sum to more than the number of flushes.
+if ! awk '
+  /^dacc_rpc_batch_size_(sum|count)\{chan="fe-/ {
+    split($1, name, "{");
+    if (name[1] == "dacc_rpc_batch_size_sum") sum[name[2]] = $2;
+    else count[name[2]] = $2;
+  }
+  END {
+    n = 0;
+    for (chan in sum) {
+      n++;
+      if (sum[chan] <= count[chan]) { print "no coalescing on " chan; exit 1 }
+    }
+    if (n == 0) { print "no front-end batch series"; exit 1 }
+  }' "$out/metrics_batch_coroutine.prom" >&2; then
+  echo "the batched metrics_dump run sent no multi-op kBatch frame" >&2
+  exit 1
+fi
 
 # Replicated ARM (DESIGN.md §11): a whole chaos schedule — elections,
 # a seeded leader kill, failover, re-election — must replay identically
@@ -147,4 +193,4 @@ for ext in json prom sched; do
   done
 done
 
-echo "determinism check passed: whole metrics snapshots identical across backends (mixed paths + per-shard era stats + arm storm in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos)"
+echo "determinism check passed: whole metrics snapshots identical across backends (mixed paths + per-shard era stats + arm storm in-process; plain + profiled + batched + replicated-ARM chaos + scheduler chaos); profiler attach is snapshot-neutral, series namespaces disjoint and collision-free; the batched leg coalesces"

@@ -60,7 +60,7 @@ run_side() {  # build-dir out-dir
   mkdir -p "$out"
   (
     cd "$out"
-    unset DACC_SIM_BACKEND DACC_SIM_PARALLEL_WORKERS DACC_PROF
+    unset DACC_SIM_BACKEND DACC_SIM_PARALLEL_WORKERS
     for bench in fig05_h2d_bandwidth fig06_d2h_bandwidth \
         fig07_h2d_local_vs_remote fig08_d2h_local_vs_remote fig09_qr \
         fig10_cholesky fig11_mp2c t01_latency ext_lu; do
@@ -81,8 +81,6 @@ run_side() {  # build-dir out-dir
         "sched_$tag" 42 > "sched_$tag.txt"
     done
     "$bin/examples/trace_dump" > trace_dump.txt
-    # The only run here whose job sends kBatch frames (metrics_dump's job
-    # is synchronous, so its watermark-8 leg flushes one op at a time).
     "$bin/examples/mp2c_mini" > mp2c_mini.txt
   )
 }

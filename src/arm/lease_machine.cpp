@@ -396,8 +396,8 @@ const LeaseMachine::CachedReply* LeaseMachine::cached(dmpi::Rank client,
                                                       int reply_tag) const {
   for (const ClientReplies& c : reply_cache_) {
     if (c.client != client) continue;
-    for (const CachedReply& r : c.replies) {
-      if (r.reply_tag == reply_tag) return &r;
+    for (std::size_t i = 0; i < c.replies.size(); ++i) {
+      if (c.replies[i].reply_tag == reply_tag) return &c.replies[i];
     }
     return nullptr;
   }
@@ -425,9 +425,7 @@ void LeaseMachine::emit_reply(std::vector<Effect>& out, dmpi::Rank client,
       entry = &reply_cache_.back();
     }
     entry->replies.push_back(CachedReply{reply_tag, frame.view()});
-    while (entry->replies.size() > kReplyCacheDepth) {
-      entry->replies.pop_front();
-    }
+    while (entry->replies.size() > kReplyCacheDepth) entry->replies.take(0);
   }
   Effect e;
   e.kind = Effect::Kind::kReply;
@@ -1000,9 +998,9 @@ util::Buffer LeaseMachine::snapshot() const {
   for (const ClientReplies& c : reply_cache_) {
     w.u64(static_cast<std::uint64_t>(c.client));
     w.u32(static_cast<std::uint32_t>(c.replies.size()));
-    for (const CachedReply& r : c.replies) {
-      w.u32(static_cast<std::uint32_t>(r.reply_tag));
-      w.blob(r.frame.bytes());
+    for (std::size_t i = 0; i < c.replies.size(); ++i) {
+      w.u32(static_cast<std::uint32_t>(c.replies[i].reply_tag));
+      w.blob(c.replies[i].frame.bytes());
     }
   }
   return w.finish();

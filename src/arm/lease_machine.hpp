@@ -27,7 +27,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -39,6 +38,7 @@
 #include "obs/metrics.hpp"
 #include "proto/wire.hpp"
 #include "util/buffer.hpp"
+#include "util/fifo.hpp"
 #include "util/units.hpp"
 
 namespace dacc::arm {
@@ -369,7 +369,7 @@ class LeaseMachine {
   /// snapshots are byte-identical across replicas.
   struct ClientReplies {
     dmpi::Rank client = -1;
-    std::deque<CachedReply> replies;
+    util::Fifo<CachedReply> replies;
   };
 
   LeaseMachine() = default;  // for restore()

@@ -20,25 +20,23 @@ using proto::WireWriter;
 // ---------------------------------------------------------------------------
 
 struct Future::State {
-  explicit State(sim::Engine& eng) : engine(&eng) {}
+  explicit State(sim::Engine& eng) : completion(eng) {}
 
-  sim::Engine* engine;
-  bool done = false;
+  sim::Completion completion;
   Result status = Result::kSuccess;
   gpu::DevPtr ptr = gpu::kNullDevPtr;
   util::Buffer data;
   DeviceInfo info;
-  std::vector<sim::Process*> waiters;
 
   void complete(Result r) {
-    done = true;
     status = r;
-    for (sim::Process* w : waiters) engine->wake(*w);
-    waiters.clear();
+    completion.complete();
   }
 };
 
-bool Future::done() const { return state_ != nullptr && state_->done; }
+bool Future::done() const {
+  return state_ != nullptr && state_->completion.done();
+}
 
 Result Future::status() const {
   if (!done()) throw std::logic_error("Future::status before completion");
@@ -57,14 +55,7 @@ util::Buffer Future::take_data() {
 
 void Future::wait(sim::Context& ctx) {
   if (!valid()) throw std::logic_error("wait on invalid Future");
-  sim::Process* self = &ctx.self();
-  while (!state_->done) {
-    auto& w = state_->waiters;
-    if (std::find(w.begin(), w.end(), self) == w.end()) w.push_back(self);
-    ctx.suspend();
-  }
-  auto& w = state_->waiters;
-  w.erase(std::remove(w.begin(), w.end(), self), w.end());
+  state_->completion.wait(ctx);
 }
 
 void Future::get(sim::Context& ctx) {

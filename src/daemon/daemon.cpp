@@ -242,7 +242,6 @@ void Daemon::handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
   const gpu::DevPtr src = req.u64();
   const std::uint64_t bytes = req.u64();
   const TransferConfig config = req.transfer_config();
-  dmpi::Mpi& mpi = ch.mpi();
 
   // Validate up front so the client learns about errors before it starts
   // waiting for data blocks.
@@ -253,7 +252,16 @@ void Daemon::handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
     return;
   }
   respond_status(ch, client, reply_tag, Result::kSuccess);
+  respond_status(ch, client, reply_tag,
+                 send_device_blocks(ch, ctx, client, reply_tag + 1, src, bytes,
+                                    config, /*to_host=*/true));
+}
 
+Result Daemon::send_device_blocks(rpc::ServerChannel& ch, sim::Context& ctx,
+                                  dmpi::Rank to, int tag, gpu::DevPtr src,
+                                  std::uint64_t bytes,
+                                  const TransferConfig& config, bool to_host) {
+  dmpi::Mpi& mpi = ch.mpi();
   const proto::BlockPlan plan(bytes, config);
   Result fail = Result::kSuccess;
   std::vector<dmpi::Request> sends;
@@ -263,7 +271,9 @@ void Daemon::handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
     const gpu::OpHandle op = device_.memcpy_dtoh_async(
         stream_, src + plan.offset(i), plan.size(i),
         gpu::HostMemType::kPinned, ctx.now(), &block,
-        copy_extra_busy(plan.size(i), config.gpudirect, /*h2d=*/false));
+        to_host ? copy_extra_busy(plan.size(i), config.gpudirect,
+                                  /*h2d=*/false)
+                : 0);
     if (!op.ok()) {
       // Keep the wire protocol intact: ship a zero block and report at the
       // end (a device may break mid-transfer under fault injection).
@@ -272,11 +282,10 @@ void Daemon::handle_dtoh(rpc::ServerChannel& ch, sim::Context& ctx,
     } else {
       ctx.wait_until(op.done_at);
     }
-    sends.push_back(
-        mpi.isend(ch.comm(), client, reply_tag + 1, std::move(block)));
+    sends.push_back(mpi.isend(ch.comm(), to, tag, std::move(block)));
   }
   mpi.wait_all(sends);
-  respond_status(ch, client, reply_tag, fail);
+  return fail;
 }
 
 void Daemon::handle_device_info(rpc::ServerChannel& ch, dmpi::Rank client,
@@ -298,7 +307,6 @@ void Daemon::handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,
   const auto peer = static_cast<dmpi::Rank>(req.u64());
   const gpu::DevPtr peer_dst = req.u64();
   const TransferConfig config = req.transfer_config();
-  dmpi::Mpi& mpi = ch.mpi();
 
   if (device_.broken() || !device_.valid_range(src, bytes)) {
     respond_status(ch, client, reply_tag,
@@ -312,7 +320,7 @@ void Daemon::handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,
   // not involved, which is the point of the paper's accelerator-to-
   // accelerator transfer claim (Section III.C). The put takes a tag from
   // this rank's tag space like any other request; its data rides tag + 1.
-  rpc::Channel peer_ch(mpi, ch.comm(), peer, rpc::Channel::Options{});
+  rpc::Channel peer_ch(ch.mpi(), ch.comm(), peer, rpc::Channel::Options{});
   const int put_tag = peer_ch.next_reply_tag();
   dmpi::Request verdict = peer_ch.post_reply(put_tag);
   peer_ch.send_request(peer_ch.request(Op::kPeerPut, put_tag)
@@ -321,24 +329,15 @@ void Daemon::handle_peer_send(rpc::ServerChannel& ch, sim::Context& ctx,
                            .transfer_config(config)
                            .finish());
 
-  const proto::BlockPlan plan(bytes, config);
-  std::vector<dmpi::Request> sends;
-  sends.reserve(plan.count());
-  for (std::size_t i = 0; i < plan.count(); ++i) {
-    util::Buffer block;
-    const gpu::OpHandle op = device_.memcpy_dtoh_async(
-        stream_, src + plan.offset(i), plan.size(i),
-        gpu::HostMemType::kPinned, ctx.now(), &block);
-    if (!op.ok()) block = util::Buffer::phantom(plan.size(i));
-    if (op.ok()) ctx.wait_until(op.done_at);
-    sends.push_back(mpi.isend(ch.comm(), peer, put_tag + 1, std::move(block)));
-  }
-  mpi.wait_all(sends);
+  const Result sent = send_device_blocks(ch, ctx, peer, put_tag + 1, src,
+                                         bytes, config, /*to_host=*/false);
 
-  // The peer acknowledges the put to us; relay the verdict to the client.
+  // The peer acknowledges the put to us. Answer the client with the first
+  // failure: a block our device failed to read, else the peer's verdict.
   (void)peer_ch.finish(verdict);
+  const Result put = WireReader(verdict.take_payload()).result();
   respond_status(ch, client, reply_tag,
-                 WireReader(verdict.take_payload()).result());
+                 sent != Result::kSuccess ? sent : put);
 }
 
 void Daemon::handle_batch(rpc::ServerChannel& ch, sim::Context& ctx,

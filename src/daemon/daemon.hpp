@@ -58,6 +58,17 @@ class Daemon {
   void respond_status(rpc::ServerChannel& ch, dmpi::Rank client,
                       int reply_tag, gpu::Result r);
 
+  /// Streams `bytes` from device address `src` to rank `to`, one message
+  /// per block of `config`'s plan on `tag`, each sent as its DMA lands. A
+  /// block whose DMA fails goes out as zeros, so the wire protocol stays
+  /// intact. A copy to the host pays copy_extra_busy per block; the peer
+  /// leg pays none. Returns the first failing DMA status.
+  gpu::Result send_device_blocks(rpc::ServerChannel& ch, sim::Context& ctx,
+                                 dmpi::Rank to, int tag, gpu::DevPtr src,
+                                 std::uint64_t bytes,
+                                 const proto::TransferConfig& config,
+                                 bool to_host);
+
   /// Serialized host-side cost added to a block's DMA: the GPUDirect v1
   /// shared-page rate penalty, or (without GPUDirect) the staging copy.
   SimDuration copy_extra_busy(std::uint64_t bytes, bool gpudirect,

@@ -6,7 +6,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/sync.hpp"
 #include "sim/trace.hpp"
+#include "util/fifo.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
@@ -21,10 +23,9 @@ namespace dacc::dmpi {
 // A receive, or a rendezvous send until its data is delivered. An eager send
 // has none: it is complete when posted.
 struct Request::State {
-  explicit State(sim::Engine& eng) : engine(&eng) {}
+  explicit State(sim::Engine& eng) : completion(eng) {}
 
-  sim::Engine* engine;
-  bool done = false;
+  sim::Completion completion;
   bool reserved = false;  // recv matched to a rendezvous sender, data inbound
   // Source stored as WORLD rank until completion; a rendezvous send holds
   // the status it completes with from the moment it is posted.
@@ -41,47 +42,16 @@ struct Request::State {
   Rank dst_w = kAnySource;
   std::uint64_t trace_id = 0;
   std::uint64_t nic_span = 0;
-  // Processes to wake on completion, in the order they began waiting: the
-  // first in `waiter`, the rest (several processes waiting on copies of one
-  // request) in `more_waiters`. `waiter` is refilled only when no one else
-  // waits, so it always precedes `more_waiters`.
-  sim::Process* waiter = nullptr;
-  std::vector<sim::Process*> more_waiters;
-
-  void add_waiter(sim::Process* p) {
-    if (waiter == p || std::find(more_waiters.begin(), more_waiters.end(),
-                                 p) != more_waiters.end()) {
-      return;
-    }
-    if (waiter == nullptr && more_waiters.empty()) {
-      waiter = p;
-    } else {
-      more_waiters.push_back(p);
-    }
-  }
-
-  void remove_waiter(sim::Process* p) {
-    if (waiter == p) {
-      waiter = nullptr;
-      return;
-    }
-    more_waiters.erase(
-        std::remove(more_waiters.begin(), more_waiters.end(), p),
-        more_waiters.end());
-  }
 
   void complete(Status st, util::Buffer data) {
-    done = true;
     status = st;
     payload = std::move(data);
-    if (waiter != nullptr) engine->wake(*std::exchange(waiter, nullptr));
-    for (sim::Process* w : more_waiters) engine->wake(*w);
-    more_waiters.clear();
+    completion.complete();
   }
 };
 
 bool Request::done() const {
-  return sent_ || (state_ != nullptr && state_->done);
+  return sent_ || (state_ != nullptr && state_->completion.done());
 }
 
 const Status& Request::status() const {
@@ -197,57 +167,6 @@ std::shared_ptr<State> new_state(sim::Engine& engine) {
   return std::allocate_shared<State>(StateAllocator<State>{}, engine);
 }
 
-// A FIFO on a power-of-two ring that doubles when full and never shrinks,
-// so once it has held its high-water count, pushing and erasing allocate
-// nothing (a std::deque used as a FIFO frees and allocates a block every
-// few dozen elements). Erasing the front is O(1); erasing further in moves
-// the later elements up one place.
-template <typename T>
-class Fifo {
- public:
-  std::size_t size() const { return size_; }
-  T& operator[](std::size_t i) { return slots_[(head_ + i) & mask()]; }
-  const T& operator[](std::size_t i) const {
-    return slots_[(head_ + i) & mask()];
-  }
-
-  void push_back(T value) {
-    if (size_ == slots_.size()) grow();
-    ++size_;
-    (*this)[size_ - 1] = std::move(value);
-  }
-
-  /// Removes element `i` and returns it.
-  T take(std::size_t i) {
-    T out = std::move((*this)[i]);
-    if (i == 0) {
-      (*this)[0] = T{};
-      head_ = (head_ + 1) & mask();
-    } else {
-      for (std::size_t j = i; j + 1 < size_; ++j) {
-        (*this)[j] = std::move((*this)[j + 1]);
-      }
-      (*this)[size_ - 1] = T{};
-    }
-    --size_;
-    return out;
-  }
-
- private:
-  std::size_t mask() const { return slots_.size() - 1; }
-
-  void grow() {
-    std::vector<T> bigger(slots_.empty() ? 8 : slots_.size() * 2);
-    for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move((*this)[i]);
-    slots_ = std::move(bigger);
-    head_ = 0;
-  }
-
-  std::vector<T> slots_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -304,8 +223,9 @@ struct World::Endpoint {
     std::uint64_t send_id = 0;  // rendezvous only
     util::Buffer payload;       // eager only
   };
-  Fifo<std::shared_ptr<Request::State>> posted;  // receives, oldest first
-  Fifo<Unexpected> unexpected;
+  // Receives, oldest first.
+  util::Fifo<std::shared_ptr<Request::State>> posted;
+  util::Fifo<Unexpected> unexpected;
   // Rendezvous sends awaiting their CTS, in posting order. They live on the
   // *sender's* endpoint: post_send, arrive_cts (the CTS is delivered to the
   // sender's node) and cancel_request all run in that rank's node context,
@@ -313,7 +233,7 @@ struct World::Endpoint {
   // A receiver matches a stream of sends in order, so a CTS almost always
   // answers the front one.
   std::uint64_t next_send_id = 1;
-  Fifo<std::shared_ptr<Request::State>> pending_sends;
+  util::Fifo<std::shared_ptr<Request::State>> pending_sends;
   // User-level tag seed (Mpi::fresh_tag_seed); same shard-ownership
   // argument as above.
   std::uint64_t next_tag_seed = 0;
@@ -622,7 +542,7 @@ void World::arrive_cts(Rank src_w, std::uint64_t send_id,
 
 void World::cancel_request(Rank me_w,
                            const std::shared_ptr<Request::State>& state) {
-  if (state->done) return;
+  if (state->completion.done()) return;
   Endpoint& ep = *endpoints_[static_cast<std::size_t>(me_w)];
   // Posted-but-unmatched receive?
   for (std::size_t i = 0; i < ep.posted.size(); ++i) {
@@ -709,15 +629,8 @@ bool Mpi::iprobe(const Comm& comm, Rank src, int tag, Status* status) {
 
 void Mpi::wait(Request& request) {
   if (!request.valid()) throw std::logic_error("wait on invalid request");
-  Request::State* const st = request.state_.get();
-  if (st == nullptr) return;  // an eager send: complete when posted
-  sim::Process* self = &ctx_.self();
-  while (!st->done) {
-    st->add_waiter(self);
-    ctx_.suspend();
-  }
-  // Drop any leftover registration (spurious wake before completion).
-  st->remove_waiter(self);
+  // An eager send has no state: it is complete when posted.
+  if (request.state_ != nullptr) request.state_->completion.wait(ctx_);
 }
 
 void Mpi::wait_all(std::span<Request> requests) {
@@ -729,48 +642,30 @@ std::size_t Mpi::wait_any(std::span<Request> requests) {
   for (const Request& r : requests) {
     if (!r.valid()) throw std::logic_error("wait_any on invalid request");
   }
-  sim::Process* self = &ctx_.self();
-  while (true) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (requests[i].done()) {
-        // Deregister from the others before returning.
-        for (Request& r : requests) {
-          if (!r.done()) r.state_->remove_waiter(self);
-        }
-        return i;
-      }
-    }
-    // None is done, so every one has a state.
-    for (Request& r : requests) r.state_->add_waiter(self);
-    ctx_.suspend();
+  const auto first_done = [&] {
+    std::size_t i = 0;
+    while (i < requests.size() && !requests[i].done()) ++i;
+    return i;
+  };
+  std::size_t i = first_done();
+  if (i < requests.size()) return i;
+  // None is done, so every one has a state. Wait on all of them; the one
+  // that completes drops us from its list, the others are left here.
+  sim::Process& self = ctx_.self();
+  for (Request& r : requests) r.state_->completion.waiters().add(self);
+  while ((i = first_done()) == requests.size()) ctx_.suspend();
+  for (Request& r : requests) {
+    if (!r.done()) r.state_->completion.waiters().remove(self);
   }
+  return i;
 }
 
 bool Mpi::wait_until(Request& request, SimTime deadline) {
   if (!request.valid()) {
     throw std::logic_error("wait_until on invalid request");
   }
-  Request::State* const st = request.state_.get();
-  if (st == nullptr) return true;  // an eager send: complete when posted
-  if (deadline == kSimTimeNever) {
-    wait(request);
-    return true;
-  }
-  sim::Process* self = &ctx_.self();
-  bool timer_armed = false;
-  while (!st->done && ctx_.now() < deadline) {
-    if (!timer_armed) {
-      // One wake event at the deadline; if the request completes first the
-      // event fires as a harmless spurious wake (banked permit).
-      timer_armed = true;
-      sim::Engine& eng = world_.engine();
-      eng.schedule_at(deadline, [&eng, self] { eng.wake(*self); });
-    }
-    st->add_waiter(self);
-    ctx_.suspend();
-  }
-  st->remove_waiter(self);
-  return st->done;
+  return request.state_ == nullptr ||  // an eager send: complete when posted
+         request.state_->completion.wait_until(ctx_, deadline);
 }
 
 void Mpi::cancel(Request& request) {
@@ -798,15 +693,10 @@ util::Buffer Mpi::recv(const Comm& comm, Rank src, int tag, Status* status) {
 util::Buffer Mpi::sendrecv(const Comm& comm, Rank dst, int send_tag,
                            util::Buffer data, Rank src, int recv_tag,
                            Status* status) {
-  Request r = irecv(comm, src, recv_tag);
   Request s = isend(comm, dst, send_tag, std::move(data));
-  wait(r);
+  util::Buffer in = recv(comm, src, recv_tag, status);
   wait(s);
-  if (status != nullptr) {
-    *status = r.status();
-    status->source = comm.comm_rank(r.status().source);
-  }
-  return r.take_payload();
+  return in;
 }
 
 // --- collectives -----------------------------------------------------------

@@ -248,8 +248,9 @@ class Mpi {
   /// deterministic under every backend.
   std::uint64_t fresh_tag_seed();
 
-  /// Combined send + receive (halo-exchange staple); posts the receive
-  /// first so opposing sendrecvs never deadlock.
+  /// Combined send + receive (halo-exchange staple): posts the send,
+  /// receives, then waits for the send. Opposing sendrecvs never deadlock,
+  /// because an isend never waits for its receiver.
   util::Buffer sendrecv(const Comm& comm, Rank dst, int send_tag,
                         util::Buffer data, Rank src, int recv_tag,
                         Status* status = nullptr);

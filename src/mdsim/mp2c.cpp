@@ -66,15 +66,6 @@ double wrap(double x, double l) {
   return w;
 }
 
-/// Sends `out` to `to` and receives the neighbours' batch; returns it.
-util::Buffer exchange(dmpi::Mpi& mpi, const dmpi::Comm& comm, int to,
-                      int from, int tag, util::Buffer out) {
-  dmpi::Request send = mpi.isend(comm, to, tag, std::move(out));
-  util::Buffer in = mpi.recv(comm, from, tag);
-  mpi.wait(send);
-  return in;
-}
-
 }  // namespace
 
 void register_mdsim_kernels(gpu::KernelRegistry& registry,
@@ -254,10 +245,12 @@ Mp2cResult run_mp2c(rt::JobContext& job, core::DeviceLink* gpu,
         to_left = util::Buffer::phantom(est * kParticleBytes);
         to_right = util::Buffer::phantom(est * kParticleBytes);
       }
-      util::Buffer from_right = exchange(mpi, comm, left, right,
-                                         kTagMigrateLeft, std::move(to_left));
-      util::Buffer from_left = exchange(mpi, comm, right, left,
-                                        kTagMigrateRight, std::move(to_right));
+      util::Buffer from_right = mpi.sendrecv(comm, left, kTagMigrateLeft,
+                                             std::move(to_left), right,
+                                             kTagMigrateLeft);
+      util::Buffer from_left = mpi.sendrecv(comm, right, kTagMigrateRight,
+                                            std::move(to_right), left,
+                                            kTagMigrateRight);
       if (functional) {
         for (const util::Buffer* in : {&from_right, &from_left}) {
           for (const Particle& p : in->as<Particle>()) {
@@ -307,10 +300,12 @@ Mp2cResult run_mp2c(rt::JobContext& job, core::DeviceLink* gpu,
         to_left = util::Buffer::phantom(est * kParticleBytes);
         to_right = util::Buffer::phantom(0);
       }
-      util::Buffer from_right = exchange(mpi, comm, left, right,
-                                         kTagCollLeft, std::move(to_left));
-      util::Buffer from_left = exchange(mpi, comm, right, left,
-                                        kTagCollRight, std::move(to_right));
+      util::Buffer from_right = mpi.sendrecv(comm, left, kTagCollLeft,
+                                             std::move(to_left), right,
+                                             kTagCollLeft);
+      util::Buffer from_left = mpi.sendrecv(comm, right, kTagCollRight,
+                                            std::move(to_right), left,
+                                            kTagCollRight);
       if (functional) {
         for (const util::Buffer* in : {&from_right, &from_left}) {
           for (const Particle& p : in->as<Particle>()) {

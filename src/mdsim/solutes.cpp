@@ -112,11 +112,9 @@ std::vector<double> SoluteSystem::exchange_ghosts(dmpi::Mpi& mpi,
     }
   }
   auto xchg = [&](int to, int from, int tag, std::vector<double>& out) {
-    dmpi::Request send = mpi.isend(
-        comm, to, tag,
-        util::Buffer::of<double>(std::span<const double>(out)));
-    util::Buffer in = mpi.recv(comm, from, tag);
-    mpi.wait(send);
+    const util::Buffer in = mpi.sendrecv(
+        comm, to, tag, util::Buffer::of<double>(std::span<const double>(out)),
+        from, tag);
     auto view = in.as<double>();
     return std::vector<double>(view.begin(), view.end());
   };
@@ -198,11 +196,9 @@ void SoluteSystem::migrate(dmpi::Mpi& mpi, const dmpi::Comm& comm) {
     dest->insert(dest->end(), p, p + 6);
   }
   auto xchg = [&](int to, int from, int tag, std::vector<double>& out) {
-    dmpi::Request send = mpi.isend(
-        comm, to, tag,
-        util::Buffer::of<double>(std::span<const double>(out)));
-    util::Buffer in = mpi.recv(comm, from, tag);
-    mpi.wait(send);
+    const util::Buffer in = mpi.sendrecv(
+        comm, to, tag, util::Buffer::of<double>(std::span<const double>(out)),
+        from, tag);
     auto view = in.as<double>();
     stay.insert(stay.end(), view.begin(), view.end());
   };

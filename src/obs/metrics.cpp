@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "sim/engine.hpp"
+#include "util/json.hpp"
 
 namespace dacc::obs {
 
@@ -267,26 +268,6 @@ void Registry::reset() {
 
 namespace {
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (u < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[u >> 4] << kHex[u & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
 /// Splits `dacc_x_ns{op="h2d"}` into base name and label body ("" if none).
 void split_labels(const std::string& name, std::string* base,
                   std::string* labels) {
@@ -319,9 +300,9 @@ void Registry::write_json(std::ostream& os) const {
   for (const Metric* m : sorted) {
     if (!first) os << ",";
     first = false;
-    os << "{\"name\":\"";
-    write_json_escaped(os, m->name);
-    os << "\",";
+    os << "{\"name\":";
+    util::write_json_string(os, m->name);
+    os << ",";
     switch (m->kind) {
       case Kind::kCounter:
         os << "\"type\":\"counter\",\"value\":" << m->count;

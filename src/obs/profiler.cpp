@@ -6,30 +6,9 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace dacc::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
-
-}  // namespace
 
 void Profiler::begin_run(int shards, int workers) {
   if (static_cast<std::size_t>(shards) > shard_slots_.size()) {
@@ -157,9 +136,9 @@ void Profiler::write_json(std::ostream& os) const {
     if (sp == std::string::npos) continue;
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"";
-    json_escape(os, std::string_view(line).substr(0, sp));
-    os << "\",\"value\":" << line.substr(sp + 1) << '}';
+    os << "{\"name\":";
+    util::write_json_string(os, std::string_view(line).substr(0, sp));
+    os << ",\"value\":" << line.substr(sp + 1) << '}';
   }
   os << "]}\n";
 }

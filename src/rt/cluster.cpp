@@ -1,6 +1,5 @@
 #include "rt/cluster.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -81,11 +80,6 @@ arm::PlacementMap build_placement(const ClusterConfig& config,
 }
 
 }  // namespace
-
-bool ClusterConfig::default_profile() {
-  const char* v = std::getenv("DACC_PROF");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
 
 JobContext::JobContext(Cluster& cluster, sim::Context& ctx, int job_rank,
                        int job_size, const dmpi::Comm& job_comm,

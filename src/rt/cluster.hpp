@@ -93,11 +93,10 @@ struct ClusterConfig {
 
   /// Attach the wallclock profiler (obs::Profiler, the non-deterministic
   /// tier): per-shard busy/stall/inbox/sync attribution under the parallel
-  /// backend, serial drain timing otherwise. Defaults to the DACC_PROF
-  /// environment knob; off unless set. Never feeds Cluster::metrics() —
-  /// `dacc_prof_*` series live only in Cluster::profiler()'s exporters.
-  bool profile = default_profile();
-  static bool default_profile();
+  /// backend, serial drain timing otherwise. Off by default. Never feeds
+  /// Cluster::metrics() — `dacc_prof_*` series live only in
+  /// Cluster::profiler()'s exporters.
+  bool profile = false;
 
   /// When non-empty, a post-mortem flight-recorder dump is written to this
   /// path automatically after a run during which a fault was injected

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/engine.hpp"
+#include "util/json.hpp"
 
 namespace dacc::sim {
 
@@ -36,31 +37,6 @@ std::vector<Tracer::Span> Tracer::track(const std::string& name) const {
   return out;
 }
 
-namespace {
-
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        // Remaining control bytes are only legal in JSON as \u escapes.
-        if (u < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          os << "\\u00" << kHex[u >> 4] << kHex[u & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void Tracer::write_chrome_json(std::ostream& os) const {
   // Stable tid per track, in order of first appearance.
   std::map<std::string, int> tids;
@@ -73,17 +49,16 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     if (!first) os << ",";
     first = false;
     os << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
-       << ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    write_escaped(os, track);
-    os << "\"}}";
+       << ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    util::write_json_string(os, track);
+    os << "}}";
   }
   for (const Span& s : spans_) {
     os << ",{\"ph\":\"X\",\"pid\":0,\"tid\":" << tids[s.track]
        << ",\"ts\":" << static_cast<double>(s.begin) / 1000.0
        << ",\"dur\":" << static_cast<double>(s.end - s.begin) / 1000.0
-       << ",\"name\":\"";
-    write_escaped(os, s.name);
-    os << "\"";
+       << ",\"name\":";
+    util::write_json_string(os, s.name);
     if (s.trace_id != 0) {
       os << ",\"args\":{\"trace\":" << s.trace_id << ",\"span\":" << s.span_id
          << ",\"parent\":" << s.parent_id << "}";

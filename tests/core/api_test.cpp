@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "rt/cluster.hpp"
 #include "util/units.hpp"
 
@@ -165,6 +168,54 @@ TEST(Api, AsyncOpsToOneAcceleratorStayOrdered) {
   });
 }
 
+/// Spawns one process per entry of `delays` on the job's node; process w
+/// sleeps delays[w], then waits on `f` and appends w to `woke`.
+void spawn_waiters(rt::JobContext& job, const Future& f,
+                   const std::vector<SimDuration>& delays,
+                   std::vector<int>& woke,
+                   std::vector<sim::Process*>* procs = nullptr) {
+  for (std::size_t w = 0; w < delays.size(); ++w) {
+    sim::Process& p = job.ctx().engine().spawn(
+        "waiter" + std::to_string(w),
+        [f = f, delay = delays[w], w, &woke](sim::Context& ctx) mutable {
+          ctx.wait_for(delay);
+          f.wait(ctx);
+          woke.push_back(static_cast<int>(w));
+        });
+    if (procs != nullptr) procs->push_back(&p);
+  }
+}
+
+TEST(Api, FutureWakesEveryWaiterInRegistrationOrder) {
+  run_job(one_cn_two_acs(), 1, [](rt::JobContext& job) {
+    Accelerator& ac = job.session()[0];
+    const gpu::DevPtr p = ac.mem_alloc(1_MiB);
+    Future f = ac.memcpy_h2d_async(p, util::Buffer::phantom(1_MiB));
+    // Waiter 1 starts waiting before waiter 0.
+    std::vector<int> woke;
+    spawn_waiters(job, f, {2'000, 1'000}, woke);
+    job.ctx().wait_for(5'000);
+    f.get(job.ctx());  // registered third, so it runs after both
+    EXPECT_EQ(woke, (std::vector<int>{1, 0}));
+  });
+}
+
+TEST(Api, SpuriouslyWokenFutureWaiterKeepsItsPlace) {
+  run_job(one_cn_two_acs(), 1, [](rt::JobContext& job) {
+    Accelerator& ac = job.session()[0];
+    const gpu::DevPtr p = ac.mem_alloc(1_MiB);
+    Future f = ac.memcpy_h2d_async(p, util::Buffer::phantom(1_MiB));
+    std::vector<int> woke;
+    std::vector<sim::Process*> procs;
+    spawn_waiters(job, f, {0, 1'000, 2'000}, woke, &procs);
+    job.ctx().wait_for(10'000);
+    ASSERT_FALSE(f.done());
+    job.ctx().engine().wake(*procs[1]);
+    f.get(job.ctx());
+    EXPECT_EQ(woke, (std::vector<int>{0, 1, 2}));
+  });
+}
+
 TEST(Api, PeerCopyMovesDataAccelerartorToAccelerator) {
   run_job(one_cn_two_acs(), 2, [](rt::JobContext& job) {
     Accelerator& a = job.session()[0];
@@ -202,6 +253,33 @@ TEST(Api, PeerCopyDoesNotTouchComputeNodeNic) {
   cluster.run();
   // The bulk went daemon-to-daemon.
   EXPECT_GE(cluster.fabric().bytes_sent(cluster.daemon_rank(0)), 8_MiB);
+}
+
+TEST(Api, PeerCopyFromADeviceThatDiesMidTransferFails) {
+  // The source breaks a quarter of the way into a ~12 ms copy, so its
+  // later DMAs fail and the peer receives zero blocks. The copy must report
+  // the source's failure, not the peer's verdict on the zeros.
+  rt::ClusterConfig config = one_cn_two_acs();
+  config.functional_gpus = false;
+  rt::Cluster cluster(config);
+  rt::JobSpec spec;
+  spec.accelerators_per_rank = 2;
+  spec.body = [&](rt::JobContext& job) {
+    Accelerator& a = job.session()[0];
+    Accelerator& b = job.session()[1];
+    const std::uint64_t bytes = 32_MiB;
+    const gpu::DevPtr da = a.mem_alloc(bytes);
+    const gpu::DevPtr db = b.mem_alloc(bytes);
+    Future copy = a.copy_to_peer_async(da, b, db, bytes);
+    job.ctx().wait_for(3'000'000);
+    ASSERT_FALSE(copy.done());
+    const int source = cluster.daemon_rank(0) == a.daemon_rank() ? 0 : 1;
+    cluster.accelerator_device(source).mark_broken();
+    copy.wait(job.ctx());
+    EXPECT_EQ(copy.status(), gpu::Result::kEccError);
+  };
+  cluster.submit(spec);
+  cluster.run();
 }
 
 TEST(Api, UseAfterReleaseThrows) {

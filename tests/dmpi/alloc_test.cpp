@@ -1,55 +1,21 @@
 // Heap-allocation gate for dmpi's point-to-point path: once warm, a stream
 // of eager messages and a pipelined rendezvous stream between two ranks
 // allocate no heap block (DESIGN.md §5.1). This binary replaces the global
-// operator new with a counting one, so it holds only these tests and no
-// other suite pays for the counter.
+// operator new with a counting one (common/counting_new.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "common/counting_new.hpp"
 #include "common/testbed.hpp"
 #include "util/units.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_heap_blocks{0};
-
-void* counted_alloc(std::size_t size, std::size_t align) {
-  g_heap_blocks.fetch_add(1, std::memory_order_relaxed);
-  if (size == 0) size = 1;
-  void* p = nullptr;
-  if (align <= alignof(std::max_align_t)) {
-    p = std::malloc(size);
-  } else if (posix_memalign(&p, align, size) != 0) {
-    p = nullptr;
-  }
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  return counted_alloc(size, alignof(std::max_align_t));
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  return counted_alloc(size, static_cast<std::size_t>(align));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace dacc::dmpi {
 namespace {
 
+using dacc::testing::heap_blocks;
 using dacc::testing::MpiBed;
 
 /// Both ranks run their round twice: a warm-up from time 0, then the
@@ -69,17 +35,13 @@ std::uint64_t blocks_in_measured_round(Sender sender, Receiver receiver) {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
   // Scheduled before the ranks start, so it runs first at kMeasured.
-  bed.engine().schedule_at(kMeasured, [&] {
-    begin = g_heap_blocks.load(std::memory_order_relaxed);
-  });
+  bed.engine().schedule_at(kMeasured, [&] { begin = heap_blocks(); });
   auto twice = [&](auto round) {
     return [&, round](Mpi& mpi, sim::Context& ctx) mutable {
       for (const SimTime start : {SimTime{0}, kMeasured}) {
         ctx.wait_until(start);
         round(mpi, ctx);
-        if (start == kMeasured) {
-          end = std::max(end, g_heap_blocks.load(std::memory_order_relaxed));
-        }
+        if (start == kMeasured) end = std::max(end, heap_blocks());
         ctx.wait_until(start + kRoundSpan);
       }
     };

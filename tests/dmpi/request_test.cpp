@@ -247,6 +247,38 @@ TEST(RequestSemantics, WaitAnyOverEagerAndRendezvousRequests) {
            }});
 }
 
+TEST(RequestSemantics, SpuriouslyWokenWaiterKeepsItsPlace) {
+  // Three processes on rank 0 wait on copies of one receive, in the order
+  // 0, 1, 2; waiter 1 is then woken for no reason. It must go back to
+  // waiting in its old place, so the completion wakes them 0, 1, 2.
+  TestBed bed(2);
+  std::vector<int> woke;
+  bed.run({[&](Mpi& mpi, sim::Context& ctx) {
+             Request r = mpi.irecv(bed.comm(), 1, 5);
+             std::vector<sim::Process*> waiters;
+             for (int w = 0; w < 3; ++w) {
+               waiters.push_back(&ctx.engine().spawn(
+                   "waiter" + std::to_string(w),
+                   [&, r, w](sim::Context& wctx) mutable {
+                     Mpi view(bed.world(), wctx, 0);
+                     wctx.wait_for(1'000 * static_cast<SimDuration>(w));
+                     view.wait(r);
+                     woke.push_back(w);
+                   }));
+             }
+             ctx.wait_for(10'000);
+             ctx.engine().wake(*waiters[1]);
+             mpi.wait(r);  // the fourth waiter, so it runs after the three
+             EXPECT_EQ(woke, (std::vector<int>{0, 1, 2}));
+             EXPECT_EQ(r.take_payload().size(), 1_KiB);
+           },
+           [&](Mpi& mpi, sim::Context& ctx) {
+             ctx.wait_for(50'000);
+             mpi.send(bed.comm(), 0, 5, util::Buffer::phantom(1_KiB));
+           }});
+  EXPECT_EQ(woke.size(), 3u);
+}
+
 TEST(CommRanks, CommRankMatchesALinearScanOfTheMembers) {
   const int n = 16;
   TestBed bed(n);

@@ -238,7 +238,7 @@ ProfiledRun run_profiled(sim::ExecBackend backend, int shards = 0) {
   config.accelerators = 2;
   config.functional_gpus = false;
   config.metrics = true;
-  config.profile = true;  // wallclock tier on, regardless of DACC_PROF
+  config.profile = true;  // wallclock tier on
   config.sim_backend = backend;
   config.sim_shards = shards;
   rt::Cluster cluster(config);
@@ -285,8 +285,9 @@ TEST(TierSeparation, ProfilerSeriesNeverEnterTheSnapshotOnAnyBackend) {
 }
 
 TEST(TierSeparation, RegistryNamespaceStaysClearOfTheProfilerPrefix) {
-  // The registry side of the collision check in scripts/check_obs.sh: no
-  // instrumented component may register a series under dacc_prof_.
+  // The registry side of the collision check in
+  // scripts/check_determinism.sh: no instrumented component may register a
+  // series under dacc_prof_.
   ProfiledRun run = run_profiled(sim::ExecBackend::kCoroutine);
   EXPECT_EQ(run.metrics_prom.find("dacc_prof_"), std::string::npos);
   // And the inverse: the profiler export is entirely dacc_prof_.

@@ -138,6 +138,85 @@ TEST(Completion, WaitAfterCompleteReturnsImmediately) {
   engine.run();
 }
 
+TEST(Completion, WaitUntilReturnsFalseAtTheDeadline) {
+  Engine engine;
+  Completion done(engine);
+  engine.spawn("p", [&](Context& ctx) {
+    EXPECT_FALSE(done.wait_until(ctx, 1'000));
+    EXPECT_EQ(ctx.now(), 1'000u);
+    EXPECT_EQ(done.waiters().waiting(), 0u);
+    EXPECT_FALSE(done.wait_until(ctx, 500));  // already past: no wait
+    EXPECT_EQ(ctx.now(), 1'000u);
+  });
+  engine.run();
+}
+
+TEST(Completion, LaterCompletionWakesTheWaitersThatStayed) {
+  // w1 and w3 wait for good; w0, the oldest, gives up at 1,000 and w2 at
+  // 2,000. The completion still wakes w1 and w3, in the order they began
+  // waiting.
+  Engine engine;
+  Completion done(engine);
+  const SimTime deadlines[] = {1'000, kSimTimeNever, 2'000, kSimTimeNever};
+  struct Woke {
+    int waiter;
+    SimTime at;
+    bool completed;
+    bool operator==(const Woke&) const = default;
+  };
+  std::vector<Woke> woke;
+  for (int i = 0; i < 4; ++i) {
+    engine.spawn("w" + std::to_string(i), [&, i](Context& ctx) {
+      ctx.wait_for(10 * static_cast<SimDuration>(i));
+      const bool completed = done.wait_until(ctx, deadlines[i]);
+      woke.push_back({i, ctx.now(), completed});
+    });
+  }
+  engine.spawn("signaller", [&](Context& ctx) {
+    ctx.wait_for(5'000);
+    EXPECT_EQ(done.waiters().waiting(), 2u);
+    done.complete();
+  });
+  engine.run();
+  EXPECT_EQ(woke, (std::vector<Woke>{{0, 1'000, false},
+                                     {2, 2'000, false},
+                                     {1, 5'000, true},
+                                     {3, 5'000, true}}));
+}
+
+TEST(Completion, StrayDeadlineWakeMovesNoSimulatedTime) {
+  // p's first wait ends early, so its deadline timer fires later, as a
+  // stray wake while p waits on a second completion. p must stay queued
+  // in its place and wake exactly when that completion does.
+  Engine engine;
+  Completion first(engine);
+  Completion second(engine);
+  std::vector<int> order;
+  SimTime p_woke = 0;
+  engine.spawn("p", [&](Context& ctx) {
+    EXPECT_TRUE(first.wait_until(ctx, 10'000));
+    EXPECT_EQ(ctx.now(), 1'000u);
+    second.wait(ctx);
+    p_woke = ctx.now();
+    order.push_back(0);
+  });
+  engine.spawn("q", [&](Context& ctx) {
+    ctx.wait_for(2'000);
+    second.wait(ctx);
+    order.push_back(1);
+  });
+  engine.spawn("signaller", [&](Context& ctx) {
+    ctx.wait_for(1'000);
+    first.complete();
+    ctx.wait_for(19'000);
+    second.complete();
+  });
+  engine.run();
+  EXPECT_EQ(p_woke, 20'000u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(engine.now(), 20'000u);
+}
+
 TEST(WaitQueue, NotifyOneWakesInFifoOrder) {
   Engine engine;
   WaitQueue q(engine);
