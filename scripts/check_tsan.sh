@@ -34,7 +34,11 @@
 # The event queue has its own leg on real threads in every pass:
 # EventQueue.StageFromAnotherThreadWhileTheOwnerAbsorbsAndPops
 # (tests/sim/event_queue_test.cpp) stages events from a std::thread while
-# the owner absorbs them into its radix buckets and pops.
+# the owner absorbs them into its radix buckets and pops. So does the
+# process-wide coroutine stack pool in passes 1 and 2:
+# StackPool.EnginesOnTwoThreadsShareTheWarmPool (tests/sim/engine_test.cpp)
+# runs two engines at once on two std::threads, which take their stacks
+# from and return them to the one pool.
 # Pass 3 reruns ParallelScale, ParallelPool and that EventQueue leg on a
 # four-worker pool.
 # Benchmarks and examples are skipped: they add nothing to the

@@ -10,9 +10,9 @@
 // time — and carries the trace id active at the noting site, so a dump
 // line can be joined against the Chrome trace.
 //
-// Dump triggers: explicit (Cluster::dump_flight_recorder), automatic after
-// a run that had a fault injected (rt::Cluster), and on test failure via
-// tests/common/testbed.hpp's FlightOnFailure guard.
+// Dump triggers: explicit (Cluster::dump_flight_recorder, which a caller
+// that wants a post-mortem file calls after Cluster::run), and on test
+// failure via tests/common/testbed.hpp's FlightOnFailure guard.
 #pragma once
 
 #include <cstdint>

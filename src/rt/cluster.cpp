@@ -1,6 +1,5 @@
 #include "rt/cluster.hpp"
 
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
@@ -463,19 +462,10 @@ JobHandle Cluster::submit(JobSpec spec, int first_cn) {
   return JobHandle(completion);
 }
 
-void Cluster::run() {
-  engine_.run();
-  if (fault_injected_ && !config_.flight_dump_path.empty()) {
-    // Post-mortem: a fault was injected this run, so leave the black box on
-    // disk even when the run itself completed.
-    std::ofstream os(config_.flight_dump_path);
-    if (os) flight_.dump(os);
-  }
-}
+void Cluster::run() { engine_.run(); }
 
 void Cluster::break_accelerator(int ac, SimTime at) {
   gpu::Device* dev = &accelerator_device(ac);
-  fault_injected_ = true;
   flight_.note(at, "chaos", "break-accelerator-ac" + std::to_string(ac));
   // The device lives on the accelerator's shard; run the fault there. When
   // called from a job rank the cross-node lookahead clamp applies, exactly
@@ -485,7 +475,6 @@ void Cluster::break_accelerator(int ac, SimTime at) {
 }
 
 void Cluster::fail_link(net::NodeId node, SimTime at) {
-  fault_injected_ = true;
   flight_.note(at, "chaos", "fail-link-node-" + std::to_string(node));
   if (engine_.current() == nullptr) {
     // Configured up front (no events are running): write the fault mark
@@ -501,7 +490,6 @@ void Cluster::fail_link(net::NodeId node, SimTime at) {
 }
 
 void Cluster::fail_accelerator_link(int ac, SimTime at) {
-  fault_injected_ = true;
   flight_.note(at, "chaos", "fail-accelerator-link-ac" + std::to_string(ac));
   fabric_.fail_link(static_cast<net::NodeId>(daemon_rank(ac)), at);
 }
@@ -528,7 +516,6 @@ void Cluster::kill_arm_leader(SimTime at) {
   if (!arm_replicated()) {
     throw std::logic_error("kill_arm_leader: single-ARM deployment");
   }
-  fault_injected_ = true;
   // Which replica leads at `at` is only knowable at `at`: resolve inside a
   // global-band event, where every replica's role can be read race-free.
   engine_.post(sim::kGlobalNode, at, [this, at] {

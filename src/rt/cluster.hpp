@@ -98,12 +98,6 @@ struct ClusterConfig {
   /// Cluster::profiler()'s exporters.
   bool profile = false;
 
-  /// When non-empty, a post-mortem flight-recorder dump is written to this
-  /// path automatically after a run during which a fault was injected
-  /// (chaos hooks below). The recorder itself is always on — it only sees
-  /// rare control-plane events, so it costs nothing on hot paths.
-  std::string flight_dump_path;
-
   /// Kernel registry shared by all devices; defaults to the builtins.
   /// Workloads (la, mdsim) add their kernels before constructing a Cluster.
   std::shared_ptr<gpu::KernelRegistry> registry;
@@ -224,7 +218,9 @@ class Cluster {
   obs::Profiler& profiler() { return profiler_; }
   obs::FlightRecorder& flight() { return flight_; }
   /// Post-mortem dump of the retained flight-recorder events, in causal
-  /// (sim time, recording seq) order with trace ids.
+  /// (sim time, recording seq) order with trace ids. The cluster writes no
+  /// dump on its own: a caller that wants one on disk calls this after
+  /// run().
   void dump_flight_recorder(std::ostream& os) const { flight_.dump(os); }
   gpu::Device& accelerator_device(int ac);
   gpu::Device& local_device(int cn);
@@ -295,7 +291,6 @@ class Cluster {
   obs::Registry metrics_;
   obs::Profiler profiler_;
   obs::FlightRecorder flight_;
-  bool fault_injected_ = false;  ///< arms the automatic flight dump
   net::Fabric fabric_;
   std::unique_ptr<dmpi::World> world_;
   std::shared_ptr<gpu::KernelRegistry> registry_;

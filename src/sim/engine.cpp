@@ -10,6 +10,7 @@
 #include <thread>
 #include <tuple>
 
+#include "sim/stack_pool.hpp"
 #include "sim/trace.hpp"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -155,7 +156,8 @@ dacc_sim_strand_start:
 
 class Process::Strand {
  public:
-  Strand(StackPool& pool, Process& p) : pool_(pool), process_(&p) {}
+  Strand(std::atomic<std::uint64_t>& stacks_created, Process& p)
+      : stacks_created_(stacks_created), process_(&p) {}
   // The coroutine holds this object's address.
   Strand(const Strand&) = delete;
   Strand& operator=(const Strand&) = delete;
@@ -165,7 +167,9 @@ class Process::Strand {
   // Engine side: runs the process until it blocks or finishes.
   void run_slice() {
     if (coro_sp_ == nullptr) {
-      stack_ = pool_.acquire();
+      bool mapped = false;
+      stack_ = StackPool::shared().acquire(&mapped);
+      if (mapped) stacks_created_.fetch_add(1, std::memory_order_relaxed);
       coro_sp_ = entry_frame();
 #if defined(__SANITIZE_THREAD__)
       fiber_ = __tsan_create_fiber(0);
@@ -257,7 +261,7 @@ class Process::Strand {
   // long-running engines reuse a small working set of stacks.
   void release() {
     if (stack_.map_base != nullptr) {
-      pool_.release(stack_);
+      StackPool::shared().release(stack_);
       stack_ = StackPool::Stack{};
     }
 #if defined(__SANITIZE_THREAD__)
@@ -268,7 +272,7 @@ class Process::Strand {
 #endif
   }
 
-  StackPool& pool_;
+  std::atomic<std::uint64_t>& stacks_created_;  // the engine's count
   Process* process_;
   StackPool::Stack stack_{};
   void* engine_sp_ = nullptr;  // the engine side's rsp while the process runs
@@ -295,7 +299,7 @@ Process::Process(Engine& engine, std::uint64_t id, std::string name,
       id_(id),
       name_(std::move(name)),
       fn_(std::move(fn)),
-      strand_(std::make_unique<Strand>(engine.stack_pool_, *this)) {}
+      strand_(std::make_unique<Strand>(engine.stacks_created_, *this)) {}
 
 Process::~Process() = default;
 
@@ -392,6 +396,10 @@ Engine::Engine(ExecBackend backend, int shards)
 Engine::~Engine() {
   stop_workers();
   shutdown_processes();
+  // Every process has finished and returned its stack; trim the pool so
+  // this engine's high-water set does not stay mapped for the rest of the
+  // process.
+  StackPool::shared().trim();
 }
 
 void Engine::set_node_count(int nodes) {

@@ -50,7 +50,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/exec.hpp"
-#include "sim/stack_pool.hpp"
 #include "util/units.hpp"
 
 namespace dacc::obs {
@@ -424,8 +423,13 @@ class Engine {
   const EventQueue::Stats& event_stats() const { return queue_.stats(); }
   void reset_event_high_water() { queue_.reset_high_water(); }
 
-  /// Coroutine stacks ever created (stable once the pool is warm).
-  std::uint64_t stacks_created() const { return stack_pool_.created(); }
+  /// Coroutine stacks mapped for this engine's processes: 0 once earlier
+  /// engines in the process have left enough stacks in the shared
+  /// StackPool, and stable once the engine has reached its high-water
+  /// count of live processes.
+  std::uint64_t stacks_created() const {
+    return stacks_created_.load(std::memory_order_relaxed);
+  }
 
   /// Era accounting for the parallel backend. `windows` counts the serial
   /// synchronization points (eras) the run needed — the quantity the
@@ -765,8 +769,9 @@ class Engine {
   // global-context ones after. Declared before shards_: it keeps owning
   // the nodes promote() hands them, so it must be destroyed after them.
   EventQueue queue_;
-  StackPool stack_pool_;  // declared before processes_: strands release into
-                          // it during ~Process
+  // Stacks this engine's strands mapped; bumped from the workers that
+  // start processes under the parallel backend.
+  std::atomic<std::uint64_t> stacks_created_{0};
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<Process*> daemons_;
   std::mutex spawn_mutex_;  // guards processes_/daemons_/next_process_id_

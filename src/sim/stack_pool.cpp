@@ -30,23 +30,18 @@ std::size_t page_size() {
   return size;
 }
 
-std::size_t round_up(std::size_t n, std::size_t page) {
-  return (n + page - 1) / page * page;
-}
-
 }  // namespace
 
-StackPool::StackPool(std::size_t stack_bytes)
-    : stack_bytes_(round_up(stack_bytes, page_size())) {}
-
-StackPool::~StackPool() {
-  for (const Stack& s : free_) {
-    unpoison(s);
-    ::munmap(s.map_base, s.map_size);
-  }
+StackPool& StackPool::shared() {
+  static StackPool* pool = new StackPool();
+  return *pool;
 }
 
-StackPool::Stack StackPool::acquire() {
+StackPool::~StackPool() {
+  for (const Stack& s : free_) ::munmap(s.map_base, s.map_size);
+}
+
+StackPool::Stack StackPool::acquire(bool* mapped) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!free_.empty()) {
@@ -54,10 +49,9 @@ StackPool::Stack StackPool::acquire() {
       free_.pop_back();
       return s;
     }
-    ++created_;
   }
   const std::size_t page = page_size();
-  const std::size_t map_size = stack_bytes_ + page;  // +1 guard page
+  const std::size_t map_size = kStackBytes + page;  // +1 guard page
   void* map = ::mmap(nullptr, map_size, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (map == MAP_FAILED) throw std::bad_alloc();
@@ -68,11 +62,16 @@ StackPool::Stack StackPool::acquire() {
     ::munmap(map, map_size);
     throw std::bad_alloc();
   }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++created_;
+  }
+  if (mapped != nullptr) *mapped = true;
   Stack s;
   s.map_base = map;
   s.map_size = map_size;
   s.base = static_cast<std::byte*>(map) + page;
-  s.size = stack_bytes_;
+  s.size = kStackBytes;
   return s;
 }
 
@@ -81,6 +80,18 @@ void StackPool::release(Stack stack) {
   unpoison(stack);
   std::lock_guard<std::mutex> lock(mutex_);
   free_.push_back(stack);
+}
+
+void StackPool::trim() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (free_.size() <= kMaxFree) return;
+  // acquire() pops from the back, so the front holds the coldest stacks.
+  const auto excess = free_.begin() + static_cast<std::ptrdiff_t>(
+                                          free_.size() - kMaxFree);
+  for (auto it = free_.begin(); it != excess; ++it) {
+    ::munmap(it->map_base, it->map_size);
+  }
+  free_.erase(free_.begin(), excess);
 }
 
 }  // namespace dacc::sim

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 #include <linux/filter.h>
 #include <linux/seccomp.h>
+#include <sys/mman.h>
 #include <sys/prctl.h>
 #include <sys/syscall.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cfenv>
 #include <cstddef>
@@ -14,6 +16,7 @@
 #include <iterator>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/pool.hpp"
@@ -417,9 +420,172 @@ TEST(StackPool, AcquireThrowsWhenGuardPageFails) {
         } catch (const std::bad_alloc&) {
           threw = true;
         }
-        std::_Exit(threw ? 0 : 1);
+        // A refused stack was never mapped, so it is not counted.
+        std::_Exit(threw && pool.created() == 0 ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+// Spawns `n` processes that each yield once, so all `n` hold a stack at the
+// same time, and counts the ones that finish in `done`.
+void spawn_yielders(Engine& engine, int n, int& done) {
+  for (int i = 0; i < n; ++i) {
+    engine.spawn("p" + std::to_string(i), [&done](Context& ctx) {
+      ctx.yield();
+      ++done;
+    });
+  }
+}
+
+// Stacks outlive their engine: once one engine's processes have returned
+// theirs, a later engine of the same size maps none.
+TEST(StackPool, WarmEngineMapsNoStack) {
+  int done = 0;
+  {
+    Engine first;
+    spawn_yielders(first, 256, done);
+    first.run();
+  }
+  Engine second;
+  spawn_yielders(second, 256, done);
+  second.run();
+  EXPECT_EQ(done, 2 * 256);
+  EXPECT_EQ(second.stacks_created(), 0u);
+}
+
+// Engines on two threads draw from and return to the one pool: warmed by
+// an engine of 400 live processes, two engines of 200 running at once map
+// nothing. scripts/check_tsan.sh runs this on real threads.
+TEST(StackPool, EnginesOnTwoThreadsShareTheWarmPool) {
+  int warm_done = 0;
+  {
+    Engine warm;
+    spawn_yielders(warm, 400, warm_done);
+    warm.run();
+  }
+  EXPECT_EQ(warm_done, 400);
+  int done[2] = {0, 0};
+  std::uint64_t mapped[2] = {1, 1};
+  const auto run_engine = [&done, &mapped](int i) {
+    Engine engine;
+    spawn_yielders(engine, 200, done[i]);
+    engine.run();
+    mapped[i] = engine.stacks_created();
+  };
+  std::thread a(run_engine, 0);
+  std::thread b(run_engine, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(done[0], 200);
+  EXPECT_EQ(done[1], 200);
+  EXPECT_EQ(mapped[0], 0u);
+  EXPECT_EQ(mapped[1], 0u);
+}
+
+// A destroyed engine trims the pool to kMaxFree: the longest-free stacks
+// beyond the cap are unmapped, the rest stay for the next engine.
+TEST(StackPool, TrimKeepsTheCapAndUnmapsTheRest) {
+  constexpr std::size_t kExcess = 3;
+  StackPool pool;
+  std::vector<StackPool::Stack> stacks;
+  for (std::size_t i = 0; i < StackPool::kMaxFree + kExcess; ++i) {
+    stacks.push_back(pool.acquire());
+  }
+  for (const StackPool::Stack& s : stacks) pool.release(s);
+  EXPECT_EQ(pool.free_count(), StackPool::kMaxFree + kExcess);
+  pool.trim();
+  EXPECT_EQ(pool.free_count(), StackPool::kMaxFree);
+  EXPECT_EQ(pool.created(), StackPool::kMaxFree + kExcess);
+  // msync fails with ENOMEM on a range that is no longer mapped.
+  std::vector<bool> unmapped;
+  for (const StackPool::Stack& s : stacks) {
+    unmapped.push_back(::msync(s.map_base, s.map_size, MS_ASYNC) != 0 &&
+                       errno == ENOMEM);
+  }
+  std::vector<bool> expected(stacks.size(), false);
+  std::fill_n(expected.begin(), kExcess, true);
+  EXPECT_EQ(unmapped, expected);
+}
+
+// Engine teardown is what trims the shared pool: stacks a 10,000-process
+// engine returned do not stay mapped beyond the cap once it is gone.
+TEST(StackPool, DestroyedEngineTrimsTheSharedPool) {
+  StackPool& shared = StackPool::shared();
+  std::vector<StackPool::Stack> stacks;
+  for (std::size_t i = 0; i < StackPool::kMaxFree + 3; ++i) {
+    stacks.push_back(shared.acquire());
+  }
+  for (const StackPool::Stack& s : stacks) shared.release(s);
+  EXPECT_GT(shared.free_count(), StackPool::kMaxFree);
+  { Engine engine; }
+  EXPECT_EQ(shared.free_count(), StackPool::kMaxFree);
+}
+
+// Recurses until the stack runs out. Every frame writes its own bytes and
+// reads them after the call, so nothing folds the recursion into a loop.
+[[gnu::noinline]] std::uint64_t recurse(std::uint64_t depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth == UINT64_MAX) return 0;
+  return recurse(depth + 1) + static_cast<std::uint64_t>(frame[0]);
+}
+
+// Takes every stack the shared pool holds (what earlier tests left), so
+// the pool's next acquire maps a fresh one.
+std::vector<StackPool::Stack> take_pooled_stacks() {
+  std::vector<StackPool::Stack> held;
+  while (StackPool::shared().free_count() > 0) {
+    held.push_back(StackPool::shared().acquire());
+  }
+  return held;
+}
+
+// A runaway body dies, whether its stack is freshly mapped or handed down
+// from an engine that is gone. The matcher is empty: ASan reports a stack
+// overflow, other builds die of SIGSEGV. A child whose stack is not the
+// kind under test exits 0, which fails the death test.
+TEST(StackPoolDeathTest, GuardStopsAnOverflowOnAFreshStack) {
+  EXPECT_DEATH(
+      {
+        const auto held = take_pooled_stacks();
+        Engine engine;
+        engine.spawn("runaway", [](Context& ctx) {
+          if (ctx.engine().stacks_created() != 1) std::_Exit(0);
+          recurse(0);
+        });
+        engine.run();
+      },
+      "");
+}
+
+TEST(StackPoolDeathTest, GuardStopsAnOverflowOnAReusedStack) {
+  EXPECT_DEATH(
+      {
+        const auto held = take_pooled_stacks();
+        {
+          Engine first;
+          first.spawn("short", [](Context&) {});
+          first.run();
+        }
+        Engine second;
+        second.spawn("runaway", [](Context& ctx) {
+          if (ctx.engine().stacks_created() != 0) std::_Exit(0);
+          recurse(0);
+        });
+        second.run();
+      },
+      "");
+}
+
+// What stops the overflow above is the guard page, not whatever lies below
+// the mapping: a write just under a reused stack's usable range faults.
+TEST(StackPoolDeathTest, WriteBelowAReusedStackFaults) {
+  StackPool pool;
+  pool.release(pool.acquire());
+  const StackPool::Stack s = pool.acquire();
+  ASSERT_EQ(pool.created(), 1u);
+  EXPECT_DEATH(static_cast<volatile char*>(s.base)[-1] = 1, "");
+  pool.release(s);
 }
 
 }  // namespace
