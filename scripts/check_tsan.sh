@@ -39,8 +39,12 @@
 # StackPool.EnginesOnTwoThreadsShareTheWarmPool (tests/sim/engine_test.cpp)
 # runs two engines at once on two std::threads, which take their stacks
 # from and return them to the one pool.
-# Pass 3 reruns ParallelScale, ParallelPool and that EventQueue leg on a
-# four-worker pool.
+# Pass 3 reruns ParallelScale, ParallelPool, RaftDeterminism and that
+# EventQueue leg on a four-worker pool. RaftDeterminism's pool legs are
+# where observers still cross OS threads without a lock of their own: a
+# replica that becomes leader registers the lease machine's series from
+# its shard (under the registry's registration mutex), and the replicas'
+# flight notes ride the engine's kept records from several shards.
 # Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.
 #
@@ -68,8 +72,9 @@ DACC_SIM_BACKEND=parallel:4 DACC_SIM_PARALLEL_WORKERS=2 \
 
 # Pass 3: the pool-era tests with a wider pool — four workers, so the
 # horizon publishes, staged-inbox absorbs, null-message pushes and the
-# middleware's cross-shard traffic all cross OS threads at scale — and
-# the event queue's staging-thread leg.
+# middleware's cross-shard traffic all cross OS threads at scale — the
+# Raft chaos schedule's observers, and the event queue's staging-thread
+# leg.
 DACC_SIM_PARALLEL_WORKERS=4 \
   ctest --test-dir "$build" --output-on-failure \
-  -R 'ParallelScale|ParallelPool|EventQueue\.StageFromAnotherThread'
+  -R 'ParallelScale|ParallelPool|RaftDeterminism|EventQueue\.StageFromAnotherThread'

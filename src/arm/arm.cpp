@@ -43,7 +43,9 @@ Arm::Arm(dmpi::World& world, dmpi::Rank self_world_rank,
          std::vector<AcceleratorInfo> pool, QueuePolicy policy,
          PlacementMap placement)
     : world_(world), self_(self_world_rank),
-      machine_(std::move(pool), policy, std::move(placement)) {}
+      machine_(std::move(pool), policy, std::move(placement)) {
+  machine_.bind_metrics(world.engine().metrics());
+}
 
 void Arm::run(sim::Context& ctx) {
   dmpi::Mpi mpi(world_, ctx, self_);
@@ -55,7 +57,6 @@ void Arm::run(sim::Context& ctx) {
     util::Buffer msg = channel.raw(&source);
     // Bookkeeping cost of one management request.
     ctx.wait_for(1'000);
-    machine_.bind_metrics(world_.engine().metrics());
     bool shutdown = false;
     try {
       rpc::Inbound in = channel.decode(source, std::move(msg));

@@ -309,8 +309,9 @@ class LeaseMachine {
   std::uint64_t fingerprint() const;
 
   /// Registers the machine's "dacc_arm_*" series against `reg`
-  /// (idempotent re-bind, plain pointer compare; nullptr unbinds). A Raft
-  /// group keeps them bound on its leader only, so each event counts once.
+  /// (idempotent re-bind, plain pointer compare; nullptr unbinds). The
+  /// single ARM binds at construction; a Raft replica binds when it becomes
+  /// leader and unbinds when it steps down, so each event counts once.
   void bind_metrics(obs::Registry* reg);
   /// Samples the assigned-slot gauge (no-op when unbound). The host calls
   /// this after every served request.
@@ -462,7 +463,7 @@ class LeaseMachine {
   std::uint32_t free_total_ = 0;
   std::uint32_t broken_total_ = 0;
 
-  // Metrics (lazy-bound, no-op handles when no registry is attached).
+  // Metrics (bound by the host, no-op handles while unbound).
   obs::Registry* metrics_bound_ = nullptr;
   obs::Gauge m_assigned_;
   obs::Histogram m_assign_wait_ns_;

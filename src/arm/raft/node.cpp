@@ -37,7 +37,20 @@ RaftNode::RaftNode(dmpi::World& world, dmpi::Rank self_world_rank,
       machine_(std::move(pool), policy, std::move(placement)),
       peers_(replicas_.size()),
       votes_(replicas_.size(), false),
-      prevotes_(replicas_.size(), false) {}
+      prevotes_(replicas_.size(), false) {
+  obs::Registry* const reg = world.engine().metrics();
+  if (reg == nullptr) return;
+  const std::string labels = obs::labeled("", "replica", std::to_string(index_));
+  m_elections_ = reg->counter("dacc_raft_elections_total" + labels);
+  m_term_ = reg->gauge("dacc_raft_term" + labels);
+  m_commit_lag_ns_ =
+      reg->histogram("dacc_raft_commit_lag_ns" + labels, obs::latency_bounds_ns());
+  m_leader_changes_ = reg->counter("dacc_raft_leader_changes_total" + labels);
+  m_election_latency_ns_ = reg->histogram(
+      "dacc_raft_election_latency_ns" + labels, obs::latency_bounds_ns());
+  m_commit_index_ = reg->gauge("dacc_raft_commit_index" + labels);
+  m_replication_lag_ = reg->gauge("dacc_raft_replication_lag" + labels);
+}
 
 void RaftNode::set_activity_gate(std::function<bool()> active,
                                  sim::WaitQueue* gate) {
@@ -52,10 +65,9 @@ std::uint64_t RaftNode::term_at(std::uint64_t index) const {
 }
 
 SimDuration RaftNode::draw_timeout() {
-  const std::uint64_t span = static_cast<std::uint64_t>(
-      params_.election_max - params_.election_min + 1);
-  return params_.election_min +
-         static_cast<SimDuration>(rng_.next_below(span));
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(kElectionMax - kElectionMin + 1);
+  return kElectionMin + static_cast<SimDuration>(rng_.next_below(span));
 }
 
 int RaftNode::index_of(dmpi::Rank replica) const {
@@ -76,26 +88,6 @@ void RaftNode::trace(sim::Context& ctx, const std::string& label) {
   if (sim::Tracer* tracer = world_.engine().tracer()) {
     tracer->record("raft", label, ctx.now(), ctx.now());
   }
-}
-
-void RaftNode::bind_metrics() {
-  obs::Registry* const reg = world_.engine().metrics();
-  // The lease machine's series ("dacc_arm_*") must count each event exactly
-  // once across the group, so only the leader-at-apply keeps them bound.
-  machine_.bind_metrics(role_ == Role::kLeader ? reg : nullptr);
-  if (reg == metrics_bound_ || reg == nullptr) return;
-  const std::string labels = obs::labeled("", "replica", std::to_string(index_));
-  m_elections_ = reg->counter("dacc_raft_elections_total" + labels);
-  m_term_ = reg->gauge("dacc_raft_term" + labels);
-  m_commit_lag_ns_ =
-      reg->histogram("dacc_raft_commit_lag_ns" + labels, obs::latency_bounds_ns());
-  m_leader_changes_ = reg->counter("dacc_raft_leader_changes_total" + labels);
-  m_election_latency_ns_ = reg->histogram(
-      "dacc_raft_election_latency_ns" + labels, obs::latency_bounds_ns());
-  m_commit_index_ = reg->gauge("dacc_raft_commit_index" + labels);
-  m_replication_lag_ = reg->gauge("dacc_raft_replication_lag" + labels);
-  metrics_bound_ = reg;
-  m_term_.set(static_cast<std::int64_t>(term_));
 }
 
 void RaftNode::send_peer(dmpi::Mpi& mpi, dmpi::Rank to, util::Buffer frame) {
@@ -242,7 +234,9 @@ void RaftNode::become_leader(sim::Context& ctx) {
     p.unacked = 0;
     p.dead = false;
   }
-  bind_metrics();
+  // The lease machine's series ("dacc_arm_*") must count each event exactly
+  // once across the group, so only the leader keeps them bound.
+  machine_.bind_metrics(world_.engine().metrics());
   m_leader_changes_.add(1);
   if (election_began_ != 0) {
     m_election_latency_ns_.observe(
@@ -294,7 +288,7 @@ void RaftNode::leader_tick(sim::Context& ctx, dmpi::Mpi& mpi) {
     next_sweep_at_ = ctx.now() + heartbeat_.period;
   }
   broadcast_append(mpi, /*count_round=*/true);
-  ae_deadline_ = ctx.now() + params_.ae_interval;
+  ae_deadline_ = ctx.now() + kAppendInterval;
 }
 
 void RaftNode::broadcast_append(dmpi::Mpi& mpi, bool count_round) {
@@ -302,7 +296,7 @@ void RaftNode::broadcast_append(dmpi::Mpi& mpi, bool count_round) {
     if (static_cast<int>(i) == index_) continue;
     Peer& p = peers_[i];
     if (p.dead) continue;
-    if (count_round && ++p.unacked > params_.dead_rounds) {
+    if (count_round && ++p.unacked > kDeadRounds) {
       p.dead = true;
       continue;
     }
@@ -570,7 +564,7 @@ void RaftNode::on_pre_vote(sim::Context& ctx, dmpi::Mpi& mpi,
     // last real leader contact, not our own election deadline (which we
     // reset ourselves on timeout — symmetric probes would livelock).
     const bool leader_stale =
-        ctx.now() - last_leader_contact_ >= params_.election_min;
+        ctx.now() - last_leader_contact_ >= kElectionMin;
     grant = log_ok && leader_stale;
   }
   rep.granted = grant;
@@ -703,7 +697,6 @@ void RaftNode::run(sim::Context& ctx) {
       // Bookkeeping cost of one management request (same as the single ARM).
       ctx.wait_for(1'000);
       if (halted_) return;
-      bind_metrics();
       try {
         rpc::Inbound in = channel.decode(source, std::move(msg));
         if (is_raft_op(in.op_word)) {

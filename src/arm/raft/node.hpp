@@ -42,27 +42,29 @@
 
 namespace dacc::arm::raft {
 
-/// Consensus timing/size knobs. Defaults are sized for the middleware's
-/// sub-millisecond fabric: elections settle within a few milliseconds of a
-/// leader death, and the AppendEntries cadence stays well under the
-/// client-side failover window.
+// Consensus timing, sized for the middleware's sub-millisecond fabric:
+// elections settle within a few milliseconds of a leader death, and the
+// AppendEntries cadence stays well under the client-side failover window.
+
+/// Leader AppendEntries cadence (also the liveness heartbeat of the
+/// consensus layer itself).
+inline constexpr SimDuration kAppendInterval = 400'000;  // 400 us
+/// Election timeout drawn uniformly from [kElectionMin, kElectionMax] —
+/// per-replica seeded RNG, so ties are deterministic, not metastable.
+inline constexpr SimDuration kElectionMin = 1'500'000;  // 1.5 ms
+inline constexpr SimDuration kElectionMax = 3'000'000;  // 3 ms
+/// Consecutive unanswered AppendEntries rounds before the leader stops
+/// waiting on a peer for quiescence purposes (the peer is presumed killed;
+/// a reply instantly revives it).
+inline constexpr std::uint32_t kDeadRounds = 8;
+
+/// Per-group consensus settings.
 struct RaftParams {
-  /// Leader AppendEntries cadence (also the liveness heartbeat of the
-  /// consensus layer itself).
-  SimDuration ae_interval = 400'000;  // 400 us
-  /// Election timeout drawn uniformly from [election_min, election_max] —
-  /// per-replica seeded RNG, so ties are deterministic, not metastable.
-  SimDuration election_min = 1'500'000;  // 1.5 ms
-  SimDuration election_max = 3'000'000;  // 3 ms
   /// Group-wide seed; each replica derives its own stream from it.
   std::uint64_t seed = 0xDACC'5EEDull;
   /// Applied entries retained before the log is compacted into a machine
   /// snapshot (per replica, independently).
   std::uint32_t snapshot_threshold = 128;
-  /// Consecutive unanswered AppendEntries rounds before the leader stops
-  /// waiting on a peer for quiescence purposes (the peer is presumed
-  /// killed; a reply instantly revives it).
-  std::uint32_t dead_rounds = 8;
 };
 
 /// One ARM replica. Construct one per replica rank, spawn run() as an
@@ -126,7 +128,6 @@ class RaftNode {
   void wake(sim::Context& ctx);
   int index_of(dmpi::Rank replica) const;
   void trace(sim::Context& ctx, const std::string& label);
-  void bind_metrics();
   void send_peer(dmpi::Mpi& mpi, dmpi::Rank to, util::Buffer frame);
 
   void become_follower(std::uint64_t term);
@@ -195,7 +196,7 @@ class RaftNode {
   std::vector<bool> prevotes_;         ///< parallel to replicas_
   /// Last time a live leader was heard (valid AppendEntries or
   /// InstallSnapshot, or a gate wakeup). Pre-vote grants require this to be
-  /// at least election_min stale — NOT our own election deadline, which we
+  /// at least kElectionMin stale — NOT our own election deadline, which we
   /// reset on our own timeout and would livelock symmetric probes.
   SimTime last_leader_contact_ = 0;
 
@@ -207,8 +208,7 @@ class RaftNode {
   bool halted_ = false;
   bool shutdown_ = false;
 
-  // Metrics (lazy-bound, no-op handles when no registry is attached).
-  obs::Registry* metrics_bound_ = nullptr;
+  // Metrics, registered at construction (no-op handles without a registry).
   obs::Counter m_elections_;
   obs::Gauge m_term_;
   obs::Histogram m_commit_lag_ns_;

@@ -116,6 +116,14 @@ Accelerator::Accelerator(Session& session, arm::Lease lease)
       ops_(std::make_unique<sim::Mailbox<std::unique_ptr<ProxyOp>>>(
           session.world_.engine())) {
   sim::Engine& engine = session.world_.engine();
+  if (obs::Registry* reg = engine.metrics()) {
+    const auto bounds = obs::latency_bounds_ns();
+    for (std::size_t k = 0; k < op_latency_.size(); ++k) {
+      op_latency_[k] = reg->histogram(
+          std::string("dacc_fe_op_latency_ns{op=\"") + kOpLabel[k] + "\"}",
+          bounds);
+    }
+  }
   proxy_ = &engine.spawn(
       "fe-proxy-r" + std::to_string(session.self_) + "-ac" +
           std::to_string(lease_.daemon_rank),
@@ -143,16 +151,6 @@ Future Accelerator::enqueue(ProxyOp op) {
   op.result = state;
   ops_->put(std::make_unique<ProxyOp>(std::move(op)));
   return Future(state);
-}
-
-void Accelerator::bind_metrics(obs::Registry* reg) {
-  const auto bounds = obs::latency_bounds_ns();
-  for (std::size_t k = 0; k < op_latency_.size(); ++k) {
-    op_latency_[k] = reg->histogram(
-        std::string("dacc_fe_op_latency_ns{op=\"") + kOpLabel[k] + "\"}",
-        bounds);
-  }
-  metrics_bound_ = reg;
 }
 
 void Accelerator::proxy_main(sim::Context& ctx) {
@@ -233,12 +231,9 @@ void Accelerator::serve(rpc::Channel& ch, sim::Context& ctx, Flush flush) {
       }
     }
   }
-  if (obs::Registry* reg = engine.metrics()) {
-    if (metrics_bound_ != reg) bind_metrics(reg);
-    const auto elapsed = static_cast<std::uint64_t>(ctx.now() - begin);
-    for (const std::unique_ptr<ProxyOp>& op : flush) {
-      op_latency_[op_index(op->op)].observe(elapsed);
-    }
+  const auto elapsed = static_cast<std::uint64_t>(ctx.now() - begin);
+  for (const std::unique_ptr<ProxyOp>& op : flush) {
+    op_latency_[op_index(op->op)].observe(elapsed);
   }
 }
 
@@ -511,7 +506,7 @@ bool Accelerator::replay(rpc::Channel& ch, sim::Context& ctx,
 bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
                               bool broken) {
   const rpc::RetryPolicy& rp = session_->config().retry;
-  if (!rp.replace_on_failure || replacements_ >= rp.max_replacements) {
+  if (!rp.replace_on_failure || replacements_ >= rpc::kMaxReplacements) {
     return false;
   }
 

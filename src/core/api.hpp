@@ -162,9 +162,6 @@ class Accelerator {
   Future enqueue(ProxyOp op);
   void proxy_main(sim::Context& ctx);
   static std::string op_label(const ProxyOp& op);
-  /// Registers the per-op latency histograms against `reg` (idempotent;
-  /// re-binds if a different registry is attached between runs).
-  void bind_metrics(obs::Registry* reg);
   /// Queues the stop op behind all in-flight work; waits for it when a
   /// context is given (release paths) and not from the destructor.
   void stop_proxy(sim::Context* ctx = nullptr);
@@ -226,8 +223,7 @@ class Accelerator {
   int replacements_ = 0;
   std::uint64_t trace_seq_ = 0;  ///< per-API-call trace-id sequence
 
-  // Metrics (lazy-bound, no-op handles when no registry is attached).
-  obs::Registry* metrics_bound_ = nullptr;
+  // Metrics, registered at construction (no-op handles without a registry).
   std::array<obs::Histogram, 8> op_latency_;  ///< indexed by proto::Op - 1
 };
 

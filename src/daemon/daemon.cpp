@@ -22,7 +22,16 @@ Daemon::Daemon(gpu::Device& device, dmpi::World& world,
       world_(world),
       self_(self_world_rank),
       params_(params),
-      stream_(device) {}
+      stream_(device) {
+  if (obs::Registry* reg = world.engine().metrics()) {
+    const std::string rank = "{rank=\"" + std::to_string(self_) + "\"}";
+    m_requests_ = reg->counter("dacc_daemon_requests_total" + rank);
+    m_malformed_ = reg->counter("dacc_daemon_malformed_total" + rank);
+    m_busy_ns_ = reg->counter("dacc_daemon_busy_ns_total" + rank);
+    m_h2d_overlap_pct_ = reg->histogram(
+        "dacc_daemon_h2d_overlap_pct" + rank, {10, 25, 50, 75, 90, 100});
+  }
+}
 
 SimDuration Daemon::copy_extra_busy(std::uint64_t bytes, bool gpudirect,
                                     bool h2d) const {
@@ -44,16 +53,6 @@ void Daemon::respond_status(rpc::ServerChannel& ch, dmpi::Rank client,
   ch.reply(client, reply_tag, WireWriter{}.result(r).finish());
 }
 
-void Daemon::bind_metrics(obs::Registry* reg) {
-  const std::string rank = "{rank=\"" + std::to_string(self_) + "\"}";
-  m_requests_ = reg->counter("dacc_daemon_requests_total" + rank);
-  m_malformed_ = reg->counter("dacc_daemon_malformed_total" + rank);
-  m_busy_ns_ = reg->counter("dacc_daemon_busy_ns_total" + rank);
-  m_h2d_overlap_pct_ = reg->histogram(
-      "dacc_daemon_h2d_overlap_pct" + rank, {10, 25, 50, 75, 90, 100});
-  metrics_bound_ = reg;
-}
-
 void Daemon::run(sim::Context& ctx) {
   dmpi::Mpi mpi(world_, ctx, self_);
   rpc::ServerChannel channel(mpi, world_.world_comm(),
@@ -63,13 +62,12 @@ void Daemon::run(sim::Context& ctx) {
     dmpi::Rank source = -1;
     util::Buffer msg = channel.raw(&source);
     const SimTime begin = ctx.now();
-    obs::Registry* const reg = world_.engine().metrics();
-    if (reg != nullptr && metrics_bound_ != reg) bind_metrics(reg);
+    const bool metered = static_cast<bool>(m_requests_);
     const SimDuration busy_before =
-        reg != nullptr ? device_.copy_busy() + device_.compute_busy() : 0;
+        metered ? device_.copy_busy() + device_.compute_busy() : 0;
     ctx.wait_for(params_.be_dispatch);
     ++requests_served_;
-    if (reg != nullptr) m_requests_.add();
+    m_requests_.add();
     // A frame whose header fails to decode (truncated, or reply tag out of
     // range) cannot even be answered — count it and stay alive.
     Op op{};
@@ -134,7 +132,7 @@ void Daemon::run(sim::Context& ctx) {
         // Handlers decode their full payload before sending anything, so a
         // decode failure here has produced no partial reply yet.
         ++malformed_requests_;
-        if (reg != nullptr) m_malformed_.add();
+        m_malformed_.add();
         if (obs::FlightRecorder* fr = world_.engine().flight()) {
           fr->note(ctx.now(), "daemon",
                    "wire-error: malformed " + std::string(proto::to_string(op)) +
@@ -146,7 +144,7 @@ void Daemon::run(sim::Context& ctx) {
       }
     } catch (const proto::WireError&) {
       ++malformed_requests_;
-      if (reg != nullptr) m_malformed_.add();
+      m_malformed_.add();
       if (obs::FlightRecorder* fr = world_.engine().flight()) {
         fr->note(ctx.now(), "daemon",
                  "wire-error: undecodable frame header from r" +
@@ -159,7 +157,7 @@ void Daemon::run(sim::Context& ctx) {
       tracer->record(track, proto::to_string(op), begin, ctx.now(), trace_id,
                      span_id, parent_span);
     }
-    if (reg != nullptr) {
+    if (metered) {
       const SimDuration busy =
           device_.copy_busy() + device_.compute_busy() - busy_before;
       m_busy_ns_.add(static_cast<std::uint64_t>(busy));

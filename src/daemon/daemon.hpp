@@ -74,9 +74,6 @@ class Daemon {
   SimDuration copy_extra_busy(std::uint64_t bytes, bool gpudirect,
                               bool h2d) const;
 
-  /// Registers this daemon's metrics against `reg` (idempotent re-bind).
-  void bind_metrics(obs::Registry* reg);
-
   gpu::Device& device_;
   dmpi::World& world_;
   dmpi::Rank self_;
@@ -86,8 +83,7 @@ class Daemon {
   std::uint64_t malformed_requests_ = 0;
   std::uint64_t span_seq_ = 0;  ///< per-request trace span ids
 
-  // Metrics (lazy-bound, no-op handles when no registry is attached).
-  obs::Registry* metrics_bound_ = nullptr;
+  // Metrics, registered at construction (no-op handles without a registry).
   obs::Counter m_requests_;
   obs::Counter m_malformed_;
   obs::Counter m_busy_ns_;

@@ -263,6 +263,17 @@ World::World(sim::Engine& engine, net::Fabric& fabric,
   std::vector<Rank> all(rank_nodes_.size());
   for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<Rank>(i);
   world_comm_ = &create_comm(std::move(all));
+  if (obs::Registry* reg = engine_.metrics()) {
+    send_metrics_.resize(rank_nodes_.size());
+    for (std::size_t r = 0; r < rank_nodes_.size(); ++r) {
+      const std::string label = "{rank=\"" + std::to_string(r) + "\"}";
+      RankSendMetrics& m = send_metrics_[r];
+      m.msgs = reg->counter("dacc_dmpi_msgs_total" + label);
+      m.bytes = reg->counter("dacc_dmpi_bytes_total" + label);
+      m.eager = reg->counter("dacc_dmpi_eager_total" + label);
+      m.rendezvous = reg->counter("dacc_dmpi_rendezvous_total" + label);
+    }
+  }
 }
 
 World::~World() = default;
@@ -285,28 +296,8 @@ net::NodeId World::node_of(Rank world_rank) const {
   return rank_nodes_[static_cast<std::size_t>(world_rank)];
 }
 
-void World::bind_metrics(obs::Registry* reg) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  if (metrics_bound_.load(std::memory_order_relaxed) == reg) return;
-  send_metrics_.clear();
-  send_metrics_.resize(rank_nodes_.size());
-  for (std::size_t r = 0; r < rank_nodes_.size(); ++r) {
-    const std::string label = "{rank=\"" + std::to_string(r) + "\"}";
-    send_metrics_[r].msgs = reg->counter("dacc_dmpi_msgs_total" + label);
-    send_metrics_[r].bytes = reg->counter("dacc_dmpi_bytes_total" + label);
-    send_metrics_[r].eager = reg->counter("dacc_dmpi_eager_total" + label);
-    send_metrics_[r].rendezvous =
-        reg->counter("dacc_dmpi_rendezvous_total" + label);
-  }
-  metrics_bound_.store(reg, std::memory_order_release);
-}
-
 void World::count_send(Rank src_w, std::uint64_t bytes, bool eager) {
-  obs::Registry* const reg = engine_.metrics();
-  if (reg == nullptr) return;
-  if (metrics_bound_.load(std::memory_order_acquire) != reg) {
-    bind_metrics(reg);
-  }
+  if (send_metrics_.empty()) return;
   RankSendMetrics& m = send_metrics_[static_cast<std::size_t>(src_w)];
   m.msgs.add();
   m.bytes.add(bytes);

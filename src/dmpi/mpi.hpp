@@ -19,10 +19,8 @@
 // (Section V.A).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -165,10 +163,8 @@ class World {
   void cancel_request(Rank me_w, const std::shared_ptr<Request::State>& state);
 
   /// Per-rank send accounting (msgs/bytes, eager vs rendezvous), on the
-  /// sender. Bound lazily and thread-safely: the first post_send may run on
-  /// any shard under the parallel backend.
+  /// sender. No-op when the engine had no registry at construction.
   void count_send(Rank src_w, std::uint64_t bytes, bool eager);
-  void bind_metrics(obs::Registry* reg);
   /// Mints a NIC span id on `rank`'s endpoint counter (shard-owned, so the
   /// sequence is deterministic under every backend).
   std::uint64_t next_nic_span(Rank rank);
@@ -192,9 +188,7 @@ class World {
     obs::Counter eager;
     obs::Counter rendezvous;
   };
-  std::mutex metrics_mutex_;  // guards the one-time registration only
-  std::atomic<obs::Registry*> metrics_bound_{nullptr};
-  std::vector<RankSendMetrics> send_metrics_;
+  std::vector<RankSendMetrics> send_metrics_;  ///< per rank; empty = unmetered
 };
 
 /// Per-process MPI view: binds (world, my rank, my sim context). All calls

@@ -36,6 +36,20 @@ Fabric::Fabric(sim::Engine& engine, int num_nodes, FabricParams params)
     // window width exists at all stays the cluster harness's decision.
     engine.set_lookahead_overrides(params_.wire_latency, links);
   }
+  if (obs::Registry* reg = engine.metrics()) {
+    nic_metrics_.resize(nics_.size());
+    for (std::size_t n = 0; n < nics_.size(); ++n) {
+      const std::string l = "{node=\"" + std::to_string(n) + "\"}";
+      NicMetrics& m = nic_metrics_[n];
+      m.tx_bytes = reg->counter("dacc_net_tx_bytes_total" + l);
+      m.rx_bytes = reg->counter("dacc_net_rx_bytes_total" + l);
+      m.tx_busy_ns = reg->counter("dacc_net_tx_busy_ns_total" + l);
+      m.rx_busy_ns = reg->counter("dacc_net_rx_busy_ns_total" + l);
+      m.drops = reg->counter("dacc_net_drops_total" + l);
+    }
+    m_tx_queue_delay_ =
+        reg->histogram("dacc_net_tx_queue_delay_ns", obs::latency_bounds_ns());
+  }
 }
 
 void Fabric::check_node(NodeId node) const {
@@ -44,36 +58,9 @@ void Fabric::check_node(NodeId node) const {
   }
 }
 
-obs::Registry* Fabric::metrics() {
-  obs::Registry* reg = engine_.metrics();
-  if (reg == nullptr) return nullptr;
-  if (metrics_bound_.load(std::memory_order_acquire) != reg) {
-    bind_metrics(reg);
-  }
-  return reg;
-}
-
-void Fabric::bind_metrics(obs::Registry* reg) {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  if (metrics_bound_.load(std::memory_order_relaxed) == reg) return;
-  std::vector<NicMetrics> handles(nics_.size());
-  for (std::size_t n = 0; n < nics_.size(); ++n) {
-    const std::string l = "{node=\"" + std::to_string(n) + "\"}";
-    handles[n].tx_bytes = reg->counter("dacc_net_tx_bytes_total" + l);
-    handles[n].rx_bytes = reg->counter("dacc_net_rx_bytes_total" + l);
-    handles[n].tx_busy_ns = reg->counter("dacc_net_tx_busy_ns_total" + l);
-    handles[n].rx_busy_ns = reg->counter("dacc_net_rx_busy_ns_total" + l);
-    handles[n].drops = reg->counter("dacc_net_drops_total" + l);
-  }
-  m_tx_queue_delay_ =
-      reg->histogram("dacc_net_tx_queue_delay_ns", obs::latency_bounds_ns());
-  nic_metrics_ = std::move(handles);
-  metrics_bound_.store(reg, std::memory_order_release);
-}
-
 void Fabric::count_tx(NodeId src, std::uint64_t bytes, SimDuration busy,
                       SimDuration queue_delay) {
-  if (metrics() == nullptr) return;
+  if (nic_metrics_.empty()) return;
   NicMetrics& m = nic_metrics_[static_cast<std::size_t>(src)];
   m.tx_bytes.add(bytes);
   m.tx_busy_ns.add(static_cast<std::uint64_t>(busy));
@@ -81,14 +68,14 @@ void Fabric::count_tx(NodeId src, std::uint64_t bytes, SimDuration busy,
 }
 
 void Fabric::count_rx(NodeId dst, std::uint64_t bytes, SimDuration busy) {
-  if (metrics() == nullptr) return;
+  if (nic_metrics_.empty()) return;
   NicMetrics& m = nic_metrics_[static_cast<std::size_t>(dst)];
   m.rx_bytes.add(bytes);
   m.rx_busy_ns.add(static_cast<std::uint64_t>(busy));
 }
 
 void Fabric::count_drop(NodeId node) {
-  if (metrics() == nullptr) return;
+  if (nic_metrics_.empty()) return;
   nic_metrics_[static_cast<std::size_t>(node)].drops.add(1);
 }
 

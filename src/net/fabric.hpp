@@ -12,10 +12,8 @@
 // falls out of the FIFO port schedules.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -187,11 +185,10 @@ class Fabric {
            static_cast<std::uint32_t>(b);
   }
 
-  // --- metrics (lazy-bound; no-ops until a registry is attached) ----------
-  // The fabric is constructed before Engine::set_metrics can run, and the
-  // hot paths execute on arbitrary shards under the parallel backend, so the
-  // handles are bound on first use with the same double-checked
-  // atomic+mutex pattern as dmpi::World.
+  // --- metrics ------------------------------------------------------------
+  // Registered in the constructor when the engine has a registry (which
+  // must be attached before the fabric declares the node topology); with
+  // none, nic_metrics_ stays empty and every count_* returns at once.
   struct NicMetrics {
     obs::Counter tx_bytes;
     obs::Counter rx_bytes;
@@ -199,8 +196,6 @@ class Fabric {
     obs::Counter rx_busy_ns;
     obs::Counter drops;
   };
-  obs::Registry* metrics();
-  void bind_metrics(obs::Registry* reg);
   void count_tx(NodeId src, std::uint64_t bytes, SimDuration busy,
                 SimDuration queue_delay);
   void count_rx(NodeId dst, std::uint64_t bytes, SimDuration busy);
@@ -212,9 +207,7 @@ class Fabric {
   // Sparse per-link latency overrides, keyed both directions.
   std::unordered_map<std::uint64_t, SimDuration> link_latency_;
 
-  std::mutex metrics_mutex_;  // guards the one-time registration only
-  std::atomic<obs::Registry*> metrics_bound_{nullptr};
-  std::vector<NicMetrics> nic_metrics_;
+  std::vector<NicMetrics> nic_metrics_;  ///< one per node; empty = unmetered
   obs::Histogram m_tx_queue_delay_;
 };
 

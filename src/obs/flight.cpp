@@ -15,19 +15,21 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
 
 void FlightRecorder::note(SimTime time, std::string category,
                           std::string what, std::uint64_t trace_id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Event e;
-  e.time = time;
-  e.trace_id = trace_id;
-  e.seq = seq_++;
-  e.category = std::move(category);
-  e.what = std::move(what);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(e));
+  auto push = [this, e = Event{time, trace_id, 0, std::move(category),
+                               std::move(what)}]() mutable {
+    e.seq = seq_++;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(std::move(e));
+    } else {
+      ring_[next_] = std::move(e);
+    }
+    next_ = (next_ + 1) % capacity_;
+  };
+  if (engine_ != nullptr) {
+    engine_->record(std::move(push));
   } else {
-    ring_[next_] = std::move(e);
+    push();
   }
-  next_ = (next_ + 1) % capacity_;
 }
 
 void FlightRecorder::note(sim::Engine& engine, std::string category,
@@ -37,11 +39,7 @@ void FlightRecorder::note(sim::Engine& engine, std::string category,
 }
 
 std::vector<FlightRecorder::Event> FlightRecorder::events() const {
-  std::vector<Event> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = ring_;
-  }
+  std::vector<Event> out = ring_;
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
@@ -49,19 +47,9 @@ std::vector<FlightRecorder::Event> FlightRecorder::events() const {
   return out;
 }
 
-std::uint64_t FlightRecorder::recorded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return seq_;
-}
-
 void FlightRecorder::dump(std::ostream& os) const {
   const std::vector<Event> evs = events();
-  std::uint64_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    total = seq_;
-  }
-  os << "=== flight recorder: " << evs.size() << " of " << total
+  os << "=== flight recorder: " << evs.size() << " of " << seq_
      << " events (capacity " << capacity_ << ") ===\n";
   for (const Event& e : evs) {
     os << "t=" << e.time << " [" << e.category << "] " << e.what;
@@ -78,7 +66,6 @@ std::string FlightRecorder::dump() const {
 }
 
 void FlightRecorder::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
   next_ = 0;
   seq_ = 0;
@@ -86,21 +73,14 @@ void FlightRecorder::clear() {
 
 }  // namespace dacc::obs
 
-// Engine::set_flight_recorder lives here (next to set_metrics's pattern in
+// Engine::set_flight_recorder lives here (next to set_metrics in
 // metrics.cpp) so dacc_sim never links against dacc_obs: the engine only
-// holds an opaque pointer plus a type-erased note hook for its own events.
+// holds an opaque pointer.
 namespace dacc::sim {
 
 void Engine::set_flight_recorder(obs::FlightRecorder* recorder) {
   flight_ = recorder;
-  if (recorder == nullptr) {
-    flight_note_ = nullptr;
-    return;
-  }
-  flight_note_ = [this, recorder](const char* category, std::string what) {
-    recorder->note(now(), category, std::move(what),
-                   current_trace().trace_id);
-  };
+  if (recorder != nullptr) recorder->attach(this);
 }
 
 }  // namespace dacc::sim

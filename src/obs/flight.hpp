@@ -1,14 +1,17 @@
 // Flight recorder (dacc::obs) — fixed-size ring buffer over rare
 // control-plane events: lease revocations, Raft elections and leader
-// changes, engine merged fallbacks, RPC retry ladders, ARM client
-// failovers, WireErrors, injected chaos faults.
+// changes, RPC retry ladders, ARM client failovers, WireErrors, injected
+// chaos faults.
 //
-// Post-mortem tool, wallclock tier: recording order (the seq stamp) is
-// whatever order threads reach the mutex, so the ring is NOT part of the
-// deterministic snapshot contract. The dump sorts by (sim time, seq) —
-// causal order, since an effect never precedes its cause in simulated
-// time — and carries the trace id active at the noting site, so a dump
-// line can be joined against the Chrome trace.
+// Deterministic tier: once attached (Engine::set_flight_recorder), a note
+// goes through sim::Engine::record like a sim::Tracer span, so on the
+// parallel backend's worker pool it is applied in the serial loop's order
+// when the run ends, not in worker order. The seq stamp counts notes in
+// that order, and the ring and its dump are the same under every backend
+// and shard count. The dump sorts by (sim time, seq) — causal order, since
+// an effect never precedes its cause in simulated time — and carries the
+// trace id active at the noting site, so a dump line can be joined against
+// the Chrome trace.
 //
 // Dump triggers: explicit (Cluster::dump_flight_recorder, which a caller
 // that wants a post-mortem file calls after Cluster::run), and on test
@@ -17,7 +20,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,15 +38,15 @@ class FlightRecorder {
   struct Event {
     SimTime time = 0;          ///< simulated time of the noted event
     std::uint64_t trace_id = 0;  ///< causal trace active at the site (0 = none)
-    std::uint64_t seq = 0;       ///< monotonic recording stamp (tiebreaker)
-    std::string category;        ///< "raft", "arm", "chaos", "engine", ...
+    std::uint64_t seq = 0;       ///< order in which notes were applied
+    std::string category;        ///< "raft", "arm", "chaos", "fe", ...
     std::string what;
   };
 
   explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
 
-  /// Records one event; keeps only the newest `capacity` events. Safe from
-  /// any thread (shard workers included).
+  /// Records one event; keeps only the newest `capacity` events. From any
+  /// simulation context once attached: the note rides Engine::record.
   void note(SimTime time, std::string category, std::string what,
             std::uint64_t trace_id = 0);
 
@@ -56,7 +58,7 @@ class FlightRecorder {
   std::vector<Event> events() const;
 
   /// Total events ever noted (>= events().size(); the ring overwrites).
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return seq_; }
   std::size_t capacity() const { return capacity_; }
 
   /// Human-readable post-mortem dump, one line per event in causal order.
@@ -66,7 +68,12 @@ class FlightRecorder {
   void clear();
 
  private:
-  mutable std::mutex mutex_;
+  friend class sim::Engine;
+
+  /// Engine::set_flight_recorder's hook.
+  void attach(sim::Engine* engine) { engine_ = engine; }
+
+  sim::Engine* engine_ = nullptr;
   std::size_t capacity_;
   std::vector<Event> ring_;  ///< circular once full; next_ is the write slot
   std::size_t next_ = 0;

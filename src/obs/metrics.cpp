@@ -393,6 +393,10 @@ std::string Registry::prometheus() const {
 namespace dacc::sim {
 
 void Engine::set_metrics(obs::Registry* registry) {
+  if (node_count() > 0) {
+    throw SimError("set_metrics: attach the registry before the components "
+                   "it watches (this engine already has a node topology)");
+  }
   metrics_ = registry;
   if (registry != nullptr) registry->attach(this);
 }

@@ -14,11 +14,17 @@
 // across the coroutine and parallel backends and every shard count
 // (tests/obs/obs_determinism_test.cpp enforces this).
 //
+// Components register their series when they are built, against the
+// registry attached to their engine then (Engine::set_metrics, which must
+// precede the node topology): a series exists, at zero, as long as its
+// component does. Without a registry nothing registers and every handle is a
+// no-op.
+//
 // Exporters: write_json (machine-readable snapshot, folded into BENCH_*.json
 // by bench_util) and write_prometheus (text exposition format). Both sort by
 // metric name so the output does not depend on registration order, which may
-// legitimately differ between backends when components bind lazily from
-// shard workers.
+// legitimately differ between backends: accelerator proxies and their
+// channels are built inside process bodies, which run on shard workers.
 #pragma once
 
 #include <cstdint>
@@ -232,10 +238,12 @@ class Registry {
   std::vector<const Metric*> collect() const;  ///< sorted by name
 
   sim::Engine* engine_ = nullptr;
-  /// Guards names_/metrics_ during registration only: components may bind
-  /// lazily from shard workers. Hot-path updates never take it — on the
-  /// worker pool the engine keeps each update in the emitting shard's own
-  /// buffer; elsewhere, execution is single-threaded.
+  /// Guards names_/metrics_ during registration only: components built
+  /// inside process bodies (accelerator proxies, their channels) and a
+  /// replica that becomes leader register from shard workers. Hot-path
+  /// updates never take it — on the worker pool the engine keeps each
+  /// update in the emitting shard's own buffer; elsewhere, execution is
+  /// single-threaded.
   mutable std::mutex reg_mutex_;
   std::vector<Metric> metrics_;
   std::map<std::string, std::uint32_t> names_;

@@ -28,35 +28,22 @@ Channel::Options Channel::frontend(dmpi::Rank self) {
 
 Channel::Channel(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank server,
                  Options options)
-    : mpi_(mpi), comm_(comm), server_(server), options_(std::move(options)) {}
+    : mpi_(mpi), comm_(comm), server_(server), options_(std::move(options)) {
+  obs::Registry* const reg = mpi_.world().engine().metrics();
+  if (reg == nullptr || options_.metrics_label.empty()) return;
+  const std::string labels = obs::labeled("", "chan", options_.metrics_label);
+  m_msgs_ = reg->counter("dacc_rpc_msgs_total" + labels);
+  m_ops_ = reg->counter("dacc_rpc_ops_total" + labels);
+  m_batch_size_ =
+      reg->histogram("dacc_rpc_batch_size" + labels, {1, 2, 4, 8, 16, 32, 64});
+}
 
 int Channel::next_reply_tag() {
   return kReplyTagBase +
          2 * static_cast<int>(mpi_.fresh_tag_seed() % kReplyTagSpan);
 }
 
-void Channel::bind_metrics(obs::Registry* reg) {
-  const std::string labels = obs::labeled("", "chan", options_.metrics_label);
-  m_msgs_ = reg->counter("dacc_rpc_msgs_total" + labels);
-  m_ops_ = reg->counter("dacc_rpc_ops_total" + labels);
-  m_batch_size_ =
-      reg->histogram("dacc_rpc_batch_size" + labels, {1, 2, 4, 8, 16, 32, 64});
-  metrics_bound_ = reg;
-}
-
-void Channel::count_msgs(std::uint64_t n) {
-  if (options_.metrics_label.empty()) return;
-  obs::Registry* const reg = mpi_.world().engine().metrics();
-  if (reg == nullptr) return;
-  if (metrics_bound_ != reg) bind_metrics(reg);
-  m_msgs_.add(n);
-}
-
 void Channel::note_flush(std::uint32_t n) {
-  if (options_.metrics_label.empty()) return;
-  obs::Registry* const reg = mpi_.world().engine().metrics();
-  if (reg == nullptr) return;
-  if (metrics_bound_ != reg) bind_metrics(reg);
   m_ops_.add(n);
   m_batch_size_.observe(n);
 }
@@ -88,7 +75,7 @@ std::optional<util::Buffer> Channel::exchange(util::Buffer frame,
 }
 
 void Channel::post(util::Buffer frame) {
-  count_msgs(1);
+  m_msgs_.add();
   mpi_.send(comm_, server_, options_.request_tag, std::move(frame));
 }
 
@@ -97,7 +84,7 @@ dmpi::Request Channel::post_reply(int reply_tag) {
 }
 
 void Channel::send_request(util::Buffer frame) {
-  count_msgs(1);
+  m_msgs_.add();
   mpi_.send(comm_, server_, options_.request_tag, std::move(frame));
 }
 
@@ -106,7 +93,7 @@ bool Channel::finish(dmpi::Request& reply, SimTime deadline) {
     mpi_.cancel(reply);
     return false;
   }
-  count_msgs(1);
+  m_msgs_.add();
   return true;
 }
 

@@ -35,6 +35,14 @@
 
 namespace dacc::rpc {
 
+/// Exponential backoff between retry attempts: base, base*2, base*4, ...
+/// capped.
+inline constexpr SimDuration kRetryBackoffBase = 50'000;    // 50 us
+inline constexpr SimDuration kRetryBackoffCap = 2'000'000;  // 2 ms
+/// How many device deaths one accelerator handle survives under
+/// RetryPolicy::replace_on_failure.
+inline constexpr int kMaxReplacements = 3;
+
 /// Failure-handling policy for channel requests (paper Section III.A: a
 /// broken accelerator is replaced from the pool without losing the compute
 /// node). All requests are idempotent from the daemon's perspective, so the
@@ -46,15 +54,11 @@ struct RetryPolicy {
   SimDuration request_timeout = 0;
   /// Additional attempts after the first one times out.
   int max_retries = 3;
-  /// Exponential backoff between attempts: base, base*2, base*4, ... capped.
-  SimDuration backoff_base = 50'000;    // 50 us
-  SimDuration backoff_cap = 2'000'000;  // 2 ms
   /// Transparently re-acquire a healthy accelerator when the leased one
-  /// dies: the session's allocation table and operation log are replayed on
-  /// the replacement and the failed request re-executed there.
+  /// dies (up to kMaxReplacements times): the session's allocation table
+  /// and operation log are replayed on the replacement and the failed
+  /// request re-executed there.
   bool replace_on_failure = false;
-  /// How many device deaths one accelerator handle survives.
-  int max_replacements = 3;
 };
 
 /// Runs `attempt(deadline)` under the policy's timeout/backoff ladder: up to
@@ -67,8 +71,8 @@ bool with_retry(sim::Context& ctx, const RetryPolicy& rp, Fn&& attempt) {
   for (int a = 0; a < attempts; ++a) {
     if (a > 0) {
       const int shift = a - 1 < 20 ? a - 1 : 20;
-      const SimDuration backoff = rp.backoff_base << shift;
-      ctx.wait_for(backoff < rp.backoff_cap ? backoff : rp.backoff_cap);
+      const SimDuration backoff = kRetryBackoffBase << shift;
+      ctx.wait_for(backoff < kRetryBackoffCap ? backoff : kRetryBackoffCap);
     }
     const SimTime deadline =
         rp.request_timeout > 0 ? ctx.now() + rp.request_timeout : kSimTimeNever;
@@ -160,16 +164,13 @@ class Channel {
   void note_flush(std::uint32_t n);
 
  private:
-  void count_msgs(std::uint64_t n);
-  void bind_metrics(obs::Registry* reg);
-
   dmpi::Mpi& mpi_;
   const dmpi::Comm& comm_;
   dmpi::Rank server_;
   Options options_;
 
-  // Metrics (lazy-bound, no-op handles when no registry is attached).
-  obs::Registry* metrics_bound_ = nullptr;
+  // Metrics, registered at construction for a labelled channel (no-op
+  // handles without a label or a registry).
   obs::Counter m_msgs_;
   obs::Counter m_ops_;
   obs::Histogram m_batch_size_;
@@ -196,8 +197,8 @@ struct Inbound {
 
 /// Server side: receives frames on the request tag, decodes headers, sends
 /// replies. raw() and decode() are split so service loops can charge their
-/// dispatch cost (and bind metrics) between arrival and decode, exactly
-/// where the hand-rolled loops used to.
+/// dispatch cost between arrival and decode, exactly where the hand-rolled
+/// loops used to.
 class ServerChannel {
  public:
   struct Options {

@@ -118,7 +118,7 @@ ClusterConfig normalize(ClusterConfig config) {
 Cluster::Cluster(ClusterConfig config)
     : config_(normalize(std::move(config))),
       engine_(config_.sim_backend, config_.sim_shards),
-      fabric_(engine_,
+      fabric_(attach_observers(),
               config_.compute_nodes + config_.accelerators +
                   arm_node_count(config_),
               config_.fabric),
@@ -139,10 +139,6 @@ Cluster::Cluster(ClusterConfig config)
   // Nothing is clamped before the first run, so a caller may still set
   // another gap on engine() before it submits.
   engine_.set_band_gap(64 * config_.fabric.wire_latency);
-  if (config_.trace) engine_.set_tracer(&tracer_);
-  if (config_.metrics) engine_.set_metrics(&metrics_);
-  if (config_.profile) engine_.set_wall_profiler(&profiler_);
-  engine_.set_flight_recorder(&flight_);
   world_ = std::make_unique<dmpi::World>(
       engine_, fabric_,
       rank_layout(config_.compute_nodes, config_.accelerators,
@@ -460,6 +456,14 @@ JobHandle Cluster::submit(JobSpec spec, int first_cn) {
         }
       });
   return JobHandle(completion);
+}
+
+sim::Engine& Cluster::attach_observers() {
+  if (config_.trace) engine_.set_tracer(&tracer_);
+  if (config_.metrics) engine_.set_metrics(&metrics_);
+  if (config_.profile) engine_.set_wall_profiler(&profiler_);
+  engine_.set_flight_recorder(&flight_);
+  return engine_;
 }
 
 void Cluster::run() { engine_.run(); }

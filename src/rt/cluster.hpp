@@ -213,14 +213,14 @@ class Cluster {
   sim::Tracer& tracer() { return tracer_; }
   obs::Registry& metrics() { return metrics_; }
   /// Wallclock tier (non-deterministic; see DESIGN.md §9.2). The profiler
-  /// only accumulates when ClusterConfig::profile is set; the flight
-  /// recorder is always recording.
+  /// only accumulates when ClusterConfig::profile is set.
   obs::Profiler& profiler() { return profiler_; }
+  /// The flight recorder (deterministic tier, DESIGN.md §9.1) is always
+  /// recording.
   obs::FlightRecorder& flight() { return flight_; }
   /// Post-mortem dump of the retained flight-recorder events, in causal
-  /// (sim time, recording seq) order with trace ids. The cluster writes no
-  /// dump on its own: a caller that wants one on disk calls this after
-  /// run().
+  /// (sim time, seq) order with trace ids. The cluster writes no dump on
+  /// its own: a caller that wants one on disk calls this after run().
   void dump_flight_recorder(std::ostream& os) const { flight_.dump(os); }
   gpu::Device& accelerator_device(int ac);
   gpu::Device& local_device(int cn);
@@ -277,6 +277,11 @@ class Cluster {
   Report report() const;
 
  private:
+  /// Attaches the tracer, registry, profiler and flight recorder the config
+  /// asks for, and returns the engine. Runs in fabric_'s initializer:
+  /// observers attach before the components they watch, which register
+  /// their series when they are built (Engine::set_metrics).
+  sim::Engine& attach_observers();
   /// Sends one liveness beat per period for accelerator `ac` while jobs run.
   void heartbeat_pacer(sim::Context& ctx, int ac);
   /// Periodically asks the ARM to sweep for missed beats while jobs run.

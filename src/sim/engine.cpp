@@ -712,12 +712,7 @@ __attribute__((always_inline)) inline bool Engine::run_events(
       return run_parallel(limit, wt0, wt0);
     }
     probe = windowed_;
-    if (!windowed_) {
-      ++pstats_.merged_fallbacks;
-      if (flight_note_) {
-        flight_note_("engine", "merged fallback: no safe horizon width");
-      }
-    }
+    if (!windowed_) ++pstats_.merged_fallbacks;
   }
   const std::uint64_t we0 = events_executed_;
   while (!queue_.empty() && queue_.top_time() <= limit) {

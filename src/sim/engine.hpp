@@ -482,8 +482,11 @@ class Engine {
 
   /// Optional metrics registry: instrumented components update counters,
   /// gauges and histograms when non-null. Not owned; like the tracer, it
-  /// records through record(). Defined in obs/metrics.cpp so dacc_sim does
-  /// not depend on dacc_obs.
+  /// records through record(). Components register their series when they
+  /// are built, so the registry must be attached before any of them:
+  /// set_metrics throws SimError once the engine has a node topology
+  /// (set_node_count, which building a net::Fabric calls). Defined in
+  /// obs/metrics.cpp so dacc_sim does not depend on dacc_obs.
   obs::Registry* metrics() const { return metrics_; }
   void set_metrics(obs::Registry* registry);
 
@@ -494,10 +497,10 @@ class Engine {
   void set_wall_profiler(WallSink* sink) { wall_ = sink; }
 
   /// Optional flight recorder for rare control-plane events (elections,
-  /// revocations, merged fallbacks, wire errors). Instrumented components
-  /// note events through the returned pointer; the engine itself notes its
-  /// merged fallbacks. Not owned. Defined in obs/flight.cpp so dacc_sim
-  /// does not depend on dacc_obs.
+  /// revocations, failovers, wire errors). Instrumented components note
+  /// events through the returned pointer; like the tracer, an attached
+  /// recorder notes through record(). Not owned. Defined in obs/flight.cpp
+  /// so dacc_sim does not depend on dacc_obs.
   obs::FlightRecorder* flight() const { return flight_; }
   void set_flight_recorder(obs::FlightRecorder* recorder);
 
@@ -515,7 +518,8 @@ class Engine {
     if (p != nullptr) p->trace_ctx_ = ctx;
   }
 
-  /// Observers' entry point (sim::Tracer spans, obs::Registry updates):
+  /// Observers' entry point (sim::Tracer spans, obs::Registry updates,
+  /// obs::FlightRecorder notes):
   /// `apply` runs at once, except during a pool run. There it is kept in
   /// the running shard's buffer, or the serial band's, under the emitting
   /// event's canonical (time, ord, seq) key, and the run applies every
@@ -779,13 +783,10 @@ class Engine {
   std::atomic<bool> any_failure_{false};  // set by process trampolines
   class Tracer* tracer_ = nullptr;
   obs::Registry* metrics_ = nullptr;
+  obs::FlightRecorder* flight_ = nullptr;
 
   // Wallclock tier (non-deterministic; never feeds the snapshot).
   WallSink* wall_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  // Type-erased note hook installed by set_flight_recorder (obs is not
-  // visible from dacc_sim) — used for the engine's own events.
-  std::function<void(const char*, std::string)> flight_note_;
 
   // Heterogeneous-latency topology (sparse). Keyed by pair_key(src, dst);
   // symmetric entries are stored in both directions.

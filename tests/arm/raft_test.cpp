@@ -270,7 +270,7 @@ TEST(Raft, PreVoteRefusesDisruptionWhileTheLeaderIsHealthy) {
         const auto refused =
             recv_filtered<PreVoteReply>(mpi, comm, RaftOp::kPreVoteReply);
         EXPECT_FALSE(refused.granted);
-        // After > election_min of leader silence: granted.
+        // After > kElectionMin of leader silence: granted.
         ctx.wait_until(8_ms);
         mpi.send(comm, 0, kArmRequestTag, probe.encode());
         const auto granted =
@@ -314,6 +314,7 @@ struct ChaosFingerprint {
   std::size_t granted1 = 0;
   std::string metrics;
   std::vector<std::string> raft_spans;
+  std::string flight;
 
   bool operator==(const ChaosFingerprint& other) const = default;
 };
@@ -355,6 +356,9 @@ ChaosFingerprint run_chaos(sim::ExecBackend backend, int shards) {
   for (const auto& span : cluster.tracer().track("raft")) {
     fp.raft_spans.push_back(span.name + "@" + std::to_string(span.begin));
   }
+  // The chaos kill and the replicas' role notes come from different pool
+  // shards; the recorder applies them in the serial loop's order.
+  fp.flight = cluster.flight().dump();
   return fp;
 }
 

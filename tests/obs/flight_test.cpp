@@ -1,4 +1,4 @@
-// Flight recorder (DESIGN.md §9.2): a fixed-size ring of rare control-plane
+// Flight recorder (DESIGN.md §9.1): a fixed-size ring of rare control-plane
 // events — revocations, elections, failovers, wire errors, chaos faults —
 // dumped for post-mortems. The ring must overwrite oldest-first, replay in
 // causal order, and capture a seeded leader-kill chaos run and an injected
@@ -45,8 +45,9 @@ TEST(FlightRing, OverwritesOldestWhenFull) {
 
 TEST(FlightRing, ReplaysInCausalOrder) {
   FlightRecorder fr;
-  // Noted out of order (as concurrent shards would): replay sorts by
-  // simulated time, sequence number breaking ties.
+  // Noted out of time order (a fault injected ahead of time is noted when
+  // it is scheduled, at the time it strikes): replay sorts by simulated
+  // time, the order the notes were applied in breaking ties.
   fr.note(30, "c", "third");
   fr.note(10, "a", "first");
   fr.note(20, "b", "second");

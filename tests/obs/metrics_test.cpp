@@ -1,10 +1,18 @@
 // Unit tests for the dacc::obs metrics registry: handle semantics, snapshot
-// reads, exporter formats, and registration-order independence.
+// reads, exporter formats, registration-order independence, and the attach
+// rule (a registry attaches before the components it watches, which
+// register their series when they are built).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "dmpi/mpi.hpp"
+#include "net/fabric.hpp"
 #include "obs/metrics.hpp"
+#include "rt/cluster.hpp"
+#include "sim/engine.hpp"
+#include "util/units.hpp"
 
 namespace dacc::obs {
 namespace {
@@ -161,6 +169,87 @@ TEST(Metrics, LatencyBoundsAreAscendingDecades) {
   for (std::size_t i = 1; i < bounds.size(); ++i) {
     EXPECT_EQ(bounds[i], bounds[i - 1] * 10);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Attaching to an engine
+// ---------------------------------------------------------------------------
+
+TEST(MetricsAttach, AttachAfterTheTopologyThrowsAndBeforeItCounts) {
+  {
+    // The fabric declared the node topology: it and every component built
+    // before the registry would count nothing, so the attach is refused.
+    sim::Engine engine;
+    net::Fabric fabric(engine, 2);
+    Registry late;
+    EXPECT_THROW(engine.set_metrics(&late), sim::SimError);
+    EXPECT_EQ(engine.metrics(), nullptr);
+    EXPECT_EQ(late.size(), 0u);
+  }
+  // Attached first, the registry sees the fabric and a world built after
+  // it count their traffic.
+  Registry reg;  // outlives the engine that records into it
+  sim::Engine engine;
+  engine.set_metrics(&reg);
+  net::Fabric fabric(engine, 2);
+  dmpi::World world(engine, fabric, {0, 1});
+  engine.spawn("r0", [&world](sim::Context& ctx) {
+    dmpi::Mpi mpi(world, ctx, 0);
+    mpi.send(world.world_comm(), 1, 7, util::Buffer::phantom(1_KiB));
+    mpi.send(world.world_comm(), 1, 7, util::Buffer::phantom(1_KiB));
+  });
+  engine.spawn("r1", [&world](sim::Context& ctx) {
+    dmpi::Mpi mpi(world, ctx, 1);
+    (void)mpi.recv(world.world_comm(), 0, 7);
+    (void)mpi.recv(world.world_comm(), 0, 7);
+  });
+  engine.run();
+  EXPECT_EQ(reg.counter_value("dacc_dmpi_msgs_total{rank=\"0\"}"), 2u);
+  EXPECT_EQ(reg.counter_value("dacc_dmpi_bytes_total{rank=\"0\"}"), 2048u);
+  EXPECT_EQ(reg.counter_value("dacc_dmpi_eager_total{rank=\"0\"}"), 2u);
+  EXPECT_EQ(reg.counter_value("dacc_dmpi_msgs_total{rank=\"1\"}"), 0u);
+  EXPECT_GE(reg.counter_value("dacc_net_tx_bytes_total{node=\"0\"}"),
+            2048u);
+}
+
+TEST(MetricsAttach, IdleDaemonKeepsItsSeriesAtZero) {
+  // Two accelerators, one leased: the other daemon serves no request, yet
+  // its series exist from construction, at zero.
+  rt::ClusterConfig config;
+  config.compute_nodes = 1;
+  config.accelerators = 2;
+  config.functional_gpus = false;
+  config.metrics = true;
+  rt::Cluster cluster(config);
+  rt::JobSpec job;
+  job.accelerators_per_rank = 1;
+  job.body = [](rt::JobContext& ctx) {
+    (void)ctx.session()[0].mem_alloc(4_KiB);
+  };
+  cluster.submit(job);
+  cluster.run();
+
+  const std::string prom = cluster.metrics().prometheus();
+  int idle = 0;
+  for (int ac = 0; ac < config.accelerators; ++ac) {
+    const daemon::Daemon& d = cluster.accelerator_daemon(ac);
+    const std::string rank = "rank=\"" + std::to_string(d.rank()) + "\"";
+    SCOPED_TRACE(rank);
+    EXPECT_NE(prom.find("dacc_daemon_requests_total{" + rank + "} " +
+                        std::to_string(d.requests_served()) + "\n"),
+              std::string::npos)
+        << prom;
+    if (d.requests_served() != 0) continue;
+    ++idle;
+    EXPECT_NE(prom.find("dacc_daemon_malformed_total{" + rank + "} 0\n"),
+              std::string::npos);
+    EXPECT_NE(prom.find("dacc_daemon_busy_ns_total{" + rank + "} 0\n"),
+              std::string::npos);
+    EXPECT_NE(prom.find("dacc_daemon_h2d_overlap_pct_count{" + rank +
+                        "} 0\n"),
+              std::string::npos);
+  }
+  EXPECT_EQ(idle, 1);
 }
 
 }  // namespace
