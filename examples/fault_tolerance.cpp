@@ -10,9 +10,12 @@
 // behind the app's back and replays the allocation map, so the job body has
 // no error handling at all — the device dies mid-run and the loop simply
 // keeps going. Heartbeats revoke the dead accelerator's lease at the ARM.
+// The run ends with the cluster's flight-recorder dump: the injected fault,
+// the ARM's detection and the replacement, in causal order.
 //
 //   $ ./examples/fault_tolerance
 #include <cstdio>
+#include <iostream>
 
 #include "core/api.hpp"
 #include "rt/cluster.hpp"
@@ -120,6 +123,7 @@ void transparent_replacement() {
       "%llu heartbeat(s)\n",
       stats.broken, stats.replacements, stats.revocations,
       static_cast<unsigned long long>(stats.heartbeats));
+  cluster.dump_flight_recorder(std::cout);
 }
 
 int main() {

@@ -12,7 +12,10 @@
 #   - metrics_dump (plain and at watermark 8), raft_dump 42 and
 #     sched_dump 42, each under the coroutine backend and parallel:1/4/8;
 #   - trace_dump: its dacc_trace.json and stdout;
-#   - mp2c_mini: stdout, including its batched burst's message count.
+#   - mp2c_mini: stdout, including its batched burst's message count;
+#   - quickstart, dynamic_allocation, fault_tolerance, heterogeneous,
+#     multi_gpu_qr and peer_transfer: stdout (heartbeats, transparent
+#     replacement with its flight-recorder dump, peer copies).
 # Wall-clock outputs (wallclock_engine, sched_scale, profile_dump) are left
 # out: they differ from run to run on any host.
 #
@@ -81,7 +84,10 @@ run_side() {  # build-dir out-dir
         "sched_$tag" 42 > "sched_$tag.txt"
     done
     "$bin/examples/trace_dump" > trace_dump.txt
-    "$bin/examples/mp2c_mini" > mp2c_mini.txt
+    for example in mp2c_mini quickstart dynamic_allocation fault_tolerance \
+        heterogeneous multi_gpu_qr peer_transfer; do
+      "$bin/examples/$example" > "$example.txt"
+    done
   )
 }
 

@@ -348,11 +348,6 @@ void LeaseMachine::pending_index_erase(const PendingKey& key,
   }
 }
 
-LeaseMachine::Slot* LeaseMachine::find_slot(dmpi::Rank daemon_rank) {
-  const auto it = slot_by_rank_.find(daemon_rank);
-  return it == slot_by_rank_.end() ? nullptr : &slots_[it->second];
-}
-
 std::int64_t LeaseMachine::slot_index(dmpi::Rank daemon_rank) const {
   const auto it = slot_by_rank_.find(daemon_rank);
   return it == slot_by_rank_.end() ? -1 : static_cast<std::int64_t>(it->second);

@@ -396,7 +396,6 @@ class LeaseMachine {
   std::uint32_t alive_matching(const ResourceRequest& req) const;
   std::uint32_t requester_zone(const ResourceRequest& req,
                                dmpi::Rank client) const;
-  Slot* find_slot(dmpi::Rank daemon_rank);
   std::int64_t slot_index(dmpi::Rank daemon_rank) const;
   void release_slot(std::uint32_t idx, SimTime now);
   /// Slot leaves the pool for good (fault path): frees the index entry,

@@ -99,7 +99,6 @@ class RaftNode {
   // --- introspection (tests/harnesses; read between engine steps) ---------
   Role role() const { return role_; }
   std::uint64_t term() const { return term_; }
-  dmpi::Rank leader_hint() const { return leader_hint_; }
   std::uint64_t commit_index() const { return commit_; }
   std::uint64_t last_applied() const { return applied_; }
   std::uint64_t last_log_index() const { return snap_index_ + log_.size(); }

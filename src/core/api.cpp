@@ -73,10 +73,6 @@ void Kernel::run(const gpu::LaunchConfig& config) {
   acc_->launch(name_, config, args_);
 }
 
-Future Kernel::run_async(const gpu::LaunchConfig& config) {
-  return acc_->launch_async(name_, config, args_);
-}
-
 // ---------------------------------------------------------------------------
 // Accelerator
 // ---------------------------------------------------------------------------

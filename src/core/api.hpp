@@ -92,7 +92,6 @@ class Kernel {
   const std::string& name() const { return name_; }
   void set_args(gpu::KernelArgs args) { args_ = std::move(args); }
   void run(const gpu::LaunchConfig& config = {});
-  Future run_async(const gpu::LaunchConfig& config = {});
 
  private:
   friend class Accelerator;
@@ -111,7 +110,6 @@ class Accelerator {
 
   const arm::Lease& lease() const { return lease_; }
   dmpi::Rank daemon_rank() const { return lease_.daemon_rank; }
-  Session& session() { return *session_; }
 
   // --- synchronous computation API (throws AcError) ------------------------
   gpu::DevPtr mem_alloc(std::uint64_t bytes);
@@ -286,7 +284,6 @@ class Session {
   std::size_t size() const { return accelerators_.size(); }
   Accelerator& operator[](std::size_t i) { return *accelerators_.at(i); }
   arm::ArmClient& arm() { return arm_client_; }
-  sim::Context& context() { return ctx_; }
   const Config& config() const { return config_; }
 
   /// Convenience: wait on many futures.

@@ -196,10 +196,6 @@ Rank Comm::comm_rank(Rank w) const {
   return i < ranks_.size() ? ranks_[static_cast<std::size_t>(i)] : kAnySource;
 }
 
-bool Comm::contains_world_rank(Rank w) const {
-  return comm_rank(w) != kAnySource;
-}
-
 // ---------------------------------------------------------------------------
 // World internals
 // ---------------------------------------------------------------------------
@@ -628,29 +624,6 @@ void Mpi::wait_all(std::span<Request> requests) {
   for (Request& r : requests) wait(r);
 }
 
-std::size_t Mpi::wait_any(std::span<Request> requests) {
-  if (requests.empty()) throw std::logic_error("wait_any on empty set");
-  for (const Request& r : requests) {
-    if (!r.valid()) throw std::logic_error("wait_any on invalid request");
-  }
-  const auto first_done = [&] {
-    std::size_t i = 0;
-    while (i < requests.size() && !requests[i].done()) ++i;
-    return i;
-  };
-  std::size_t i = first_done();
-  if (i < requests.size()) return i;
-  // None is done, so every one has a state. Wait on all of them; the one
-  // that completes drops us from its list, the others are left here.
-  sim::Process& self = ctx_.self();
-  for (Request& r : requests) r.state_->completion.waiters().add(self);
-  while ((i = first_done()) == requests.size()) ctx_.suspend();
-  for (Request& r : requests) {
-    if (!r.done()) r.state_->completion.waiters().remove(self);
-  }
-  return i;
-}
-
 bool Mpi::wait_until(Request& request, SimTime deadline) {
   if (!request.valid()) {
     throw std::logic_error("wait_until on invalid request");
@@ -693,27 +666,9 @@ util::Buffer Mpi::sendrecv(const Comm& comm, Rank dst, int send_tag,
 // --- collectives -----------------------------------------------------------
 
 namespace {
-constexpr int kBarrierTag = kMaxUserTag + 1;
 constexpr int kBcastTag = kMaxUserTag + 2;
 constexpr int kReduceTag = kMaxUserTag + 3;
-constexpr int kGatherTag = kMaxUserTag + 4;
-constexpr int kScatterTag = kMaxUserTag + 5;
-constexpr int kAlltoallTag = kMaxUserTag + 6;
 }  // namespace
-
-void Mpi::barrier(const Comm& comm) {
-  // Dissemination barrier: log2(n) rounds of sendrecv with hop 2^k.
-  const Rank me = require_member(comm);
-  const int n = comm.size();
-  for (int hop = 1; hop < n; hop <<= 1) {
-    const Rank to = (me + hop) % n;
-    const Rank from = (me - hop % n + n) % n;
-    Request s = isend(comm, to, kBarrierTag, util::Buffer{});
-    Request r = irecv(comm, from, kBarrierTag);
-    wait(s);
-    wait(r);
-  }
-}
 
 util::Buffer Mpi::bcast(const Comm& comm, Rank root, util::Buffer data) {
   // Binomial tree rooted at `root` (ranks relative to root).
@@ -736,120 +691,26 @@ util::Buffer Mpi::bcast(const Comm& comm, Rank root, util::Buffer data) {
   return data;
 }
 
-namespace {
-
-// Binomial-tree reduce-to-root-0-then-bcast pattern shared by the typed
-// allreduce helpers.
-template <typename T, typename Op>
-T allreduce_impl(Mpi& mpi, const Comm& comm, T value, Op op, int tag) {
-  const Rank me = mpi.rank(comm);
+double Mpi::allreduce_sum(const Comm& comm, double value) {
+  // Binomial-tree reduce to rank 0, then bcast.
+  const Rank me = rank(comm);
   const int n = comm.size();
   // Reduce to rank 0: at round k, ranks with bit k set send to rank - 2^k.
   for (int hop = 1; hop < n; hop <<= 1) {
     if ((me & hop) != 0) {
-      std::vector<T> one{value};
-      mpi.send(comm, me - hop, tag, util::Buffer::of<T>(std::span(one)));
+      std::vector<double> one{value};
+      send(comm, me - hop, kReduceTag,
+           util::Buffer::of<double>(std::span(one)));
       break;
     }
     if (me + hop < n) {
-      util::Buffer b = mpi.recv(comm, me + hop, tag);
-      value = op(value, b.template as<T>()[0]);
+      util::Buffer b = recv(comm, me + hop, kReduceTag);
+      value += b.as<double>()[0];
     }
   }
-  std::vector<T> one{value};
-  util::Buffer out =
-      mpi.bcast(comm, 0, util::Buffer::of<T>(std::span(one)));
-  return out.template as<T>()[0];
-}
-
-}  // namespace
-
-double Mpi::allreduce_sum(const Comm& comm, double value) {
-  return allreduce_impl<double>(
-      *this, comm, value, [](double a, double b) { return a + b; },
-      kReduceTag);
-}
-
-std::uint64_t Mpi::allreduce_max(const Comm& comm, std::uint64_t value) {
-  return allreduce_impl<std::uint64_t>(
-      *this, comm, value,
-      [](std::uint64_t a, std::uint64_t b) { return a > b ? a : b; },
-      kReduceTag);
-}
-
-std::vector<util::Buffer> Mpi::gather(const Comm& comm, Rank root,
-                                      util::Buffer data) {
-  const Rank me = require_member(comm);
-  if (me != root) {
-    send(comm, root, kGatherTag, std::move(data));
-    return {};
-  }
-  std::vector<util::Buffer> out(static_cast<std::size_t>(comm.size()));
-  std::vector<Request> recvs;
-  for (Rank r = 0; r < comm.size(); ++r) {
-    if (r == root) continue;
-    recvs.push_back(irecv(comm, r, kGatherTag));
-  }
-  out[static_cast<std::size_t>(root)] = std::move(data);
-  std::size_t next = 0;
-  for (Rank r = 0; r < comm.size(); ++r) {
-    if (r == root) continue;
-    wait(recvs[next]);
-    out[static_cast<std::size_t>(r)] = recvs[next].take_payload();
-    ++next;
-  }
-  return out;
-}
-
-util::Buffer Mpi::scatter(const Comm& comm, Rank root,
-                          std::vector<util::Buffer> chunks) {
-  const Rank me = require_member(comm);
-  if (me == root) {
-    if (chunks.size() != static_cast<std::size_t>(comm.size())) {
-      throw std::invalid_argument("scatter: need one chunk per rank");
-    }
-    std::vector<Request> sends;
-    for (Rank r = 0; r < comm.size(); ++r) {
-      if (r == root) continue;
-      sends.push_back(isend(comm, r, kScatterTag,
-                            std::move(chunks[static_cast<std::size_t>(r)])));
-    }
-    wait_all(sends);
-    return std::move(chunks[static_cast<std::size_t>(root)]);
-  }
-  return recv(comm, root, kScatterTag);
-}
-
-std::vector<util::Buffer> Mpi::alltoall(const Comm& comm,
-                                        std::vector<util::Buffer> chunks) {
-  const Rank me = require_member(comm);
-  const int n = comm.size();
-  if (chunks.size() != static_cast<std::size_t>(n)) {
-    throw std::invalid_argument("alltoall: need one chunk per rank");
-  }
-  std::vector<util::Buffer> out(static_cast<std::size_t>(n));
-  out[static_cast<std::size_t>(me)] =
-      std::move(chunks[static_cast<std::size_t>(me)]);
-  std::vector<Request> recvs;
-  std::vector<Request> sends;
-  for (Rank r = 0; r < n; ++r) {
-    if (r == me) continue;
-    recvs.push_back(irecv(comm, r, kAlltoallTag));
-  }
-  for (Rank r = 0; r < n; ++r) {
-    if (r == me) continue;
-    sends.push_back(isend(comm, r, kAlltoallTag,
-                          std::move(chunks[static_cast<std::size_t>(r)])));
-  }
-  std::size_t next = 0;
-  for (Rank r = 0; r < n; ++r) {
-    if (r == me) continue;
-    wait(recvs[next]);
-    out[static_cast<std::size_t>(r)] = recvs[next].take_payload();
-    ++next;
-  }
-  wait_all(sends);
-  return out;
+  std::vector<double> one{value};
+  util::Buffer out = bcast(comm, 0, util::Buffer::of<double>(std::span(one)));
+  return out.as<double>()[0];
 }
 
 }  // namespace dacc::dmpi

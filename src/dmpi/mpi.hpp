@@ -12,7 +12,8 @@
 //   * blocking and nonblocking point-to-point with tag/source matching
 //     (including wildcards) and the eager/rendezvous protocol switch that
 //     shapes the bandwidth-vs-size curve,
-//   * a few collectives (barrier, bcast, allreduce) used by the workloads.
+//   * the two collectives the workloads use (bcast, and allreduce_sum on
+//     top of it) beside sendrecv, MP2C's halo exchange.
 //
 // Timing calibration lives in MpiParams; the defaults reproduce the paper's
 // testbed: ~2 us small-message latency and ~2660 MiB/s PingPong peak
@@ -105,7 +106,6 @@ class Comm {
   Rank world_rank(Rank r) const;
   /// Comm rank of world rank `w`, or kAnySource if not a member.
   Rank comm_rank(Rank w) const;
-  bool contains_world_rank(Rank w) const;
 
  private:
   friend class World;
@@ -217,8 +217,6 @@ class Mpi {
   bool iprobe(const Comm& comm, Rank src, int tag, Status* status = nullptr);
   void wait(Request& request);
   void wait_all(std::span<Request> requests);
-  /// Waits for any one request to finish; returns its index.
-  std::size_t wait_any(std::span<Request> requests);
   /// Waits until `request` completes or the simulated clock reaches
   /// `deadline`; returns whether it completed. On timeout the request is
   /// left pending — cancel() it before abandoning the handle, or the
@@ -250,22 +248,9 @@ class Mpi {
                         Status* status = nullptr);
 
   // --- collectives (every member must call) ------------------------------
-  void barrier(const Comm& comm);
   /// Root's `data` is distributed; non-roots receive and return it.
   util::Buffer bcast(const Comm& comm, Rank root, util::Buffer data);
   double allreduce_sum(const Comm& comm, double value);
-  std::uint64_t allreduce_max(const Comm& comm, std::uint64_t value);
-  /// Root receives every member's contribution, ordered by comm rank
-  /// (root's own included); non-roots get an empty vector.
-  std::vector<util::Buffer> gather(const Comm& comm, Rank root,
-                                   util::Buffer data);
-  /// Root distributes chunks[i] to comm rank i; returns this rank's chunk.
-  util::Buffer scatter(const Comm& comm, Rank root,
-                       std::vector<util::Buffer> chunks);
-  /// Every member sends chunks[i] to comm rank i and returns what it
-  /// received, ordered by source rank.
-  std::vector<util::Buffer> alltoall(const Comm& comm,
-                                     std::vector<util::Buffer> chunks);
 
  private:
   Rank require_member(const Comm& comm) const;

@@ -67,22 +67,9 @@ bool KernelRegistry::contains(const std::string& name) const {
   return kernels_.count(name) != 0;
 }
 
-const KernelDef& KernelRegistry::lookup(const std::string& name) const {
-  const KernelDef* def = find(name);
-  if (def == nullptr) throw std::out_of_range("unknown kernel: " + name);
-  return *def;
-}
-
 const KernelDef* KernelRegistry::find(const std::string& name) const {
   const auto it = kernels_.find(name);
   return it == kernels_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> KernelRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(kernels_.size());
-  for (const auto& [name, def] : kernels_) out.push_back(name);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -140,10 +140,8 @@ class KernelRegistry {
  public:
   void register_kernel(std::string name, KernelDef def);
   bool contains(const std::string& name) const;
-  const KernelDef& lookup(const std::string& name) const;
   /// The kernel's definition, or nullptr if none is registered as `name`.
   const KernelDef* find(const std::string& name) const;
-  std::vector<std::string> names() const;
 
   /// Registry pre-loaded with the built-in utility kernels (vector_add,
   /// daxpy, dscal, fill, reduce_sum).

@@ -36,41 +36,10 @@ util::Buffer Driver::memcpy_dtoh(DevPtr src, std::uint64_t bytes,
   return out;
 }
 
-void Driver::memcpy_dtod(DevPtr dst, DevPtr src, std::uint64_t bytes) {
-  const OpHandle op = device_.memcpy_dtod_async(device_.default_stream(), dst,
-                                                src, bytes, ctx_.now());
-  check(op, "memcpy_dtod");
-  ctx_.wait_until(op.done_at);
-}
-
-void Driver::launch(const std::string& kernel, const LaunchConfig& config,
-                    const KernelArgs& args) {
-  const OpHandle op = device_.launch_async(device_.default_stream(), kernel,
-                                           config, args, ctx_.now());
-  check(op, ("launch " + kernel).c_str());
-  ctx_.wait_until(op.done_at);
-}
-
-OpHandle Driver::memcpy_htod_async(Stream& stream, DevPtr dst,
-                                   const util::Buffer& src, HostMemType mem) {
-  return device_.memcpy_htod_async(stream, dst, src, mem, ctx_.now());
-}
-
-OpHandle Driver::memcpy_dtoh_async(Stream& stream, DevPtr src,
-                                   std::uint64_t bytes, HostMemType mem,
-                                   util::Buffer* out) {
-  return device_.memcpy_dtoh_async(stream, src, bytes, mem, ctx_.now(), out);
-}
-
 OpHandle Driver::launch_async(Stream& stream, const std::string& kernel,
                               const LaunchConfig& config,
                               const KernelArgs& args) {
   return device_.launch_async(stream, kernel, config, args, ctx_.now());
-}
-
-void Driver::wait(const OpHandle& op) {
-  check(op, "wait");
-  ctx_.wait_until(op.done_at);
 }
 
 void Driver::synchronize(Stream& stream) {

@@ -1,10 +1,11 @@
-// Blocking "CUDA driver API" facade over the simulated device.
-//
-// This is the layer the paper's back-end daemon drives (Figure 4: Daemon ->
-// CUDA Driver API -> CUDA GPU), and also what "CUDA local" baseline runs
-// use directly on a compute node. Calls block the calling simulated process
-// until the device operation completes; async variants are exposed for the
-// pipeline protocol, which overlaps network receives with DMA.
+// Blocking "CUDA driver API" facade over the simulated device, for a GPU
+// attached to the calling node: the "CUDA local" baselines (core's
+// LocalDeviceLink, the figure benches' local copy probes) run through it.
+// Memory calls and copies block the calling simulated process until the
+// device operation completes; kernels launch asynchronously on a stream,
+// and synchronize() waits for one. The back-end daemon (Figure 4: Daemon ->
+// CUDA Driver API -> CUDA GPU) drives gpu::Device directly, since it
+// overlaps network receives with DMA on its own streams.
 #pragma once
 
 #include <stdexcept>
@@ -40,23 +41,11 @@ class Driver {
                    HostMemType mem = HostMemType::kPinned);
   util::Buffer memcpy_dtoh(DevPtr src, std::uint64_t bytes,
                            HostMemType mem = HostMemType::kPinned);
-  void memcpy_dtod(DevPtr dst, DevPtr src, std::uint64_t bytes);
 
-  // --- kernels (blocking) ---------------------------------------------------
-  void launch(const std::string& kernel, const LaunchConfig& config,
-              const KernelArgs& args);
-
-  // --- async (for the pipeline protocol) -----------------------------------
-  OpHandle memcpy_htod_async(Stream& stream, DevPtr dst,
-                             const util::Buffer& src,
-                             HostMemType mem = HostMemType::kPinned);
-  OpHandle memcpy_dtoh_async(Stream& stream, DevPtr src, std::uint64_t bytes,
-                             HostMemType mem, util::Buffer* out);
+  // --- kernels ---------------------------------------------------------------
   OpHandle launch_async(Stream& stream, const std::string& kernel,
                         const LaunchConfig& config, const KernelArgs& args);
 
-  /// Blocks until the handle's operation has completed.
-  void wait(const OpHandle& op);
   /// Blocks until the stream is idle.
   void synchronize(Stream& stream);
   void synchronize() { synchronize(device_.default_stream()); }

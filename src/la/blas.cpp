@@ -85,24 +85,6 @@ void dtrsm(Side side, UpLo uplo, Trans ta, Diag diag, int m, int n,
   throw std::logic_error("dtrsm: unsupported variant");
 }
 
-void dsyrk(UpLo uplo, Trans trans, int n, int k, double alpha,
-           const double* a, int lda, double beta, double* c, int ldc) {
-  if (trans != Trans::kNo) throw std::logic_error("dsyrk: only trans=no");
-  for (int j = 0; j < n; ++j) {
-    const int i_begin = uplo == UpLo::kLower ? j : 0;
-    const int i_end = uplo == UpLo::kLower ? n : j + 1;
-    for (int i = i_begin; i < i_end; ++i) {
-      double sum = 0.0;
-      for (int p = 0; p < k; ++p) {
-        sum += a[static_cast<std::size_t>(p) * lda + i] *
-               a[static_cast<std::size_t>(p) * lda + j];
-      }
-      double& out = c[static_cast<std::size_t>(j) * ldc + i];
-      out = alpha * sum + beta * out;
-    }
-  }
-}
-
 void dgemv(Trans ta, int m, int n, double alpha, const double* a, int lda,
            const double* x, double beta, double* y) {
   const int out_len = ta == Trans::kNo ? m : n;
@@ -127,18 +109,8 @@ void dger(int m, int n, double alpha, const double* x, const double* y,
   }
 }
 
-double ddot(int n, const double* x, const double* y) {
-  double sum = 0.0;
-  for (int i = 0; i < n; ++i) sum += x[i] * y[i];
-  return sum;
-}
-
 void dscal(int n, double alpha, double* x) {
   for (int i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-void daxpy(int n, double alpha, const double* x, double* y) {
-  for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
 double dnrm2(int n, const double* x) {

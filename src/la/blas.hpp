@@ -23,11 +23,6 @@ void dgemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
 void dtrsm(Side side, UpLo uplo, Trans ta, Diag diag, int m, int n,
            double alpha, const double* a, int lda, double* b, int ldb);
 
-/// C := alpha * A * A^T + beta * C (trans=no) over the `uplo` triangle of
-/// the n x n matrix C; A is n x k.
-void dsyrk(UpLo uplo, Trans trans, int n, int k, double alpha,
-           const double* a, int lda, double beta, double* c, int ldc);
-
 /// y := alpha * op(A) * x + beta * y.
 void dgemv(Trans ta, int m, int n, double alpha, const double* a, int lda,
            const double* x, double beta, double* y);
@@ -36,9 +31,7 @@ void dgemv(Trans ta, int m, int n, double alpha, const double* a, int lda,
 void dger(int m, int n, double alpha, const double* x, const double* y,
           double* a, int lda);
 
-double ddot(int n, const double* x, const double* y);
 void dscal(int n, double alpha, double* x);
-void daxpy(int n, double alpha, const double* x, double* y);
 double dnrm2(int n, const double* x);
 
 }  // namespace dacc::la

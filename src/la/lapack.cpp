@@ -26,29 +26,6 @@ int dpotf2(int n, double* a, int lda) {
   return 0;
 }
 
-int dpotrf_host(HostMatrix& a, int nb) {
-  if (a.m() != a.n()) throw std::invalid_argument("dpotrf_host: not square");
-  const int n = a.n();
-  const int ld = a.ld();
-  double* p = a.data();
-  for (int j = 0; j < n; j += nb) {
-    const int jb = std::min(nb, n - j);
-    double* diag = p + static_cast<std::size_t>(j) * ld + j;
-    const int info = dpotf2(jb, diag, ld);
-    if (info != 0) return j + info;
-    const int rest = n - j - jb;
-    if (rest > 0) {
-      double* below = p + static_cast<std::size_t>(j) * ld + j + jb;
-      dtrsm(Side::kRight, UpLo::kLower, Trans::kYes, Diag::kNonUnit, rest, jb,
-            1.0, diag, ld, below, ld);
-      double* trail = p + static_cast<std::size_t>(j + jb) * ld + j + jb;
-      dsyrk(UpLo::kLower, Trans::kNo, rest, jb, -1.0, below, ld, 1.0, trail,
-            ld);
-    }
-  }
-  return 0;
-}
-
 void dgeqr2(int m, int n, double* a, int lda, double* tau) {
   auto at = [&](int i, int j) -> double& {
     return a[static_cast<std::size_t>(j) * lda + i];
@@ -163,31 +140,6 @@ void dlarfb(Trans trans, int m, int n, int k, const double* v, int ldv,
         ldc);
 }
 
-void dgeqrf_host(HostMatrix& a, int nb, std::vector<double>& tau) {
-  const int m = a.m();
-  const int n = a.n();
-  const int ld = a.ld();
-  const int k = std::min(m, n);
-  tau.assign(static_cast<std::size_t>(k), 0.0);
-  double* p = a.data();
-  std::vector<double> v;
-  std::vector<double> t(static_cast<std::size_t>(nb) * nb);
-  for (int j = 0; j < k; j += nb) {
-    const int jb = std::min(nb, k - j);
-    const int rows = m - j;
-    double* panel = p + static_cast<std::size_t>(j) * ld + j;
-    dgeqr2(rows, jb, panel, ld, tau.data() + j);
-    if (j + jb < n) {
-      v.assign(static_cast<std::size_t>(rows) * jb, 0.0);
-      materialize_v(rows, jb, panel, ld, v.data());
-      dlarft(rows, jb, panel, ld, tau.data() + j, t.data(), nb);
-      double* trail = p + static_cast<std::size_t>(j + jb) * ld + j;
-      dlarfb(Trans::kYes, rows, n - j - jb, jb, v.data(), rows, t.data(), nb,
-             trail, ld);
-    }
-  }
-}
-
 int dgetf2(int m, int n, double* a, int lda, int* ipiv, int row0) {
   auto at = [&](int i, int j) -> double& {
     return a[static_cast<std::size_t>(j) * lda + i];
@@ -224,103 +176,7 @@ int dgetf2(int m, int n, double* a, int lda, int* ipiv, int row0) {
   return info;
 }
 
-void dlaswp(int ncols, double* a, int lda, int row0, int k, const int* ipiv) {
-  for (int i = 0; i < k; ++i) {
-    const int r1 = row0 + i;
-    const int r2 = ipiv[i];
-    if (r1 == r2) continue;
-    for (int c = 0; c < ncols; ++c) {
-      std::swap(a[static_cast<std::size_t>(c) * lda + r1],
-                a[static_cast<std::size_t>(c) * lda + r2]);
-    }
-  }
-}
-
-int dgetrf_host(HostMatrix& a, int nb, std::vector<int>& ipiv) {
-  const int m = a.m();
-  const int n = a.n();
-  const int ld = a.ld();
-  const int k = std::min(m, n);
-  ipiv.assign(static_cast<std::size_t>(k), 0);
-  double* p = a.data();
-  int info = 0;
-  for (int j = 0; j < k; j += nb) {
-    const int jb = std::min(nb, k - j);
-    // Factor the panel (rows j..m) with pivoting local to it.
-    const int panel_info = dgetf2(m - j, jb,
-                                  p + static_cast<std::size_t>(j) * ld + j,
-                                  ld, ipiv.data() + j, j);
-    if (panel_info != 0 && info == 0) info = j + panel_info;
-    // Apply the interchanges to the columns outside the panel.
-    dlaswp(j, p, ld, j, jb, ipiv.data() + j);
-    if (j + jb < n) {
-      dlaswp(n - j - jb, p + static_cast<std::size_t>(j + jb) * ld, ld, j,
-             jb, ipiv.data() + j);
-      // U12 := inv(L11, unit) * A12.
-      dtrsm(Side::kLeft, UpLo::kLower, Trans::kNo, Diag::kUnit, jb,
-            n - j - jb, 1.0, p + static_cast<std::size_t>(j) * ld + j, ld,
-            p + static_cast<std::size_t>(j + jb) * ld + j, ld);
-      // Trailing update: A22 -= L21 * U12.
-      if (j + jb < m) {
-        dgemm(Trans::kNo, Trans::kNo, m - j - jb, n - j - jb, jb, -1.0,
-              p + static_cast<std::size_t>(j) * ld + j + jb, ld,
-              p + static_cast<std::size_t>(j + jb) * ld + j, ld, 1.0,
-              p + static_cast<std::size_t>(j + jb) * ld + j + jb, ld);
-      }
-    }
-  }
-  return info;
-}
-
-double lu_residual(const HostMatrix& original, const HostMatrix& factored,
-                   const std::vector<int>& ipiv) {
-  const int m = original.m();
-  const int n = original.n();
-  const int k = std::min(m, n);
-  // P A: apply the interchanges to a copy of the original.
-  HostMatrix pa = original;
-  dlaswp(n, pa.data(), pa.ld(), 0, static_cast<int>(ipiv.size()),
-         ipiv.data());
-  // L U from the factored matrix.
-  HostMatrix rebuilt(m, n);
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < m; ++i) {
-      double sum = 0.0;
-      const int limit = std::min({i, j + 1, k});
-      for (int p = 0; p < limit; ++p) {
-        sum += factored.at(i, p) * factored.at(p, j);  // L(i,p) U(p,j)
-      }
-      if (i <= j && i < k) sum += factored.at(i, j);  // L(i,i) = 1
-      rebuilt.at(i, j) = sum;
-    }
-  }
-  return HostMatrix::max_abs_diff(pa, rebuilt);
-}
-
-double cholesky_residual(const HostMatrix& original,
-                         const HostMatrix& factored) {
-  const int n = original.n();
-  HostMatrix rebuilt(n, n);
-  // rebuilt = L * L^T from the lower triangle of `factored`.
-  for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) {
-      double sum = 0.0;
-      const int kmax = std::min(i, j);
-      for (int p = 0; p <= kmax; ++p) {
-        sum += factored.at(i, p) * factored.at(j, p);
-      }
-      rebuilt.at(i, j) = sum;
-    }
-  }
-  return HostMatrix::max_abs_diff(original, rebuilt);
-}
-
-namespace {
-
-/// Materializes Q (m x m) from the factored panel + tau by applying the
-/// reflectors to the identity: Q = H_0 H_1 ... H_{k-1}.
-HostMatrix build_q(const HostMatrix& factored,
-                   const std::vector<double>& tau) {
+HostMatrix form_q(const HostMatrix& factored, const std::vector<double>& tau) {
   const int m = factored.m();
   const int k = static_cast<int>(tau.size());
   HostMatrix q(m, m);
@@ -342,13 +198,11 @@ HostMatrix build_q(const HostMatrix& factored,
   return q;
 }
 
-}  // namespace
-
 double qr_residual(const HostMatrix& original, const HostMatrix& factored,
                    const std::vector<double>& tau) {
   const int m = original.m();
   const int n = original.n();
-  const HostMatrix q = build_q(factored, tau);
+  const HostMatrix q = form_q(factored, tau);
   // R = upper trapezoid of factored.
   HostMatrix rebuilt(m, n);
   for (int j = 0; j < n; ++j) {
@@ -361,21 +215,6 @@ double qr_residual(const HostMatrix& original, const HostMatrix& factored,
     }
   }
   return HostMatrix::max_abs_diff(original, rebuilt);
-}
-
-double qr_orthogonality(const HostMatrix& factored,
-                        const std::vector<double>& tau) {
-  const HostMatrix q = build_q(factored, tau);
-  const int m = q.m();
-  double worst = 0.0;
-  for (int j = 0; j < m; ++j) {
-    for (int i = 0; i < m; ++i) {
-      double sum = 0.0;
-      for (int p = 0; p < m; ++p) sum += q.at(p, i) * q.at(p, j);
-      worst = std::max(worst, std::fabs(sum - (i == j ? 1.0 : 0.0)));
-    }
-  }
-  return worst;
 }
 
 }  // namespace dacc::la

@@ -1,8 +1,8 @@
-// LAPACK-lite: unblocked panel factorizations (dpotf2, dgeqr2), the
-// block-reflector helpers (dlarft, dlarfb), and blocked host references
-// (dpotrf_host, dgeqrf_host). These are the routines the hybrid CPU+GPU
-// algorithms run on the compute node for each panel, and the references the
-// tests verify the full remote pipeline against.
+// LAPACK-lite: unblocked panel factorizations (dpotf2, dgeqr2, dgetf2) and
+// the block-reflector helpers (dlarft, dlarfb). These are the routines the
+// hybrid CPU+GPU algorithms run on the compute node for each panel. The
+// blocked host references the tests compare the remote pipeline against
+// live with the tests (tests/common/la_reference.hpp).
 #pragma once
 
 #include <vector>
@@ -16,9 +16,6 @@ namespace dacc::la {
 /// Returns 0 on success or the 1-based index of the first non-positive
 /// pivot (LAPACK convention).
 int dpotf2(int n, double* a, int lda);
-
-/// Blocked lower Cholesky on the host (reference). Returns like dpotf2.
-int dpotrf_host(HostMatrix& a, int nb);
 
 /// Unblocked Householder QR of the m x n panel (in place, LAPACK dgeqr2):
 /// R in the upper triangle, the Householder vectors below the diagonal,
@@ -41,38 +38,19 @@ void materialize_v(int m, int k, const double* panel, int ldp, double* v);
 void dlarfb(Trans trans, int m, int n, int k, const double* v, int ldv,
             const double* t, int ldt, double* c, int ldc);
 
-/// Blocked Householder QR on the host (reference). tau is resized.
-void dgeqrf_host(HostMatrix& a, int nb, std::vector<double>& tau);
-
 /// Unblocked LU with partial pivoting of the m x n panel (LAPACK dgetf2).
 /// ipiv[i] (0-based, absolute row index) records the row swapped with row
 /// `row0 + i`. Returns 0 or the 1-based index of the first zero pivot.
 int dgetf2(int m, int n, double* a, int lda, int* ipiv, int row0);
 
-/// Row interchanges (LAPACK dlaswp): for i in [0, k), swap rows `row0 + i`
-/// and `ipiv[i]` across columns [0, ncols) of `a`.
-void dlaswp(int ncols, double* a, int lda, int row0, int k, const int* ipiv);
+// --- verification -----------------------------------------------------------
 
-/// Blocked LU with partial pivoting on the host (reference). ipiv is
-/// resized to min(m, n). Returns like dgetf2.
-int dgetrf_host(HostMatrix& a, int nb, std::vector<int>& ipiv);
-
-// --- verification helpers ---------------------------------------------------
-
-/// ||A - L L^T||_max for a factored lower Cholesky against the original.
-double cholesky_residual(const HostMatrix& original,
-                         const HostMatrix& factored);
+/// Materializes Q (m x m) of a factored QR (vectors + tau) by applying the
+/// reflectors to the identity: Q = H_0 H_1 ... H_{k-1}.
+HostMatrix form_q(const HostMatrix& factored, const std::vector<double>& tau);
 
 /// ||A - Q R||_max for a factored QR (vectors + tau) against the original.
 double qr_residual(const HostMatrix& original, const HostMatrix& factored,
                    const std::vector<double>& tau);
-
-/// ||Q^T Q - I||_max for the factored QR's orthogonal factor.
-double qr_orthogonality(const HostMatrix& factored,
-                        const std::vector<double>& tau);
-
-/// ||P A - L U||_max for a factored LU against the original.
-double lu_residual(const HostMatrix& original, const HostMatrix& factored,
-                   const std::vector<int>& ipiv);
 
 }  // namespace dacc::la

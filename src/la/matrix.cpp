@@ -48,19 +48,6 @@ void HostMatrix::fill_random(util::Rng& rng) {
   for (std::size_t i = 0; i < count; ++i) p[i] = rng.uniform(-1.0, 1.0);
 }
 
-void HostMatrix::make_spd() {
-  if (!storage_.is_backed()) return;
-  if (m_ != n_) throw std::logic_error("make_spd: matrix not square");
-  for (int j = 0; j < n_; ++j) {
-    for (int i = 0; i <= j; ++i) {
-      const double v = 0.5 * (at(i, j) + at(j, i));
-      at(i, j) = v;
-      at(j, i) = v;
-    }
-    at(j, j) += static_cast<double>(n_);
-  }
-}
-
 double HostMatrix::max_abs_diff(const HostMatrix& a, const HostMatrix& b) {
   if (a.m() != b.m() || a.n() != b.n()) {
     throw std::invalid_argument("max_abs_diff: shape mismatch");
@@ -71,15 +58,6 @@ double HostMatrix::max_abs_diff(const HostMatrix& a, const HostMatrix& b) {
     worst = std::max(worst, std::fabs(a.data()[i] - b.data()[i]));
   }
   return worst;
-}
-
-double HostMatrix::norm_fro() const {
-  double sum = 0.0;
-  const std::size_t count = static_cast<std::size_t>(m_) * n_;
-  for (std::size_t i = 0; i < count; ++i) {
-    sum += data()[i] * data()[i];
-  }
-  return std::sqrt(sum);
 }
 
 }  // namespace dacc::la

@@ -58,14 +58,8 @@ class HostMatrix {
   /// phantom matrices).
   void fill_random(util::Rng& rng);
 
-  /// Makes the matrix symmetric positive definite: A := (A + A^T)/2 + n*I.
-  void make_spd();
-
   /// max |A - B| over all entries.
   static double max_abs_diff(const HostMatrix& a, const HostMatrix& b);
-
-  /// Frobenius norm.
-  double norm_fro() const;
 
  private:
   void check(int i, int j) const {

@@ -37,11 +37,6 @@ double srd_cell_corner_x(double x, const SrdGrid& g) {
   return wrapped;
 }
 
-void srd_collide(std::span<double> data, std::uint64_t n, const SrdGrid& g,
-                 double cos_a, double sin_a, std::uint64_t seed) {
-  srd_collide_coupled(data, n, {}, 0, 1.0, g, cos_a, sin_a, seed);
-}
-
 void srd_collide_coupled(std::span<double> fluid, std::uint64_t n_fluid,
                          std::span<double> solutes, std::uint64_t n_solutes,
                          double solute_mass, const SrdGrid& g, double cos_a,

@@ -19,18 +19,16 @@ struct SrdGrid {
   int nc[3] = {1, 1, 1};  ///< global cell counts per dimension
 };
 
-/// Applies one SRD collision step in place. `data` holds n particles as
-/// (x, y, z, vx, vy, vz) tuples. `cos_a`/`sin_a` encode the rotation angle;
-/// the per-cell axis derives deterministically from (seed, cell index), so
-/// ranks that share a (boundary) cell would agree — ownership re-assignment
-/// makes that unnecessary, but determinism keeps runs replayable.
-void srd_collide(std::span<double> data, std::uint64_t n, const SrdGrid& grid,
-                 double cos_a, double sin_a, std::uint64_t seed);
-
-/// Fluid-solute coupled collision: solutes (mass `solute_mass`, same 6-double
-/// layout) participate in the mass-weighted cell means and rotations, so
-/// momentum and kinetic energy flow between solvent and solutes while the
-/// cell totals stay exactly conserved (MP2C's coupling mechanism).
+/// Applies one SRD collision step in place. `fluid` holds n_fluid particles
+/// as (x, y, z, vx, vy, vz) tuples. Solutes (mass `solute_mass`, same
+/// 6-double layout; none for a pure fluid step) participate in the
+/// mass-weighted cell means and rotations, so momentum and kinetic energy
+/// flow between solvent and solutes while the cell totals stay exactly
+/// conserved (MP2C's coupling mechanism). `cos_a`/`sin_a` encode the
+/// rotation angle; the per-cell axis derives deterministically from (seed,
+/// cell index), so ranks that share a (boundary) cell would agree —
+/// ownership re-assignment makes that unnecessary, but determinism keeps
+/// runs replayable.
 void srd_collide_coupled(std::span<double> fluid, std::uint64_t n_fluid,
                          std::span<double> solutes, std::uint64_t n_solutes,
                          double solute_mass, const SrdGrid& grid,

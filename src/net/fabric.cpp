@@ -79,72 +79,6 @@ void Fabric::count_drop(NodeId node) {
   nic_metrics_[static_cast<std::size_t>(node)].drops.add(1);
 }
 
-Fabric::Outcome Fabric::transfer_outcome(NodeId src, NodeId dst,
-                                         std::uint64_t bytes,
-                                         SimTime earliest) {
-  check_node(src);
-  check_node(dst);
-  if (src == dst) {
-    // Loopback: memory-to-memory, no NIC involvement — immune to NIC faults.
-    const SimDuration busy =
-        transfer_time(bytes, params_.loopback_bandwidth_mib_s);
-    return {earliest + params_.loopback_latency + busy, true};
-  }
-  Nic& s = nics_[static_cast<std::size_t>(src)];
-  Nic& d = nics_[static_cast<std::size_t>(dst)];
-  if (earliest >= s.down_at) {
-    // A dead source NIC injects nothing; no port time is consumed.
-    ++s.drops;
-    count_drop(src);
-    return {earliest, false};
-  }
-  SimDuration busy = transfer_time(bytes, params_.link_bandwidth_mib_s);
-  if (bytes >= params_.per_message_overhead_min_bytes) {
-    busy += params_.per_message_overhead;
-  }
-  // A degraded NIC on either end stretches the serialization time; the
-  // slower endpoint governs.
-  double factor = 1.0;
-  if (earliest >= s.degraded_at) factor = s.degrade_factor;
-  if (earliest >= d.degraded_at && d.degrade_factor < factor) {
-    factor = d.degrade_factor;
-  }
-  if (factor < 1.0) {
-    busy = static_cast<SimDuration>(static_cast<double>(busy) / factor);
-  }
-  const SimDuration wire = latency_of(src, dst);
-  if (earliest >= d.down_at) {
-    // The sender transmits into a dead receiver: tx time is consumed, but
-    // nothing lands on the rx side.
-    const auto tx = s.tx.occupy(earliest, busy);
-    s.bytes_sent += bytes;
-    count_tx(src, bytes, busy, tx.start - earliest);
-    ++d.drops;
-    count_drop(dst);
-    return {tx.end + wire, false};
-  }
-  const auto tx = s.tx.occupy(earliest, busy);
-  // Cut-through: the rx occupancy mirrors the tx occupancy shifted by the
-  // wire latency; rx-port contention can delay it further.
-  const auto rx = d.rx.occupy(tx.start + wire, busy);
-  s.bytes_sent += bytes;
-  d.bytes_received += bytes;
-  count_tx(src, bytes, busy, tx.start - earliest);
-  count_rx(dst, bytes, busy);
-  // Link failure mid-flight: the transfer was cut before it drained.
-  if (tx.end > s.down_at) {
-    ++s.drops;
-    count_drop(src);
-    return {rx.end, false};
-  }
-  if (rx.end > d.down_at) {
-    ++d.drops;
-    count_drop(dst);
-    return {rx.end, false};
-  }
-  return {rx.end, true};
-}
-
 Fabric::TxPlan Fabric::plan_transfer(NodeId src, NodeId dst,
                                      std::uint64_t bytes, SimTime earliest) {
   check_node(src);

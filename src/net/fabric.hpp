@@ -29,14 +29,6 @@ using NodeId = int;
 
 class Fabric {
  public:
-  /// Result of routing one transfer: when it ends on the wire, and whether
-  /// the payload actually arrived (a transfer whose NIC fails before it
-  /// drains is lost in flight).
-  struct Outcome {
-    SimTime at = 0;
-    bool delivered = true;
-  };
-
   Fabric(sim::Engine& engine, int num_nodes, FabricParams params = {});
 
   int num_nodes() const { return static_cast<int>(nics_.size()); }
@@ -53,16 +45,11 @@ class Fabric {
     return params_.wire_latency;
   }
 
-  /// Reserves fabric resources for moving `bytes` from `src` to `dst`,
-  /// starting no earlier than `earliest`, and returns the delivery
-  /// completion time and whether the payload survived the link. Does not
-  /// schedule any event.
-  Outcome transfer_outcome(NodeId src, NodeId dst, std::uint64_t bytes,
-                           SimTime earliest);
-
-  /// Asynchronous transfer with an engine callback at the delivery time; the
-  /// callback is silently discarded when the transfer is dropped by a failed
-  /// link (the wire model of message loss). Templated so move-only callbacks
+  /// Moves `bytes` from `src` to `dst`, starting no earlier than
+  /// max(`earliest`, now), with an engine callback at the delivery time: the
+  /// one timing model every simulated message takes. The callback is
+  /// silently discarded when the transfer is dropped by a failed link (the
+  /// wire model of message loss). Templated so move-only callbacks
   /// (carrying payload buffers by value) go straight into the engine's
   /// pooled event storage without a std::function box.
   ///
@@ -72,9 +59,7 @@ class Fabric {
   /// and source-side accounting; the receive phase rides the payload to the
   /// destination node one wire latency later and consumes rx-port time
   /// there. Receive-port contention therefore resolves in arrival order,
-  /// which is identical under every backend. The sync transfer_outcome()
-  /// API keeps the original one-shot semantics for fault-free modelling and
-  /// tests.
+  /// which is identical under every backend.
   template <typename F>
   void deliver(NodeId src, NodeId dst, std::uint64_t bytes, SimTime earliest,
                F&& on_delivered) {

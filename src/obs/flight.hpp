@@ -14,8 +14,9 @@
 // the Chrome trace.
 //
 // Dump triggers: explicit (Cluster::dump_flight_recorder, which a caller
-// that wants a post-mortem file calls after Cluster::run), and on test
-// failure via tests/common/testbed.hpp's FlightOnFailure guard.
+// that wants a post-mortem calls after Cluster::run, as
+// examples/fault_tolerance does to show its recovery), and on test failure
+// via tests/common/testbed.hpp's FlightOnFailure guard.
 #pragma once
 
 #include <cstdint>

@@ -121,7 +121,6 @@ class Hist {
   /// (fixed-bucket histograms cannot see past it).
   std::uint64_t quantile_permille(std::uint32_t q) const;
   std::uint64_t p50() const { return quantile_permille(500); }
-  std::uint64_t p90() const { return quantile_permille(900); }
   std::uint64_t p99() const { return quantile_permille(990); }
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/json.hpp"
 
 namespace dacc::obs {
 
@@ -48,11 +47,6 @@ void Profiler::run_complete(std::uint64_t wall_ns, int threads) {
 std::uint64_t Profiler::shard_ns(int shard, Phase phase) const {
   const auto s = static_cast<std::size_t>(shard);
   return s < shard_slots_.size() ? shard_slots_[s].ns[phase] : 0;
-}
-
-std::uint64_t Profiler::shard_samples(int shard, Phase phase) const {
-  const auto s = static_cast<std::size_t>(shard);
-  return s < shard_slots_.size() ? shard_slots_[s].samples[phase] : 0;
 }
 
 std::uint64_t Profiler::worker_wait_ns(int worker) const {
@@ -123,46 +117,10 @@ void Profiler::write_prometheus(std::ostream& os) const {
   }
 }
 
-void Profiler::write_json(std::ostream& os) const {
-  std::ostringstream prom;
-  write_prometheus(prom);
-  // Same series, same order, JSON shape for bench embedding.
-  os << "{\"profile\":[";
-  std::istringstream in(prom.str());
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    const std::size_t sp = line.rfind(' ');
-    if (sp == std::string::npos) continue;
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":";
-    util::write_json_string(os, std::string_view(line).substr(0, sp));
-    os << ",\"value\":" << line.substr(sp + 1) << '}';
-  }
-  os << "]}\n";
-}
-
 std::string Profiler::prometheus() const {
   std::ostringstream os;
   write_prometheus(os);
   return os.str();
-}
-
-std::string Profiler::json() const {
-  std::ostringstream os;
-  write_json(os);
-  return os.str();
-}
-
-void Profiler::reset() {
-  shard_slots_.clear();
-  worker_slots_.clear();
-  serial_ns_ = 0;
-  serial_events_ = 0;
-  coordinator_wait_ns_ = 0;
-  measured_ns_ = 0;
-  runs_ = 0;
 }
 
 }  // namespace dacc::obs

@@ -46,10 +46,8 @@ class Profiler final : public sim::WallSink {
   // --- readouts (after run) ----------------------------------------------
   int shards() const { return static_cast<int>(shard_slots_.size()); }
   std::uint64_t shard_ns(int shard, Phase phase) const;
-  std::uint64_t shard_samples(int shard, Phase phase) const;
   std::uint64_t worker_wait_ns(int worker) const;
   std::uint64_t serial_ns() const { return serial_ns_; }
-  std::uint64_t serial_events() const { return serial_events_; }
   std::uint64_t coordinator_wait_ns() const { return coordinator_wait_ns_; }
 
   /// Total wallclock the profiler attributed to a category (phases + worker
@@ -68,11 +66,7 @@ class Profiler final : public sim::WallSink {
   /// output is NOT deterministic and must never be byte-compared.
   static constexpr std::string_view kSeriesPrefix = "dacc_prof_";
   void write_prometheus(std::ostream& os) const;
-  void write_json(std::ostream& os) const;
   std::string prometheus() const;
-  std::string json() const;
-
-  void reset();
 
  private:
   struct alignas(64) ShardSlot {

@@ -74,11 +74,6 @@ std::optional<util::Buffer> Channel::exchange(util::Buffer frame,
   return reply.take_payload();
 }
 
-void Channel::post(util::Buffer frame) {
-  m_msgs_.add();
-  mpi_.send(comm_, server_, options_.request_tag, std::move(frame));
-}
-
 dmpi::Request Channel::post_reply(int reply_tag) {
   return mpi_.irecv(comm_, dmpi::kAnySource, reply_tag);
 }

@@ -130,7 +130,7 @@ class Channel {
   int next_reply_tag();
 
   /// Builds a request header; the caller appends the body and hands the
-  /// frame to exchange()/post()/send_request().
+  /// frame to exchange()/send_request().
   proto::WireWriter request(std::uint32_t op_word, int reply_tag);
   template <typename OpT, typename = std::enable_if_t<std::is_enum_v<OpT>>>
   proto::WireWriter request(OpT op, int reply_tag) {
@@ -142,9 +142,6 @@ class Channel {
   /// parks harmlessly on the abandoned tag) and nullopt returns.
   std::optional<util::Buffer> exchange(util::Buffer frame, int reply_tag,
                                        SimTime deadline = kSimTimeNever);
-
-  /// Fire-and-forget request (one-way ops carry reply tag 0).
-  void post(util::Buffer frame);
 
   // Split-phase exchange, for calls that move bulk payload blocks between
   // request and response (H2D, the peer-put leg): post the reply receive,

@@ -328,8 +328,6 @@ void Process::body_main() {
 
 SimTime Context::now() const { return engine_.now(); }
 
-const std::string& Context::name() const { return self_.name(); }
-
 void Context::wait_for(SimDuration d) { wait_until(engine_.now() + d); }
 
 void Context::wait_until(SimTime t) {
@@ -356,14 +354,6 @@ void Context::yield() {
   const std::uint64_t id = engine_.prepare_block(self_);
   engine_.schedule_resume(self_, id, engine_.now());
   engine_.block(self_);
-}
-
-Process& Engine::current_process() {
-  Process* p = executing();
-  if (p == nullptr) {
-    throw SimError("operation requires process context");
-  }
-  return *p;
 }
 
 // ---------------------------------------------------------------------------

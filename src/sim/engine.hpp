@@ -174,7 +174,6 @@ class Context {
   SimTime now() const;
   Engine& engine() const { return engine_; }
   Process& self() const { return self_; }
-  const std::string& name() const;
 
   /// Blocks this process for `d` simulated nanoseconds.
   void wait_for(SimDuration d);
@@ -208,14 +207,8 @@ class Process {
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
-  const std::string& name() const { return name_; }
   std::uint64_t id() const { return id_; }
   bool finished() const { return finished_; }
-
-  /// Cluster node this process executes on (kGlobalNode if spawned outside
-  /// any node context). All of the process's events run on its home node's
-  /// shard under the parallel backend.
-  std::int32_t home_node() const { return home_node_; }
 
   /// Set if the process body exited via an uncaught exception (other than
   /// engine shutdown); Engine::run rethrows the stored message.
@@ -238,6 +231,9 @@ class Process {
 
   std::unique_ptr<Strand> strand_;
 
+  // Cluster node this process executes on (kGlobalNode if spawned outside
+  // any node context). All of the process's events run on its home node's
+  // shard under the parallel backend.
   std::int32_t home_node_ = kGlobalNode;
   bool started_ = false;
   bool finished_ = false;
@@ -347,9 +343,6 @@ class Engine {
     if (num_shards_ == 0 || node < 0) return 0;
     return shard_target(node);
   }
-
-  /// Execution affinity of the calling context.
-  std::int32_t current_node() const { return context_node(); }
 
   int shard_count() const { return num_shards_; }
   /// Worker threads started so far (1 until the engine moves to the pool,
@@ -471,9 +464,6 @@ class Engine {
   /// Currently running process, or nullptr in engine/callback context.
   Process* current() const { return executing(); }
 
-  /// Currently running process; throws SimError outside process context.
-  Process& current_process();
-
   /// Optional tracer: instrumented components record spans when non-null.
   /// The engine does not own it; an attached tracer records through
   /// record(), so the engine must outlive its last record.
@@ -493,7 +483,6 @@ class Engine {
   /// Optional wallclock profiler sink (the non-deterministic tier; see
   /// obs/profiler.hpp). Not owned. Null = zero instrumentation cost beyond
   /// a pointer check.
-  WallSink* wall_profiler() const { return wall_; }
   void set_wall_profiler(WallSink* sink) { wall_ = sink; }
 
   /// Optional flight recorder for rare control-plane events (elections,

@@ -40,16 +40,6 @@ bool parse_parallel_env(const char* env, int* shards) {
 
 }  // namespace
 
-const char* to_string(ExecBackend backend) {
-  switch (backend) {
-    case ExecBackend::kCoroutine:
-      return "coroutine";
-    case ExecBackend::kParallel:
-      return "parallel";
-  }
-  return "unknown";
-}
-
 ExecBackend default_exec_backend() {
   if (const char* env = std::getenv("DACC_SIM_BACKEND")) {
     if (std::strcmp(env, "coroutine") == 0) return ExecBackend::kCoroutine;

@@ -32,8 +32,6 @@ enum class ExecBackend {
   kParallel,
 };
 
-const char* to_string(ExecBackend backend);
-
 /// The backend new Engines use unless one is passed explicitly: kCoroutine,
 /// unless the environment variable DACC_SIM_BACKEND is set to "coroutine"
 /// or "parallel[:N]" (N = shard count, defaulting to the host's hardware

@@ -183,11 +183,8 @@ class Completion {
   }
 
   bool done() const { return done_; }
-
-  /// The wait list, for a process that waits on several completions at
-  /// once: it add()s itself to each, suspends until one is done, and
-  /// remove()s itself from the rest.
-  WaitQueue& waiters() { return waiters_; }
+  /// Processes waiting now (a timed-out waiter has left).
+  std::size_t waiting() const { return waiters_.waiting(); }
 
  private:
   bool done_ = false;

@@ -35,14 +35,6 @@ void BufferPool::release(std::vector<std::byte>&& bytes) {
   buckets_[b].push_back(std::move(bytes));
 }
 
-void BufferPool::trim() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& bucket : buckets_) {
-    bucket.clear();
-    bucket.shrink_to_fit();
-  }
-}
-
 Buffer& Buffer::operator=(const Buffer& other) {
   if (this == &other) return *this;
   size_ = other.size_;

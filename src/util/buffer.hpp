@@ -66,9 +66,6 @@ class BufferPool {
     return stats_;
   }
 
-  /// Drops all cached storage (tests use this to isolate measurements).
-  void trim();
-
  private:
   // Bucket b holds vectors with capacity in [2^b, 2^(b+1)), so any vector
   // in bucket ceil(log2(size)) can serve an acquire of `size`.
@@ -186,9 +183,6 @@ class Buffer {
     return b;
   }
   Buffer view() const { return view(0, size_); }
-
-  /// True if this buffer aliases storage with other holders (diagnostics).
-  bool is_shared() const { return store_ != nullptr && store_.use_count() > 1; }
 
   /// Overwrites [offset, offset+src.size()) with the contents of `src`.
   /// If either side is phantom, only sizes are checked.

@@ -55,15 +55,4 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : cells_) emit(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      os << (c == 0 ? "" : ",") << r[c];
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : cells_) emit(r);
-}
-
 }  // namespace dacc::util

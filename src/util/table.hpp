@@ -22,9 +22,6 @@ class Table {
   /// Renders the table with aligned columns to `os`.
   void print(std::ostream& os) const;
 
-  /// Renders as CSV (for offline plotting).
-  void print_csv(std::ostream& os) const;
-
   std::size_t rows() const { return cells_.size(); }
 
  private:

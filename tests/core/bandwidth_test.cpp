@@ -1,9 +1,10 @@
 // Bandwidth-shape checks for remote memcpy through the full middleware —
-// the properties behind paper Figures 5-8, asserted qualitatively here (the
-// benches print the full curves).
+// the properties behind paper Figures 5-8 (the benches print the full
+// curves).
 #include <gtest/gtest.h>
 
 #include "core/api.hpp"
+#include "dmpi/mpi.hpp"
 #include "rt/cluster.hpp"
 #include "util/units.hpp"
 
@@ -42,6 +43,33 @@ Measurement measure(std::uint64_t bytes, proto::TransferConfig config) {
   return m;
 }
 
+/// The dmpi ping-pong bound of Figures 5-8 (IMB convention: half the round
+/// trip of a warm exchange), on the default fabric the clusters use.
+double mpi_pingpong_mib_s(std::uint64_t bytes) {
+  sim::Engine engine;
+  net::Fabric fabric(engine, 2);
+  dmpi::World world(engine, fabric, {0, 1});
+  double mib_s = 0.0;
+  engine.spawn("rank0", [&](sim::Context& ctx) {
+    dmpi::Mpi mpi(world, ctx, 0);
+    mpi.send(world.world_comm(), 1, 0, util::Buffer::phantom(bytes));
+    (void)mpi.recv(world.world_comm(), 1, 0);
+    const SimTime t0 = ctx.now();
+    mpi.send(world.world_comm(), 1, 0, util::Buffer::phantom(bytes));
+    (void)mpi.recv(world.world_comm(), 1, 0);
+    mib_s = mib_per_s(bytes, (ctx.now() - t0) / 2);
+  });
+  engine.spawn("rank1", [&](sim::Context& ctx) {
+    dmpi::Mpi mpi(world, ctx, 1);
+    for (int i = 0; i < 2; ++i) {
+      util::Buffer msg = mpi.recv(world.world_comm(), 0, 0);
+      mpi.send(world.world_comm(), 0, 0, std::move(msg));
+    }
+  });
+  engine.run();
+  return mib_s;
+}
+
 TEST(Bandwidth, PipelineBeatsNaiveForLargeMessages) {
   const auto naive = measure(64_MiB, proto::TransferConfig::naive());
   const auto pipe = measure(64_MiB, proto::TransferConfig::pipeline(512_KiB));
@@ -51,11 +79,14 @@ TEST(Bandwidth, PipelineBeatsNaiveForLargeMessages) {
 
 TEST(Bandwidth, PipelineApproachesMpiBound) {
   // Paper Section V.A: "memory copy operations can now achieve bandwidth
-  // results similar to MPI data transfers of the same size".
+  // results similar to MPI data transfers of the same size". Both
+  // directions reach 90% of the ping-pong at 64 MiB, and neither beats it.
+  const double bound = mpi_pingpong_mib_s(64_MiB);
   const auto m = measure(64_MiB, proto::TransferConfig::pipeline_adaptive());
-  EXPECT_GT(m.h2d_mib_s, 2300.0);
-  EXPECT_LT(m.h2d_mib_s, 2700.0);
-  EXPECT_GT(m.d2h_mib_s, 2300.0);
+  EXPECT_GE(m.h2d_mib_s, 0.9 * bound);
+  EXPECT_GE(m.d2h_mib_s, 0.9 * bound);
+  EXPECT_LT(m.h2d_mib_s, bound);
+  EXPECT_LT(m.d2h_mib_s, bound);
 }
 
 TEST(Bandwidth, SmallBlocksWinSmallMessages) {

@@ -23,21 +23,6 @@ std::vector<std::function<void(Mpi&, sim::Context&)>> replicate(
 
 class CollectivesP : public ::testing::TestWithParam<int> {};
 
-TEST_P(CollectivesP, BarrierHoldsEarlyArrivals) {
-  const int n = GetParam();
-  TestBed bed(n);
-  std::vector<SimTime> exit_times(static_cast<std::size_t>(n));
-  bed.run(replicate(n, [&](Mpi& mpi, sim::Context& ctx, int r) {
-    // Stagger arrivals: rank r arrives at r*10 us.
-    ctx.wait_for(static_cast<SimDuration>(r) * 10'000);
-    mpi.barrier(bed.comm());
-    exit_times[static_cast<std::size_t>(r)] = ctx.now();
-  }));
-  // Nobody may leave the barrier before the last arrival.
-  const SimTime last_arrival = static_cast<SimTime>(n - 1) * 10'000;
-  for (SimTime t : exit_times) EXPECT_GE(t, last_arrival);
-}
-
 TEST_P(CollectivesP, BcastDeliversRootData) {
   const int n = GetParam();
   TestBed bed(n);
@@ -69,21 +54,6 @@ TEST_P(CollectivesP, AllreduceSumMatchesSerialSum) {
   for (double v : results) EXPECT_DOUBLE_EQ(v, expected);
 }
 
-TEST_P(CollectivesP, AllreduceMax) {
-  const int n = GetParam();
-  TestBed bed(n);
-  std::vector<std::uint64_t> results(static_cast<std::size_t>(n), 0);
-  bed.run(replicate(n, [&](Mpi& mpi, sim::Context&, int r) {
-    results[static_cast<std::size_t>(r)] = mpi.allreduce_max(
-        bed.comm(), static_cast<std::uint64_t>((r * 7) % n));
-  }));
-  std::uint64_t expected = 0;
-  for (int r = 0; r < n; ++r) {
-    expected = std::max(expected, static_cast<std::uint64_t>((r * 7) % n));
-  }
-  for (auto v : results) EXPECT_EQ(v, expected);
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 13));
 
@@ -104,22 +74,6 @@ TEST(Collectives, BcastOnSubCommunicator) {
            }});
   EXPECT_DOUBLE_EQ(results[1], 9.0);
   EXPECT_DOUBLE_EQ(results[3], 9.0);
-}
-
-TEST(Collectives, RepeatedBarriersStayConsistent) {
-  const int n = 4;
-  TestBed bed(n);
-  std::vector<int> counters(n, 0);
-  bed.run(replicate(n, [&](Mpi& mpi, sim::Context& ctx, int r) {
-    for (int round = 0; round < 10; ++round) {
-      // All counters must be equal at each barrier exit.
-      mpi.barrier(bed.comm());
-      for (int other : counters) EXPECT_EQ(other, round);
-      mpi.barrier(bed.comm());
-      counters[static_cast<std::size_t>(r)] = round + 1;
-      (void)ctx;
-    }
-  }));
 }
 
 }  // namespace

@@ -217,25 +217,6 @@ TEST(P2P, NonblockingOverlap) {
            }});
 }
 
-TEST(P2P, WaitAnyReturnsACompletedRequest) {
-  TestBed bed(3);
-  bed.run({[&](Mpi& mpi, sim::Context& ctx) {
-             ctx.wait_for(5'000'000);  // slow sender
-             mpi.send(bed.comm(), 2, 0, util::Buffer::backed_zero(8));
-           },
-           [&](Mpi& mpi, sim::Context&) {  // fast sender
-             mpi.send(bed.comm(), 2, 1, util::Buffer::backed_zero(8));
-           },
-           [&](Mpi& mpi, sim::Context&) {
-             std::vector<Request> reqs;
-             reqs.push_back(mpi.irecv(bed.comm(), 0, 0));
-             reqs.push_back(mpi.irecv(bed.comm(), 1, 1));
-             const std::size_t first = mpi.wait_any(reqs);
-             EXPECT_EQ(first, 1u);  // the fast sender's message
-             mpi.wait_all(reqs);
-           }});
-}
-
 TEST(P2P, PhantomPayloadsCarrySizeOnly) {
   TestBed bed(2);
   bed.run({[&](Mpi& mpi, sim::Context&) {

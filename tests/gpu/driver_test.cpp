@@ -22,6 +22,14 @@ void run_with_driver(std::function<void(Driver&, sim::Context&)> body,
   engine.run();
 }
 
+/// Launches on the default stream and blocks until the kernel is done.
+void launch(Driver& drv, const std::string& kernel, const KernelArgs& args) {
+  const OpHandle op =
+      drv.launch_async(drv.device().default_stream(), kernel, {}, args);
+  ASSERT_TRUE(op.ok()) << kernel;
+  drv.synchronize();
+}
+
 TEST(Driver, BlockingCopyAdvancesClock) {
   run_with_driver([](Driver& drv, sim::Context& ctx) {
     const DevPtr p = drv.mem_alloc(16_MiB);
@@ -54,10 +62,10 @@ TEST(Driver, KernelComputesAndBlocksForCost) {
     const DevPtr a = drv.mem_alloc(static_cast<std::uint64_t>(n) * 8);
     const DevPtr b = drv.mem_alloc(static_cast<std::uint64_t>(n) * 8);
     const DevPtr c = drv.mem_alloc(static_cast<std::uint64_t>(n) * 8);
-    drv.launch("fill_f64", LaunchConfig{}, {a, n, 2.0});
-    drv.launch("fill_f64", LaunchConfig{}, {b, n, 40.0});
+    launch(drv, "fill_f64", {a, n, 2.0});
+    launch(drv, "fill_f64", {b, n, 40.0});
     const SimTime before = ctx.now();
-    drv.launch("vector_add_f64", LaunchConfig{}, {a, b, c, n});
+    launch(drv, "vector_add_f64", {a, b, c, n});
     EXPECT_GE(ctx.now() - before, drv.device().params().kernel_launch_overhead);
     auto out = drv.memcpy_dtoh(c, static_cast<std::uint64_t>(n) * 8);
     for (double v : out.as<double>()) EXPECT_EQ(v, 42.0);
@@ -85,8 +93,9 @@ TEST(Driver, AsyncPipelineOverlapsStreams) {
     const SimTime start = ctx.now();
     std::vector<OpHandle> ops;
     for (int i = 0; i < 8; ++i) {
-      ops.push_back(drv.memcpy_htod_async(copy_stream, p,
-                                          util::Buffer::phantom(8_MiB)));
+      ops.push_back(drv.device().memcpy_htod_async(
+          copy_stream, p, util::Buffer::phantom(8_MiB), HostMemType::kPinned,
+          ctx.now()));
       ops.push_back(drv.launch_async(
           compute_stream, "fill_f64", LaunchConfig{},
           {p, std::int64_t{1024 * 1024}, 1.0}));
@@ -104,9 +113,8 @@ TEST(Driver, AsyncPipelineOverlapsStreams) {
 TEST(Driver, WaitOnFailedOpThrows) {
   run_with_driver([](Driver& drv, sim::Context&) {
     drv.device().mark_broken();
-    Stream s(drv.device());
-    auto op = drv.memcpy_htod_async(s, 0x1234, util::Buffer::phantom(8));
-    EXPECT_THROW(drv.wait(op), DeviceError);
+    EXPECT_THROW(drv.memcpy_htod(0x1234, util::Buffer::phantom(8)),
+                 DeviceError);
   });
 }
 
@@ -114,7 +122,8 @@ TEST(Driver, SynchronizeWaitsForStream) {
   run_with_driver([](Driver& drv, sim::Context& ctx) {
     const DevPtr p = drv.mem_alloc(32_MiB);
     Stream s(drv.device());
-    auto op = drv.memcpy_htod_async(s, p, util::Buffer::phantom(32_MiB));
+    auto op = drv.device().memcpy_htod_async(
+        s, p, util::Buffer::phantom(32_MiB), HostMemType::kPinned, ctx.now());
     ASSERT_TRUE(op.ok());
     drv.synchronize(s);
     EXPECT_GE(ctx.now(), op.done_at);

@@ -32,13 +32,22 @@ class KernelsTest : public ::testing::Test {
     auto view = buf.as<double>();
     return {view.begin(), view.end()};
   }
+
+  /// Launches on the default stream and waits for the kernel.
+  static void launch(Driver& drv, const std::string& kernel,
+                     const KernelArgs& args) {
+    const OpHandle op =
+        drv.launch_async(drv.device().default_stream(), kernel, {}, args);
+    ASSERT_TRUE(op.ok()) << kernel;
+    drv.synchronize();
+  }
 };
 
 TEST_F(KernelsTest, Fill) {
   run([](Driver& drv) {
     const std::int64_t n = 257;
     const DevPtr p = drv.mem_alloc(static_cast<std::uint64_t>(n) * 8);
-    drv.launch("fill_f64", {}, {p, n, -1.25});
+    launch(drv, "fill_f64", {p, n, -1.25});
     for (double v : download(drv, p, 257)) EXPECT_EQ(v, -1.25);
   });
 }
@@ -52,7 +61,7 @@ TEST_F(KernelsTest, Daxpy) {
     for (auto& v : y) v = rng.uniform(-1, 1);
     const DevPtr dx = upload(drv, x);
     const DevPtr dy = upload(drv, y);
-    drv.launch("daxpy", {}, {std::int64_t{100}, 2.5, dx, dy});
+    launch(drv, "daxpy", {std::int64_t{100}, 2.5, dx, dy});
     auto out = download(drv, dy, 100);
     for (std::size_t i = 0; i < 100; ++i) {
       EXPECT_DOUBLE_EQ(out[i], y[i] + 2.5 * x[i]);
@@ -64,7 +73,7 @@ TEST_F(KernelsTest, Dscal) {
   run([](Driver& drv) {
     std::vector<double> x{1.0, -2.0, 3.0};
     const DevPtr dx = upload(drv, x);
-    drv.launch("dscal", {}, {std::int64_t{3}, -2.0, dx});
+    launch(drv, "dscal", {std::int64_t{3}, -2.0, dx});
     auto out = download(drv, dx, 3);
     EXPECT_DOUBLE_EQ(out[0], -2.0);
     EXPECT_DOUBLE_EQ(out[1], 4.0);
@@ -82,7 +91,7 @@ TEST_F(KernelsTest, ReduceSum) {
     }
     const DevPtr dx = upload(drv, x);
     const DevPtr dout = drv.mem_alloc(8);
-    drv.launch("reduce_sum_f64", {}, {dx, std::int64_t{1000}, dout});
+    launch(drv, "reduce_sum_f64", {dx, std::int64_t{1000}, dout});
     EXPECT_DOUBLE_EQ(download(drv, dout, 1)[0], expected);
   });
 }
@@ -92,8 +101,8 @@ TEST_F(KernelsTest, VectorAddOnSubranges) {
   run([](Driver& drv) {
     std::vector<double> data(10, 1.0);
     const DevPtr p = upload(drv, data);
-    drv.launch("vector_add_f64", {},
-               {p, p + 5 * 8, p, std::int64_t{5}});  // front += back
+    launch(drv, "vector_add_f64",
+           {p, p + 5 * 8, p, std::int64_t{5}});  // front += back
     auto out = download(drv, p, 10);
     for (int i = 0; i < 5; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], 2.0);
     for (int i = 5; i < 10; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], 1.0);
@@ -124,8 +133,8 @@ TEST_F(KernelsTest, RegistryListsBuiltins) {
   EXPECT_TRUE(reg->contains("dscal"));
   EXPECT_TRUE(reg->contains("reduce_sum_f64"));
   EXPECT_FALSE(reg->contains("bogus"));
-  EXPECT_THROW((void)reg->lookup("bogus"), std::out_of_range);
-  EXPECT_EQ(reg->names().size(), 5u);
+  EXPECT_NE(reg->find("daxpy"), nullptr);
+  EXPECT_EQ(reg->find("bogus"), nullptr);
 }
 
 TEST_F(KernelsTest, CostModelIsMandatory) {

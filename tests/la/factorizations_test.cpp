@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/la_reference.hpp"
 #include "la/lapack.hpp"
 #include "rt/cluster.hpp"
 #include "util/rng.hpp"
@@ -91,7 +92,7 @@ TEST_P(CholRemoteP, MatchesHostReference) {
   run_la_job(la_cluster(g, true), static_cast<std::uint32_t>(g),
              [&](rt::JobContext& job, std::vector<core::DeviceLink*>& gpus) {
                HostMatrix a = random_matrix(n, n, 2000 + n);
-               a.make_spd();
+               make_spd(a);
                HostMatrix original = a;
                const FactorResult r =
                    dpotrf_hybrid(job.ctx(), gpus, a, nb);
@@ -130,7 +131,7 @@ TEST(FactorizationsLocal, CholeskyOnLocalGpuMatchesReference) {
     core::LocalDeviceLink local(job.local_gpu());
     std::vector<core::DeviceLink*> gpus{&local};
     HostMatrix a = random_matrix(48, 48, 88);
-    a.make_spd();
+    make_spd(a);
     HostMatrix original = a;
     const FactorResult r = dpotrf_hybrid(job.ctx(), gpus, a, 16);
     ASSERT_EQ(r.info, 0);
@@ -175,9 +176,12 @@ double qr_gflops_with(int n, int g, bool local) {
 }
 
 TEST(FactorizationShapes, MultiGpuScalesAtLargeN) {
-  const double g1 = qr_gflops_with(4096, 1, false);
-  const double g3 = qr_gflops_with(4096, 3, false);
-  EXPECT_GT(g3, g1 * 1.5);
+  // Paper Fig. 9: on one compute node, three network-attached GPUs reach
+  // ~2.2x one node-local GPU at N = 10240.
+  const double local = qr_gflops_with(10240, 1, true);
+  const double remote3 = qr_gflops_with(10240, 3, false);
+  ASSERT_GT(local, 0.0);
+  EXPECT_GE(remote3, local * 2.2);
 }
 
 TEST(FactorizationShapes, RemoteSlowerThanLocalSingleGpu) {

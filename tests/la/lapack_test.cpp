@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/la_reference.hpp"
 #include "util/rng.hpp"
 
 namespace dacc::la {
@@ -16,7 +17,7 @@ HostMatrix random_matrix(int m, int n, std::uint64_t seed) {
 
 HostMatrix random_spd(int n, std::uint64_t seed) {
   HostMatrix a = random_matrix(n, n, seed);
-  a.make_spd();
+  make_spd(a);
   return a;
 }
 

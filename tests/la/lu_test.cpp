@@ -1,6 +1,7 @@
 // LU with partial pivoting: host reference and hybrid multi-GPU runs.
 #include <gtest/gtest.h>
 
+#include "common/la_reference.hpp"
 #include "la/factorizations.hpp"
 #include "la/lapack.hpp"
 #include "rt/cluster.hpp"

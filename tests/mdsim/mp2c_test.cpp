@@ -109,15 +109,18 @@ TEST(Mp2c, SrdStepsHappenOnSchedule) {
 }
 
 TEST(Mp2c, RemoteGpuOnlySlightlySlowerThanLocal) {
-  // The Figure 11 claim: "prolongs execution by at most 4%".
-  SrdParams srd = short_run();
-  const std::uint64_t n = 200'000;  // phantom mode: size is free
+  // The Figure 11 claim, at Figure 11's 5.12 M particles and with its run
+  // (300 steps, SRD every 5th; rank 0's time): network-attached GPUs
+  // "prolong execution by at most 4%".
+  const std::uint64_t n = 5'120'000;  // phantom mode: size is free
+  const SrdParams fig11;
   const auto local = run(md_cluster(2, 0, false, /*local=*/true), 2, 0, n,
-                         srd, /*use_local_gpu=*/true);
-  const auto remote = run(md_cluster(2, 2, false), 2, 1, n, srd);
-  EXPECT_GT(remote.wall, local.wall);
-  EXPECT_LT(static_cast<double>(remote.wall),
-            static_cast<double>(local.wall) * 1.06);
+                         fig11, /*use_local_gpu=*/true);
+  const auto remote = run(md_cluster(2, 2, false), 2, 1, n, fig11);
+  const double slowdown = static_cast<double>(remote.per_rank[0].elapsed) /
+                          static_cast<double>(local.per_rank[0].elapsed);
+  EXPECT_GT(slowdown, 1.0);
+  EXPECT_LE(slowdown, 1.04);
 }
 
 TEST(Mp2c, GpuOffloadBeatsCpuCollisions) {

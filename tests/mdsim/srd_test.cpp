@@ -35,6 +35,12 @@ SrdGrid grid_for(int side, double shift = 0.3) {
   return g;
 }
 
+/// One pure-fluid step: the coupled collision without solutes.
+void collide(std::span<double> data, std::uint64_t n, const SrdGrid& grid,
+             double cos_a, double sin_a, std::uint64_t seed) {
+  srd_collide_coupled(data, n, {}, 0, 1.0, grid, cos_a, sin_a, seed);
+}
+
 struct Totals {
   double ke = 0.0;
   double mom[3] = {0, 0, 0};
@@ -54,7 +60,7 @@ TEST(Srd, ConservesKineticEnergyAndMomentum) {
   auto data = random_particles(5000, 8.0, 1);
   const Totals before = totals(data);
   const double a = 130.0 * M_PI / 180.0;
-  srd_collide(data, 5000, grid_for(8), std::cos(a), std::sin(a), 99);
+  collide(data, 5000, grid_for(8), std::cos(a), std::sin(a), 99);
   const Totals after = totals(data);
   EXPECT_NEAR(after.ke, before.ke, 1e-9 * before.ke);
   for (int d = 0; d < 3; ++d) {
@@ -66,7 +72,7 @@ TEST(Srd, ActuallyChangesVelocities) {
   auto data = random_particles(1000, 5.0, 2);
   const auto before = data;
   const double a = 130.0 * M_PI / 180.0;
-  srd_collide(data, 1000, grid_for(5), std::cos(a), std::sin(a), 7);
+  collide(data, 1000, grid_for(5), std::cos(a), std::sin(a), 7);
   double delta = 0.0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     delta = std::max(delta, std::fabs(data[i] - before[i]));
@@ -84,7 +90,7 @@ TEST(Srd, SingleParticleCellIsFixedPoint) {
   // A particle alone in its cell has v == mean: the rotation acts on zero.
   std::vector<double> data{0.5, 0.5, 0.5, 1.0, -2.0, 3.0};
   const double a = 130.0 * M_PI / 180.0;
-  srd_collide(data, 1, grid_for(4, 0.0), std::cos(a), std::sin(a), 1);
+  collide(data, 1, grid_for(4, 0.0), std::cos(a), std::sin(a), 1);
   EXPECT_DOUBLE_EQ(data[3], 1.0);
   EXPECT_DOUBLE_EQ(data[4], -2.0);
   EXPECT_DOUBLE_EQ(data[5], 3.0);
@@ -94,8 +100,8 @@ TEST(Srd, DeterministicForSameSeed) {
   auto a = random_particles(500, 4.0, 3);
   auto b = a;
   const double an = 130.0 * M_PI / 180.0;
-  srd_collide(a, 500, grid_for(4), std::cos(an), std::sin(an), 5);
-  srd_collide(b, 500, grid_for(4), std::cos(an), std::sin(an), 5);
+  collide(a, 500, grid_for(4), std::cos(an), std::sin(an), 5);
+  collide(b, 500, grid_for(4), std::cos(an), std::sin(an), 5);
   EXPECT_EQ(a, b);
 }
 
@@ -103,8 +109,8 @@ TEST(Srd, DifferentSeedsRotateDifferently) {
   auto a = random_particles(500, 4.0, 3);
   auto b = a;
   const double an = 130.0 * M_PI / 180.0;
-  srd_collide(a, 500, grid_for(4), std::cos(an), std::sin(an), 5);
-  srd_collide(b, 500, grid_for(4), std::cos(an), std::sin(an), 6);
+  collide(a, 500, grid_for(4), std::cos(an), std::sin(an), 5);
+  collide(b, 500, grid_for(4), std::cos(an), std::sin(an), 6);
   EXPECT_NE(a, b);
 }
 
@@ -127,7 +133,7 @@ TEST(Srd, CellCornerWrapsIntoBox) {
 TEST(Srd, ZeroAngleIsIdentity) {
   auto data = random_particles(300, 4.0, 9);
   const auto before = data;
-  srd_collide(data, 300, grid_for(4), 1.0, 0.0, 5);
+  collide(data, 300, grid_for(4), 1.0, 0.0, 5);
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_NEAR(data[i], before[i], 1e-12);
   }

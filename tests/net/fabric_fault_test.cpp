@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include "common/deliveries.hpp"
 #include "common/testbed.hpp"
 #include "proto/transfer.hpp"
 #include "util/units.hpp"
 
 namespace dacc::net {
 namespace {
+
+using dacc::testing::deliver_all;
+using dacc::testing::deliver_one;
 
 /// Tag the pipelined blocks travel on.
 constexpr int kDataTag = 102;
@@ -29,8 +33,7 @@ TEST(FabricFault, SourceDownBeforeStartDropsWithoutOccupancy) {
   sim::Engine engine;
   Fabric fabric(engine, 2, exact_params());
   fabric.fail_link(0, 0);
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 1, 1_MiB, 0);
-  EXPECT_FALSE(out.delivered);
+  EXPECT_EQ(deliver_one(fabric, {0, 1, 1_MiB}), kSimTimeNever);
   EXPECT_EQ(fabric.drops(0), 1u);
   EXPECT_EQ(fabric.total_drops(), 1u);
   // A dead NIC reserves nothing: no phantom contention for later traffic.
@@ -43,8 +46,7 @@ TEST(FabricFault, SourceFailsMidDrainDropsInFlight) {
   Fabric fabric(engine, 2, exact_params());
   // 4 MiB drains until 1 us + 4 ms; the NIC dies at 2 ms, mid-stream.
   fabric.fail_link(0, 2'000'000);
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 1, 4_MiB, 0);
-  EXPECT_FALSE(out.delivered);
+  EXPECT_EQ(deliver_one(fabric, {0, 1, 4_MiB}), kSimTimeNever);
   EXPECT_EQ(fabric.drops(0), 1u);
 }
 
@@ -53,9 +55,7 @@ TEST(FabricFault, TransferCompletingBeforeFailureIsDelivered) {
   Fabric fabric(engine, 2, exact_params());
   fabric.fail_link(0, 2'000'000);
   // 1 MiB is fully drained at ~1 ms, before the 2 ms failure.
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 1, 1_MiB, 0);
-  EXPECT_TRUE(out.delivered);
-  EXPECT_EQ(out.at, 1000u + 1'000'000u);
+  EXPECT_EQ(deliver_one(fabric, {0, 1, 1_MiB}), 1000u + 1'000'000u);
   EXPECT_EQ(fabric.drops(0), 0u);
 }
 
@@ -63,8 +63,7 @@ TEST(FabricFault, DestinationDownChargesSenderAndCountsDstDrop) {
   sim::Engine engine;
   Fabric fabric(engine, 2, exact_params());
   fabric.fail_link(1, 0);
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 1, 1_MiB, 0);
-  EXPECT_FALSE(out.delivered);
+  EXPECT_EQ(deliver_one(fabric, {0, 1, 1_MiB}), kSimTimeNever);
   // The sender serialized the payload onto the wire before anyone could
   // know the receiver was gone; only the rx side skips occupancy.
   EXPECT_EQ(fabric.tx_busy(0), 1'000'000u);
@@ -77,8 +76,7 @@ TEST(FabricFault, LoopbackIgnoresNicFailure) {
   sim::Engine engine;
   Fabric fabric(engine, 2, exact_params());
   fabric.fail_link(0, 0);
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 0, 1_MiB, 0);
-  EXPECT_TRUE(out.delivered);
+  EXPECT_NE(deliver_one(fabric, {0, 0, 1_MiB}), kSimTimeNever);
   EXPECT_EQ(fabric.total_drops(), 0u);
 }
 
@@ -86,25 +84,25 @@ TEST(FabricFault, UnaffectedPairsKeepCalibratedBandwidth) {
   sim::Engine engine;
   Fabric fabric(engine, 4, exact_params());
   fabric.fail_link(0, 0);
-  (void)fabric.transfer_outcome(0, 1, 8_MiB, 0);  // dropped
+  const auto at = deliver_all(fabric, {{0, 1, 8_MiB},  // dropped
+                                       {2, 3, 1_MiB},
+                                       {2, 0, 1_MiB},
+                                       {3, 2, 1_MiB}});
+  EXPECT_EQ(at[0], kSimTimeNever);
   // The 2 -> 3 pair still gets the exact calibrated cost.
-  const Fabric::Outcome out = fabric.transfer_outcome(2, 3, 1_MiB, 0);
-  EXPECT_TRUE(out.delivered);
-  EXPECT_EQ(out.at, 1000u + 1'000'000u);
+  EXPECT_EQ(at[1], 1000u + 1'000'000u);
   // And traffic *into* the dead node from a healthy sender is a dst drop,
   // not interference for anyone else.
-  (void)fabric.transfer_outcome(2, 0, 1_MiB, 0);
-  const Fabric::Outcome again = fabric.transfer_outcome(3, 2, 1_MiB, 0);
-  EXPECT_TRUE(again.delivered);
+  EXPECT_EQ(at[2], kSimTimeNever);
+  EXPECT_NE(at[3], kSimTimeNever);
 }
 
 TEST(FabricFault, DegradedLinkStretchesSerialization) {
   sim::Engine engine;
   Fabric fabric(engine, 2, exact_params());
   fabric.degrade_link(0, 0, 0.5);
-  const Fabric::Outcome out = fabric.transfer_outcome(0, 1, 1_MiB, 0);
-  EXPECT_TRUE(out.delivered);  // degraded, not dead
-  EXPECT_EQ(out.at, 1000u + 2'000'000u);
+  // Degraded, not dead.
+  EXPECT_EQ(deliver_one(fabric, {0, 1, 1_MiB}), 1000u + 2'000'000u);
 }
 
 TEST(FabricFault, RepeatedFailuresKeepEarliest) {

@@ -236,7 +236,7 @@ TEST(Cluster, DeterministicReplay) {
       const gpu::DevPtr p = ac.mem_alloc(1_MiB);
       ac.memcpy_h2d(p, util::Buffer::backed_zero(1_MiB));
       (void)ac.memcpy_d2h(p, 1_MiB);
-      job.mpi().barrier(job.job_comm());
+      (void)job.mpi().allreduce_sum(job.job_comm(), 1.0);
     };
     cluster.submit(spec);
     cluster.run();

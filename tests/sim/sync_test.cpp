@@ -144,7 +144,7 @@ TEST(Completion, WaitUntilReturnsFalseAtTheDeadline) {
   engine.spawn("p", [&](Context& ctx) {
     EXPECT_FALSE(done.wait_until(ctx, 1'000));
     EXPECT_EQ(ctx.now(), 1'000u);
-    EXPECT_EQ(done.waiters().waiting(), 0u);
+    EXPECT_EQ(done.waiting(), 0u);
     EXPECT_FALSE(done.wait_until(ctx, 500));  // already past: no wait
     EXPECT_EQ(ctx.now(), 1'000u);
   });
@@ -174,7 +174,7 @@ TEST(Completion, LaterCompletionWakesTheWaitersThatStayed) {
   }
   engine.spawn("signaller", [&](Context& ctx) {
     ctx.wait_for(5'000);
-    EXPECT_EQ(done.waiters().waiting(), 2u);
+    EXPECT_EQ(done.waiting(), 2u);
     done.complete();
   });
   engine.run();

@@ -19,14 +19,6 @@ TEST(Table, PrintsAlignedColumns) {
   EXPECT_NE(out.find("7.0"), std::string::npos);
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.row().add("x").add("y");
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,y\n");
-}
-
 TEST(Table, RowCount) {
   Table t({"h"});
   EXPECT_EQ(t.rows(), 0u);
