@@ -1,6 +1,8 @@
 // Helpers for the linear-algebra figure benches (Figures 9/10).
 #pragma once
 
+#include <cstdint>
+
 #include "bench_util.hpp"
 #include "la/factorizations.hpp"
 
@@ -8,10 +10,19 @@ namespace dacc::bench {
 
 enum class Routine { kQr, kCholesky };
 
+/// The engine's counters after one figure point's run.
+struct EngineCounts {
+  std::uint64_t events = 0;
+  std::uint64_t switches = 0;
+  std::uint64_t fast_forwards = 0;
+};
+
 /// One figure point: factorize an N x N phantom matrix with `g` GPUs —
 /// node-local (g must be 1) or network-attached — and return the result.
+/// A non-null `counts` receives the engine's counters.
 inline la::FactorResult la_point(Routine routine, int n, int g, bool local,
-                                 int nb = 128) {
+                                 int nb = 128,
+                                 EngineCounts* counts = nullptr) {
   rt::ClusterConfig cc;
   cc.compute_nodes = 1;
   cc.accelerators = local ? 0 : g;
@@ -43,6 +54,10 @@ inline la::FactorResult la_point(Routine routine, int n, int g, bool local,
   };
   cluster.submit(spec);
   cluster.run();
+  if (counts != nullptr) {
+    const sim::Engine& e = cluster.engine();
+    *counts = {e.events_executed(), e.process_switches(), e.fast_forwards()};
+  }
   return result;
 }
 

@@ -7,7 +7,8 @@
 //     the pooled event queue in isolation.
 //   * figure-9 wall time — one QR factorization point (N x N phantom, 3
 //     network-attached GPUs) end to end: the user-visible effect on the
-//     paper sweeps.
+//     paper sweeps. It also reports the run's events, process switches and
+//     the timed waits that ran in place (DESIGN.md §5.1).
 //   * parallel cluster scenario — an MP2C-style job with lease churn
 //     across waves on 129 fabric nodes (64 CNs + 64 ACs + ARM) and on 513
 //     (256 + 256 + ARM), run under the serial backend and the sharded
@@ -120,13 +121,14 @@ struct QrProbe {
   int n = 0;
   double sim_ms = 0.0;
   double wall_s = 0.0;
+  EngineCounts counts;
 };
 
 QrProbe qr_wall_time(int n) {
+  QrProbe p;
   const auto t0 = std::chrono::steady_clock::now();
   const la::FactorResult r = la_point(Routine::kQr, n, /*g=*/3,
-                                      /*local=*/false);
-  QrProbe p;
+                                      /*local=*/false, /*nb=*/128, &p.counts);
   p.wall_s = seconds_since(t0);
   p.n = n;
   p.sim_ms = to_ms(r.factor_time);
@@ -370,8 +372,12 @@ int run(int argc, char** argv) {
 
   const QrProbe qr = qr_wall_time(qr_n);
   std::printf("figure-9 QR point: N=%d, 3 GPUs  ->  %.1f ms simulated, "
-              "%.3f s wall\n",
-              qr.n, qr.sim_ms, qr.wall_s);
+              "%.3f s wall, %llu events, %llu switches (%llu waits in "
+              "place)\n",
+              qr.n, qr.sim_ms, qr.wall_s,
+              static_cast<unsigned long long>(qr.counts.events),
+              static_cast<unsigned long long>(qr.counts.switches),
+              static_cast<unsigned long long>(qr.counts.fast_forwards));
 
   const int host_cores = static_cast<int>(std::thread::hardware_concurrency());
   const sim::ExecBackend base_backend = sim::ExecBackend::kCoroutine;
@@ -681,7 +687,9 @@ int run(int argc, char** argv) {
        << ", \"heap_fallbacks\": " << ev.heap_fallbacks << "},\n"
        << "  \"fig09_qr\": {\"n\": " << qr.n << ", \"gpus\": 3"
        << ", \"sim_ms\": " << qr.sim_ms << ", \"wall_s\": " << qr.wall_s
-       << "},\n"
+       << ", \"events\": " << qr.counts.events
+       << ", \"switches\": " << qr.counts.switches
+       << ", \"fast_forwards\": " << qr.counts.fast_forwards << "},\n"
        << "  \"command_stream\": {\n"
        << "    \"compute_nodes\": " << cs_nodes
        << ", \"bursts\": " << cs_bursts << ", \"watermark\": 16,\n"

@@ -621,7 +621,7 @@ void Mpi::wait(Request& request) {
 }
 
 void Mpi::wait_all(std::span<Request> requests) {
-  for (Request& r : requests) wait(r);
+  for (std::size_t i = requests.size(); i-- > 0;) wait(requests[i]);
 }
 
 bool Mpi::wait_until(Request& request, SimTime deadline) {

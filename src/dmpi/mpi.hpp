@@ -216,6 +216,9 @@ class Mpi {
   /// oldest matching pending message without receiving it.
   bool iprobe(const Comm& comm, Rank src, int tag, Status* status = nullptr);
   void wait(Request& request);
+  /// Waits for every request, newest first: requests that complete in the
+  /// order they were posted (a block stream on one link) wake the caller
+  /// once.
   void wait_all(std::span<Request> requests);
   /// Waits until `request` completes or the simulated clock reaches
   /// `deadline`; returns whether it completed. On timeout the request is

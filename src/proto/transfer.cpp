@@ -29,11 +29,54 @@ std::uint64_t BlockPlan::size(std::size_t i) const {
 
 namespace {
 
-// Cancels every not-yet-finished request (timeout unwind path).
+// Cancels every not-yet-finished request (timeout and error unwind paths).
 void cancel_outstanding(dmpi::Mpi& mpi, std::vector<dmpi::Request>& reqs) {
   for (dmpi::Request& r : reqs) {
     if (r.valid() && !r.done()) mpi.cancel(r);
   }
+}
+
+// Waits for reqs[i] until `deadline`; on timeout cancels every request and
+// throws TransferTimeout.
+void await(dmpi::Mpi& mpi, std::vector<dmpi::Request>& reqs, std::size_t i,
+           SimTime deadline) {
+  if (!mpi.wait_until(reqs[i], deadline)) {
+    cancel_outstanding(mpi, reqs);
+    throw TransferTimeout{};
+  }
+}
+
+// Waits for every request, newest first. A block stream's requests
+// complete in order, because its blocks cross one link in order, so the
+// caller wakes once per stream and then finds the older ones done.
+void await_all(dmpi::Mpi& mpi, std::vector<dmpi::Request>& reqs,
+               SimTime deadline) {
+  for (std::size_t i = reqs.size(); i-- > 0;) await(mpi, reqs, i, deadline);
+}
+
+// Pre-posts one receive per block, so rendezvous handshakes are never on
+// the critical path.
+std::vector<dmpi::Request> post_recvs(dmpi::Mpi& mpi, const dmpi::Comm& comm,
+                                      dmpi::Rank src, const BlockPlan& plan,
+                                      int data_tag) {
+  std::vector<dmpi::Request> recvs;
+  recvs.reserve(plan.count());
+  for (std::size_t i = 0; i < plan.count(); ++i) {
+    recvs.push_back(mpi.irecv(comm, src, data_tag));
+  }
+  return recvs;
+}
+
+// Takes block i's payload. A block of the wrong size cancels the receives
+// still posted first, so none of them swallows a later message.
+util::Buffer take_block(dmpi::Mpi& mpi, std::vector<dmpi::Request>& recvs,
+                        const BlockPlan& plan, std::size_t i) {
+  util::Buffer block = recvs[i].take_payload();
+  if (block.size() != plan.size(i)) {
+    cancel_outstanding(mpi, recvs);
+    throw std::runtime_error("recv_blocks: block size mismatch");
+  }
+  return block;
 }
 
 }  // namespace
@@ -55,12 +98,7 @@ void send_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank dst,
     sends.push_back(mpi.isend(comm, dst, data_tag,
                               payload.view(plan.offset(i), plan.size(i))));
   }
-  for (dmpi::Request& s : sends) {
-    if (!mpi.wait_until(s, deadline)) {
-      cancel_outstanding(mpi, sends);
-      throw TransferTimeout{};
-    }
-  }
+  await_all(mpi, sends, deadline);
 }
 
 void recv_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank src,
@@ -69,24 +107,13 @@ void recv_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank src,
                      on_block,
                  int data_tag, SimTime deadline) {
   const BlockPlan plan(total, config);
-  if (plan.count() == 0) return;
-  // Pre-post every receive so rendezvous handshakes are never on the
-  // critical path; consume in order so on_block sees a clean offset stream.
-  std::vector<dmpi::Request> recvs;
-  recvs.reserve(plan.count());
-  for (std::size_t i = 0; i < plan.count(); ++i) {
-    recvs.push_back(mpi.irecv(comm, src, data_tag));
-  }
-  for (std::size_t i = 0; i < plan.count(); ++i) {
-    if (!mpi.wait_until(recvs[i], deadline)) {
-      cancel_outstanding(mpi, recvs);
-      throw TransferTimeout{};
-    }
-    util::Buffer block = recvs[i].take_payload();
-    if (block.size() != plan.size(i)) {
-      throw std::runtime_error("recv_blocks: block size mismatch");
-    }
-    on_block(plan.offset(i), std::move(block));
+  // Consumed in order, one wake per block, so on_block sees a clean offset
+  // stream at each block's arrival time.
+  std::vector<dmpi::Request> recvs =
+      post_recvs(mpi, comm, src, plan, data_tag);
+  for (std::size_t i = 0; i < recvs.size(); ++i) {
+    await(mpi, recvs, i, deadline);
+    on_block(plan.offset(i), take_block(mpi, recvs, plan, i));
   }
 }
 
@@ -94,19 +121,21 @@ util::Buffer recv_assemble(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                            dmpi::Rank src, std::uint64_t total,
                            const TransferConfig& config, int data_tag,
                            SimTime deadline) {
+  const BlockPlan plan(total, config);
+  std::vector<dmpi::Request> recvs =
+      post_recvs(mpi, comm, src, plan, data_tag);
+  // Nothing happens per block here, so the stream costs one wake: the
+  // received blocks wait in their requests until the last one lands.
+  await_all(mpi, recvs, deadline);
   util::Buffer out;
-  bool initialized = false;
-  recv_blocks(
-      mpi, comm, src, total, config,
-      [&](std::uint64_t offset, util::Buffer block) {
-        if (!initialized) {
-          out = block.is_backed() ? util::Buffer::backed_zero(total)
-                                  : util::Buffer::phantom(total);
-          initialized = true;
-        }
-        out.write_at(offset, block);
-      },
-      data_tag, deadline);
+  for (std::size_t i = 0; i < recvs.size(); ++i) {
+    const util::Buffer block = take_block(mpi, recvs, plan, i);
+    if (i == 0) {
+      out = block.is_backed() ? util::Buffer::backed_zero(total)
+                              : util::Buffer::phantom(total);
+    }
+    out.write_at(plan.offset(i), block);
+  }
   return out;
 }
 

@@ -40,8 +40,9 @@ class TransferTimeout : public std::runtime_error {
 };
 
 /// Sends `payload` to `dst` as the plan's sequence of `data_tag` messages.
-/// All sends are posted nonblocking and then awaited, so consecutive blocks
-/// stream back to back on the link. With a finite `deadline`, blocks not
+/// All sends are posted nonblocking and then awaited, newest first, so
+/// consecutive blocks stream back to back on the link and the caller wakes
+/// once, when the last block has left. With a finite `deadline`, blocks not
 /// completed in time are cancelled and TransferTimeout is thrown.
 void send_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank dst,
                  util::Buffer payload, const TransferConfig& config,
@@ -50,15 +51,19 @@ void send_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank dst,
 /// Receives `total` bytes from `src` under the same plan. All receives are
 /// pre-posted; `on_block(offset, data)` runs in block order, at the
 /// simulated time each block's receive completes — the daemon's callback
-/// issues the next DMA there, which is what creates the overlap.
+/// issues the next DMA there, which is what creates the overlap. A block
+/// of the wrong size cancels the receives still posted and throws.
 void recv_blocks(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank src,
                  std::uint64_t total, const TransferConfig& config,
                  const std::function<void(std::uint64_t, util::Buffer)>&
                      on_block,
                  int data_tag, SimTime deadline = kSimTimeNever);
 
-/// recv_blocks() assembling everything into one buffer (front-end side of a
-/// device-to-host copy). Phantom blocks yield a phantom result.
+/// Receives like recv_blocks() and assembles everything into one buffer
+/// (front-end side of a device-to-host copy). It waits for the last block
+/// first, so it wakes once per stream and holds the received blocks until
+/// then; it returns at the time recv_blocks() would. Phantom blocks yield a
+/// phantom result.
 util::Buffer recv_assemble(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                            dmpi::Rank src, std::uint64_t total,
                            const TransferConfig& config,

@@ -333,6 +333,10 @@ void Context::wait_for(SimDuration d) { wait_until(engine_.now() + d); }
 void Context::wait_until(SimTime t) {
   if (t <= engine_.now()) return;
   const std::uint64_t id = engine_.prepare_block(self_);
+  if (engine_.wait_in_place(t)) {
+    self_.current_wait_ = 0;
+    return;
+  }
   engine_.schedule_resume(self_, id, t);
   engine_.block(self_);
 }
@@ -625,6 +629,20 @@ std::uint64_t Engine::prepare_block(Process& p) {
   return p.current_wait_;
 }
 
+bool Engine::wait_in_place(SimTime t) {
+  // Exact: the resume would be the next event popped, so nothing runs
+  // between the block and the slice it starts. A process's slices run on
+  // events homed on its node, so the resume would take that node's next
+  // key, with no cross-node clamp; taking the key keeps every later event's.
+  if (!in_place_ || !queue_.precedes_all(t)) return false;
+  next_ord(cur_node_);
+  now_ = t;
+  ++events_executed_;
+  ++process_switches_;
+  ++fast_forwards_;
+  return true;
+}
+
 void Engine::block(Process& p) {
   // Returns when a matching resume hands the baton back.
   p.strand_->yield_to_engine();
@@ -705,19 +723,30 @@ __attribute__((always_inline)) inline bool Engine::run_events(
     if (!windowed_) ++pstats_.merged_fallbacks;
   }
   const std::uint64_t we0 = events_executed_;
-  while (!queue_.empty() && queue_.top_time() <= limit) {
-    EventQueue::Node* ev = queue_.pop();
-    if (probe && ev->node != kGlobalNode) [[unlikely]] {
-      probe = false;
-      if (promote(ev)) break;
-    }
-    now_ = ev->time;
-    cur_node_ = ev->node;
-    ++events_executed_;
-    queue_.run_and_recycle(ev);
-    if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
-      cur_node_ = kGlobalNode;
-      rethrow_failure();
+  {
+    // A timed wait next in line runs in place (wait_in_place) only in
+    // run()'s copy of this loop, whose limit admits every time, and only
+    // while the loop holds every event: the promotion probe's break, like
+    // an event that throws, ends the scope.
+    in_place_ = limit == kSimTimeNever;
+    struct Leave {
+      bool& in_place;
+      ~Leave() { in_place = false; }
+    } leave{in_place_};
+    while (!queue_.empty() && queue_.top_time() <= limit) {
+      EventQueue::Node* ev = queue_.pop();
+      if (probe && ev->node != kGlobalNode) [[unlikely]] {
+        probe = false;
+        if (promote(ev)) break;
+      }
+      now_ = ev->time;
+      cur_node_ = ev->node;
+      ++events_executed_;
+      queue_.run_and_recycle(ev);
+      if (any_failure_.load(std::memory_order_acquire)) [[unlikely]] {
+        cur_node_ = kGlobalNode;
+        rethrow_failure();
+      }
     }
   }
   cur_node_ = kGlobalNode;

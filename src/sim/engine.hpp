@@ -411,6 +411,13 @@ class Engine {
   /// process; the unit of the wall-clock switch benchmarks).
   std::uint64_t process_switches() const { return process_switches_; }
 
+  /// Timed waits that ran in place: a wait_until() whose resume would have
+  /// been the next event the serial loop pops moves the clock without a
+  /// stack switch (DESIGN.md §5.1). events_executed() and
+  /// process_switches() still count each as the resume event and the slice
+  /// it stands for, so both stay a property of the simulated schedule.
+  std::uint64_t fast_forwards() const { return fast_forwards_; }
+
   /// Event-pool occupancy (live, high-water, pool capacity, heap
   /// fallbacks) — the stress tests assert these stay flat in steady state.
   const EventQueue::Stats& event_stats() const { return queue_.stats(); }
@@ -666,6 +673,10 @@ class Engine {
 
   // Process-context blocking helpers (called via Context).
   std::uint64_t prepare_block(Process& p);
+  /// Context::wait_until's fast path: when the calling process's resume
+  /// at `t` would be the next event run() pops, takes the resume's key,
+  /// counts it and its slice, sets the clock to `t` and returns true.
+  bool wait_in_place(SimTime t);
   void block(Process& p);  // yields the baton; returns when resumed
   void schedule_resume(Process& p, std::uint64_t wait_id, SimTime t);
   void local_wake(Process& p);
@@ -758,6 +769,7 @@ class Engine {
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_executed_ = 0;
   std::uint64_t process_switches_ = 0;
+  std::uint64_t fast_forwards_ = 0;
   // The band queue: every event until the engine moves to the pool, the
   // global-context ones after. Declared before shards_: it keeps owning
   // the nodes promote() hands them, so it must be destroyed after them.
@@ -786,9 +798,9 @@ class Engine {
   std::vector<int> shard_of_;
 
   // Derived parallel plan (rebuilt lazily at run start when dirty).
-  bool plan_dirty_ = true;
   std::vector<SimTime> pair_la_;   // shard-pair lookahead matrix [S*S]
   SimDuration min_cross_la_ = 0;   // min off-diagonal entry (0: no pool)
+  bool plan_dirty_ = true;
   bool windowed_ = false;          // the current run has a safe horizon width
 
   // Parallel backend state.
@@ -803,6 +815,8 @@ class Engine {
   std::uint32_t serial_record_seq_ = 0;  // observer records within that event
   bool on_pool_ = false;  // promoted: node events live on the shards
   bool pool_run_ = false;  // inside run_parallel: record() keeps its steps
+  bool in_place_ = false;  // inside run()'s serial loop: wait_in_place may
+                           // run a timed wait
   KeptSteps band_kept_;    // the serial band's kept steps
 };
 

@@ -105,6 +105,16 @@ class EventQueue {
     return far_min_[static_cast<std::size_t>(std::countr_zero(far_mask_))];
   }
 
+  /// Whether an event at `t`, later than every popped event, would pop
+  /// before everything queued. An event at the base comes first, and so
+  /// does a far event at `t` itself: that bucket's ords are unsorted, and
+  /// a tie is not worth a scan.
+  bool precedes_all(SimTime t) const {
+    if (!at_base_.empty()) return false;
+    return far_mask_ == 0 ||
+           t < far_min_[static_cast<std::size_t>(std::countr_zero(far_mask_))];
+  }
+
   template <typename F>
   void push(SimTime time, std::uint64_t ord, std::int32_t node, F&& fn) {
     check_not_before_base(time);

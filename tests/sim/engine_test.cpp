@@ -191,6 +191,107 @@ TEST(Engine, YieldRunsAfterSameTimeEvents) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+// A timed wait whose resume would be the next event run() pops runs in
+// place (DESIGN.md §5.1): the clock moves without a stack switch, and the
+// resume still counts as one event and one slice.
+TEST(InPlaceWait, LoneSleeperWaitsInPlace) {
+  Engine engine;
+  std::vector<SimTime> woke;
+  engine.spawn("p", [&](Context& ctx) {
+    for (int i = 0; i < 10; ++i) {
+      ctx.wait_for(5);
+      woke.push_back(ctx.now());
+    }
+  });
+  engine.run();
+  EXPECT_EQ(woke, (std::vector<SimTime>{5, 10, 15, 20, 25, 30, 35, 40, 45,
+                                        50}));
+  EXPECT_EQ(engine.now(), 50u);
+  EXPECT_EQ(engine.fast_forwards(), 10u);
+  // The start event and ten resumes, each a slice.
+  EXPECT_EQ(engine.events_executed(), 11u);
+  EXPECT_EQ(engine.process_switches(), 11u);
+}
+
+TEST(InPlaceWait, EarlierEventRunsFirst) {
+  Engine engine;
+  std::vector<SimTime> event_at;
+  std::vector<SimTime> woke;
+  engine.schedule_at(5, [&] { event_at.push_back(engine.now()); });
+  engine.spawn("p", [&](Context& ctx) {
+    ctx.wait_for(10);  // the event at 5 is due first: a queued resume
+    woke.push_back(ctx.now());
+    EXPECT_EQ(event_at, (std::vector<SimTime>{5}));
+    ctx.wait_for(10);  // nothing else queued: in place
+    woke.push_back(ctx.now());
+  });
+  engine.run();
+  EXPECT_EQ(woke, (std::vector<SimTime>{10, 20}));
+  EXPECT_EQ(engine.fast_forwards(), 1u);
+  EXPECT_EQ(engine.events_executed(), 4u);  // event, start, two resumes
+  EXPECT_EQ(engine.process_switches(), 3u);
+}
+
+TEST(InPlaceWait, SameTimeTieTakesTheQueuedPath) {
+  // An event the other node scheduled is due when the process on `home`
+  // wakes. Same-time keys order by the scheduling node, so the lower node
+  // runs first either way; the tie is never run in place.
+  for (const std::int32_t home : {0, 1}) {
+    SCOPED_TRACE("process on node " + std::to_string(home));
+    Engine engine;
+    engine.set_node_count(2);
+    std::string order;
+    engine.post(1 - home, 0, [&] {
+      engine.schedule_at(10, [&] { order += 'e'; });
+    });
+    engine.spawn_on(home, "p", [&](Context& ctx) {
+      ctx.wait_until(10);
+      order += 'p';
+      EXPECT_EQ(ctx.now(), 10u);
+    });
+    engine.run();
+    EXPECT_EQ(order, home == 1 ? "ep" : "pe");
+    EXPECT_EQ(engine.fast_forwards(), 0u);
+    EXPECT_EQ(engine.events_executed(), 4u);  // post, event, start, resume
+    EXPECT_EQ(engine.process_switches(), 2u);
+  }
+}
+
+TEST(InPlaceWait, RunUntilNeverRunsAProcessPastItsLimit) {
+  Engine engine;
+  std::vector<SimTime> woke;
+  engine.spawn("p", [&](Context& ctx) {
+    for (int i = 0; i < 10; ++i) {
+      ctx.wait_for(3);
+      woke.push_back(ctx.now());
+    }
+  });
+  EXPECT_TRUE(engine.run_until(10));
+  EXPECT_EQ(woke, (std::vector<SimTime>{3, 6, 9}));
+  EXPECT_EQ(engine.now(), 9u);  // the resume at 12 is still queued
+  EXPECT_EQ(engine.fast_forwards(), 0u);
+  EXPECT_EQ(engine.events_executed(), 4u);
+  // run() pops the queued resume at 12; the six waits after it run in
+  // place.
+  engine.run();
+  EXPECT_EQ(woke.size(), 10u);
+  EXPECT_EQ(woke.back(), 30u);
+  EXPECT_EQ(engine.fast_forwards(), 6u);
+  EXPECT_EQ(engine.events_executed(), 11u);
+  EXPECT_EQ(engine.process_switches(), 11u);
+}
+
+TEST(InPlaceWait, YieldAlwaysSwitches) {
+  Engine engine;
+  engine.spawn("p", [](Context& ctx) {
+    for (int i = 0; i < 5; ++i) ctx.yield();
+  });
+  engine.run();
+  EXPECT_EQ(engine.fast_forwards(), 0u);
+  EXPECT_EQ(engine.events_executed(), 6u);
+  EXPECT_EQ(engine.process_switches(), 6u);
+}
+
 TEST(Engine, DeadlockedProcessIsReported) {
   Engine engine;
   engine.spawn("stuck", [](Context& ctx) { ctx.suspend(); });
